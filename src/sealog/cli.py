@@ -138,7 +138,10 @@ def _cmd_ingest(args, config) -> int:
 def _cmd_flush(args, config) -> int:
     store = _open_store(args, config)
     writer = collector.LogWriter(store)
-    writer.flush()
+    try:
+        writer.flush()
+    finally:
+        writer.close()
     state = store.state
     latest = state.latest_block_id if state else None
     print(f"store durable; latest committed block: {latest}")
@@ -348,7 +351,8 @@ def _cmd_export_formats(args, config) -> int:
             },
         },
         "exit_codes": {"ok": 0, "findings": 1, "usage": 2, "io_or_alarm": 3},
-        "docs": ["FORMATS.md", "PROTOCOL.md"],
+        # The module docstrings that define the formats above.
+        "docs": ["sealog.keyschedule", "sealog.logchain", "sealog.sealstore", "sealog.retrieval"],
     }
     print(json.dumps(constants, indent=2))
     return EXIT_OK

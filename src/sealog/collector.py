@@ -35,8 +35,10 @@ from .keyschedule import (
     first_message_key,
     next_block_key,
     next_message_key,
+    walk_block_chain,
 )
 from .logchain import (
+    BLOCK_ENVELOPE_LEN,
     MAX_TEXT_LEN,
     RECORD_LEN,
     Block,
@@ -267,7 +269,7 @@ class LogWriter:
         self._next_block_id = 0 if latest is None else latest + 1
         self._records: list[LogRecord] = []
         self._ram_blocks: list[Block] = []
-        self._ram_bytes = 0
+        self._ram_block_records = 0  # records inside self._ram_blocks
         self._bk: BlockKey | None = None
         self._mk: MessageKey | None = None
         self._last_seal = time.monotonic()
@@ -275,56 +277,39 @@ class LogWriter:
         self.groups_sealed = 0
         self.peak_ram_records = 0
         self.peak_ram_bytes = 0
-        self._resume_mid_group()
 
     # -- accounting --
 
     @property
     def ram_records(self) -> int:
         """Records currently held unsealed in memory (R9 window)."""
-        return sum(len(b.records) for b in self._ram_blocks) + len(self._records)
+        return self._ram_block_records + len(self._records)
 
     @property
     def ram_bytes(self) -> int:
-        return self._ram_bytes
+        """Serialized size of the R9 window: its records plus block envelopes."""
+        return self.ram_records * RECORD_LEN + len(self._ram_blocks) * BLOCK_ENVELOPE_LEN
 
     def _note_peak(self) -> None:
-        records = self.ram_records
-        if records > self.peak_ram_records:
-            self.peak_ram_records = records
-        if self._ram_bytes > self.peak_ram_bytes:
-            self.peak_ram_bytes = self._ram_bytes
+        self.peak_ram_records = max(self.peak_ram_records, self.ram_records)
+        self.peak_ram_bytes = max(self.peak_ram_bytes, self.ram_bytes)
 
     # -- key chain --
 
-    def _resume_mid_group(self) -> None:
-        # Re-derive the block-key chain position from the group's sealed IK
-        # so a restart does not need to touch the RLK for an open group.
-        if self._next_block_id % self.params.c == 0:
-            return
-        group_id = self.params.group_of(self._next_block_id)
-        ik = self.store.load_ik(group_id)
-        bk = first_block_key(ik, self.params.first_block_of(group_id), self.params)
-        ik.erase()
-        for bid in range(self.params.first_block_of(group_id) + 1, self._next_block_id + 1):
-            bk = next_block_key(bk, bid, self.params)
-        self._bk = bk
-
     def _ensure_block_key(self) -> BlockKey:
+        # A group's first block derives and seals the group's IK.  A restart
+        # mid-group, or a replay after a crash, walks the block chain from
+        # the sealed IK instead, so it never touches the RLK.
         if self._bk is not None:
             return self._bk
         group_id = self.params.group_of(self._next_block_id)
-        first_bid = self.params.first_block_of(group_id)
-        if self._next_block_id != first_bid:
-            raise InvalidParameter("block key chain lost mid-group")
-        if self.store.has_ik(group_id):
-            ik = self.store.load_ik(group_id)  # crash-recovery replay path
-            self._bk = first_block_key(ik, first_bid, self.params)
-            ik.erase()
-        else:
+        if self._next_block_id % self.params.c == 0 and not self.store.has_ik(group_id):
             ik = derive_ik(self._rlk, group_id)
-            self._bk = first_block_key(ik, first_bid, self.params)
+            self._bk = first_block_key(ik, self._next_block_id, self.params)
             self.store.seal_ik(ik)
+        else:
+            ik = self.store.load_ik(group_id)
+            self._bk = walk_block_chain(ik, self._next_block_id, self.params)
         return self._bk
 
     def _advance_message_key(self) -> MessageKey:
@@ -354,7 +339,6 @@ class LogWriter:
             key.msg_id, payload, key, continuation=continuation, erase_key=False
         )
         self._records.append(record)
-        self._ram_bytes += RECORD_LEN
         self._note_peak()
         if len(self._records) == self.params.m:
             self._finalize_block()
@@ -365,7 +349,7 @@ class LogWriter:
         block_id = self._next_block_id
         block = sign_block(block_id, self._records, self._identity)
         self._ram_blocks.append(block)
-        self._ram_bytes += len(block.serialize()) - len(self._records) * RECORD_LEN
+        self._ram_block_records += len(self._records)
         self._records = []
         if self._mk is not None:
             self._mk.erase()
@@ -386,7 +370,7 @@ class LogWriter:
             batch = list(self._ram_blocks)
             self.store.commit_blocks(batch)
             self._ram_blocks.clear()
-            self._ram_bytes = len(self._records) * RECORD_LEN
+            self._ram_block_records = 0
             for block in batch:
                 self.blocks_committed += 1
                 if (block.block_id + 1) % self.params.c == 0:

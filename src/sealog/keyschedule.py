@@ -13,8 +13,8 @@ exposes at most the c blocks it serves.  Block and message keys are chained:
 each derivation consumes its predecessor, whose buffer is zeroed, making
 earlier keys computationally unreachable from later ones.
 
-All context labels, the fixed salt, and the index encodings are normative;
-see FORMATS.md.
+All context labels, the fixed salt, and the index encodings below are
+normative: changing any of them changes every derived key.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ import hashlib
 import hmac
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BlockFull, InvalidParameter, KeyUnavailable
 
 KEY_LEN = 32
 
-# Fixed non-secret salt for every HKDF call in the scheme (FORMATS.md).
+# Fixed non-secret salt for every HKDF call in the scheme.
 SCHEME_SALT = bytes.fromhex(
     "4760771f1ad5ea64577b4e353b78483780930c764414fc4f9c7afde532bc3533"
 )
@@ -71,14 +71,18 @@ def hkdf(ikm: bytes, salt: bytes, info: bytes, out_len: int, hash_name: str = "s
     """HKDF extract-then-expand (RFC 5869).
 
     The scheme fixes hash_name to SHA-256; the parameter exists so the
-    published RFC test vectors for other hashes remain checkable.
+    published RFC test vectors for other hashes remain checkable.  An
+    output of at most one SHA-256 block, as every chain key is, takes two
+    one-shot HMACs: PRK, then T(1) = HMAC(PRK, info || 0x01).
     """
+    if hash_name == "sha256" and 0 < out_len <= 32:
+        prk = hmac.digest(salt, ikm, "sha256")
+        return hmac.digest(prk, info + b"\x01", "sha256")[:out_len]
     return hkdf_expand(hkdf_extract(ikm, salt, hash_name), info, out_len, hash_name)
 
 
 def _erase_buffer(buf: bytearray) -> None:
-    for i in range(len(buf)):
-        buf[i] = 0
+    buf[:] = bytes(len(buf))
 
 
 @dataclass(frozen=True)
@@ -139,57 +143,50 @@ class RootLoggingKey:
         return f"<RootLoggingKey {state}>"
 
 
-@dataclass
-class IntermediateKey:
+class _ChainKey:
+    """A 32-byte key of the matrix, held in a buffer ``erase`` zeroes in
+    place.  Subclasses add the key's coordinates as their slots."""
+
+    __slots__ = ("key", "erased")
+
+    def key_bytes(self) -> bytes:
+        if self.erased:
+            raise KeyUnavailable(f"{self._where()} was erased")
+        return bytes(self.key)
+
+    def erase(self) -> None:
+        _erase_buffer(self.key)
+        self.erased = True
+
+    def _where(self) -> str:
+        coords = " ".join(f"{name}={getattr(self, name)}" for name in self.__slots__)
+        return f"{type(self).__name__} {coords}"
+
+    def __repr__(self) -> str:  # never expose material
+        return f"<{self._where()} {'erased' if self.erased else 'live'}>"
+
+
+class IntermediateKey(_ChainKey):
     """Per-group key; serves exactly blocks [group_id*c, (group_id+1)*c - 1]."""
 
-    group_id: int
-    key: bytearray = field(repr=False)
-    erased: bool = False
+    __slots__ = ("group_id",)
 
-    def key_bytes(self) -> bytes:
-        if self.erased:
-            raise KeyUnavailable(f"intermediate key for group {self.group_id} was erased")
-        return bytes(self.key)
-
-    def erase(self) -> None:
-        _erase_buffer(self.key)
-        self.erased = True
+    def __init__(self, group_id: int, key: bytearray) -> None:
+        self.group_id, self.key, self.erased = group_id, key, False
 
 
-@dataclass
-class BlockKey:
-    block_id: int
-    key: bytearray = field(repr=False)
-    erased: bool = False
+class BlockKey(_ChainKey):
+    __slots__ = ("block_id",)
 
-    def key_bytes(self) -> bytes:
-        if self.erased:
-            raise KeyUnavailable(f"block key {self.block_id} was erased")
-        return bytes(self.key)
-
-    def erase(self) -> None:
-        _erase_buffer(self.key)
-        self.erased = True
+    def __init__(self, block_id: int, key: bytearray) -> None:
+        self.block_id, self.key, self.erased = block_id, key, False
 
 
-@dataclass
-class MessageKey:
-    block_id: int
-    msg_id: int
-    key: bytearray = field(repr=False)
-    erased: bool = False
+class MessageKey(_ChainKey):
+    __slots__ = ("block_id", "msg_id")
 
-    def key_bytes(self) -> bytes:
-        if self.erased:
-            raise KeyUnavailable(
-                f"message key ({self.block_id},{self.msg_id}) was erased"
-            )
-        return bytes(self.key)
-
-    def erase(self) -> None:
-        _erase_buffer(self.key)
-        self.erased = True
+    def __init__(self, block_id: int, msg_id: int, key: bytearray) -> None:
+        self.block_id, self.msg_id, self.key, self.erased = block_id, msg_id, key, False
 
 
 def derive_ik(rlk: RootLoggingKey, group_id: int) -> IntermediateKey:
@@ -255,15 +252,20 @@ def next_message_key(prev: MessageKey, params: ChainParams, erase: bool = True) 
     return MessageKey(block_id=prev.block_id, msg_id=msg_id, key=bytearray(okm))
 
 
-def block_key_at(rlk: RootLoggingKey, block_id: int, params: ChainParams) -> BlockKey:
-    """Re-derive the key of an arbitrary block from the RLK (verifier path)."""
-    group_id = params.group_of(block_id)
-    ik = derive_ik(rlk, group_id)
-    bk = first_block_key(ik, params.first_block_of(group_id), params)
+def walk_block_chain(ik: IntermediateKey, block_id: int, params: ChainParams) -> BlockKey:
+    """Derive the key of a block in ik's group by walking the group's block
+    chain from its first block; the IK and every key passed are erased."""
+    first = params.first_block_of(ik.group_id)
+    bk = first_block_key(ik, first, params)
     ik.erase()
-    for bid in range(params.first_block_of(group_id) + 1, block_id + 1):
+    for bid in range(first + 1, block_id + 1):
         bk = next_block_key(bk, bid, params)
     return bk
+
+
+def block_key_at(rlk: RootLoggingKey, block_id: int, params: ChainParams) -> BlockKey:
+    """Re-derive the key of an arbitrary block from the RLK (verifier path)."""
+    return walk_block_chain(derive_ik(rlk, params.group_of(block_id)), block_id, params)
 
 
 def message_keys_for_block(
@@ -277,14 +279,8 @@ def message_keys_for_block(
     if count < 0 or count > params.m:
         raise InvalidParameter(f"count {count} outside [0, m={params.m}]")
     bk = block_key_at(rlk, block_id, params)
-    keys: list[MessageKey] = []
-    if count == 0:
-        bk.erase()
-        return keys
-    mk = first_message_key(bk)
+    keys = [first_message_key(bk)] if count else []
     bk.erase()
-    keys.append(mk)
     for _ in range(1, count):
-        nxt = next_message_key(keys[-1], params, erase=False)
-        keys.append(nxt)
+        keys.append(next_message_key(keys[-1], params, erase=False))
     return keys

@@ -31,7 +31,9 @@ from .keyschedule import (
     ChainParams,
     MessageKey,
     RootLoggingKey,
-    message_keys_for_block,
+    block_key_at,
+    first_message_key,
+    next_message_key,
 )
 
 BLOCK_MAGIC = b"EMLB"
@@ -44,6 +46,8 @@ MAX_TEXT_LEN = TEXT_FIELD_LEN - TEXT_PREFIX_LEN  # 254
 RECORD_LEN = 4 + TAG_LEN + TEXT_FIELD_LEN  # 292
 
 _BLOCK_HEADER = struct.Struct(">4sBII")
+# Bytes a serialized block adds around its records: header and signature.
+BLOCK_ENVELOPE_LEN = _BLOCK_HEADER.size + SIGNATURE_LEN
 
 # Record statuses used in verification reports.
 STATUS_OK = "ok"
@@ -134,9 +138,9 @@ def make_record(
             f"key coordinate ({key.block_id},{key.msg_id}) does not match msg_id {msg_id}"
         )
     text_field = pack_text_field(text, continuation)
-    tag = hmac_mod.new(
+    tag = hmac_mod.digest(
         key.key_bytes(), record_preimage(key.block_id, msg_id, text_field), "sha256"
-    ).digest()
+    )
     if erase_key:
         key.erase()
     return LogRecord(msg_id=msg_id, tag=tag, text_field=text_field)
@@ -157,14 +161,14 @@ class Block:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Block":
-        if len(data) < _BLOCK_HEADER.size + SIGNATURE_LEN:
+        if len(data) < BLOCK_ENVELOPE_LEN:
             raise ParseError("block too short")
         magic, version, block_id, count = _BLOCK_HEADER.unpack_from(data)
         if magic != BLOCK_MAGIC:
             raise ParseError(f"bad block magic {magic!r}")
         if version != FORMAT_VERSION:
             raise ParseError(f"unsupported block format version {version}")
-        expected = _BLOCK_HEADER.size + count * RECORD_LEN + SIGNATURE_LEN
+        expected = BLOCK_ENVELOPE_LEN + count * RECORD_LEN
         if len(data) != expected:
             raise ParseError(f"block length {len(data)} does not match declared count {count}")
         records = []
@@ -236,17 +240,22 @@ def verify_block_full(
 
     order_ok = [r.msg_id for r in block.records] == list(range(len(block.records)))
     result.record_order_ok = order_ok
-    # Keys are derived for the declared positions; records whose claimed
-    # msg_id disagrees with their position fail their tag check below.
-    keys = message_keys_for_block(rlk, block.block_id, len(block.records), params)
-    for position, (record, key) in enumerate(zip(block.records, keys)):
-        expected = hmac_mod.new(
-            key.key_bytes(),
-            record_preimage(block.block_id, position, record.text_field),
-            "sha256",
-        ).digest()
+    # Keys are derived for the declared positions, each erased as its
+    # successor is derived; records whose claimed msg_id disagrees with
+    # their position fail their tag check below.
+    if len(block.records) > params.m:
+        raise InvalidParameter(f"count {len(block.records)} outside [0, m={params.m}]")
+    bk = block_key_at(rlk, block.block_id, params)
+    key = first_message_key(bk) if block.records else None
+    bk.erase()
+    for position, record in enumerate(block.records):
+        if position:
+            key = next_message_key(key, params)
+        preimage = record_preimage(block.block_id, position, record.text_field)
+        expected = hmac_mod.digest(key.key_bytes(), preimage, "sha256")
         if record.msg_id != position or not hmac_mod.compare_digest(expected, record.tag):
             result.bad_records.append(position)
+    if key is not None:
         key.erase()
     return result
 
@@ -315,12 +324,15 @@ def verify_sequence(
     public_key: ec.EllipticCurvePublicKey,
     params: ChainParams,
     report: VerificationReport | None = None,
+    expected_end: int | None = None,
 ) -> VerificationReport:
     """Audit an ordered run of blocks against the committed chain state.
 
     ``state`` is a ChainState (or None for a missing state record, which is
     itself a finding).  With an RLK the full hash matrix is recomputed; with
-    rlk=None only signatures and structure are checked (public mode).
+    rlk=None only signatures and structure are checked (public mode).  The
+    run must reach ``expected_end`` (a requested last block) or, when that
+    is None or beyond the state, the newest committed block.
     """
     mode = "full" if rlk is not None else "public"
     if report is None:
@@ -369,7 +381,7 @@ def verify_sequence(
         report.add(_verify_one(block, rlk, params, public_key, report))
         expected_id = block.block_id + 1
 
-    _check_state_consistency(report, blocks, state, mode)
+    _check_state_consistency(report, blocks, state, mode, expected_end)
     return report
 
 
@@ -398,7 +410,7 @@ def _verify_one(block, rlk, params, public_key, report) -> BlockEntry:
     return BlockEntry(block.block_id, status)
 
 
-def _check_state_consistency(report, blocks, state, mode) -> None:
+def _check_state_consistency(report, blocks, state, mode, expected_end) -> None:
     if state is None:
         report.findings.append(FINDING_MISSING_STATE)
         return
@@ -415,10 +427,12 @@ def _check_state_consistency(report, blocks, state, mode) -> None:
             f"{FINDING_TRUNCATION}: no blocks presented but state commits through {latest}"
         )
         return
-    if highest < latest:
-        report.findings.append(
-            f"{FINDING_TRUNCATION}: blocks end at {highest} but state commits through {latest}"
-        )
+    if expected_end is not None and expected_end < latest:
+        due, source = expected_end, "request ends at"
+    else:
+        due, source = latest, "state commits through"
+    if highest < due:
+        report.findings.append(f"{FINDING_TRUNCATION}: blocks end at {highest} but {source} {due}")
     elif highest > latest:
         report.findings.append(
             f"{FINDING_BEYOND_STATE}: block {highest} exceeds committed {latest}"

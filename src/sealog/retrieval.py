@@ -1,6 +1,6 @@
 """Device-side export service and verifier-side retrieval client.
 
-The wire format is length-prefixed binary frames (PROTOCOL.md):
+The wire format (protocol v1) is length-prefixed binary frames:
 
     frame    := BE32 length || type(1) || payload
     HELLO    := version(1) role(1) device_id(16)
@@ -791,8 +791,9 @@ def audit(
             f"{FINDING_INTEGRITY_ALARM}: block {alarm.get('block_id')} ({alarm.get('reason')})"
         )
 
+    expected_end = result.request.end if result.request else None
     return verify_sequence(
-        result.blocks, expected_start, state, rlk, public_key, params, report=report
+        result.blocks, expected_start, state, rlk, public_key, params, report, expected_end
     )
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 import threading
 
@@ -8,6 +9,7 @@ import pytest
 from sealog import retrieval
 from sealog.cli import main
 from sealog.identity import DeviceIdentity
+from sealog.keyschedule import RootLoggingKey
 
 
 def _init(tmp_path, capsys, c=2, m=5, rlk_out=False):
@@ -87,6 +89,20 @@ def test_flush_reports_latest(tmp_path, capsys):
     assert "latest committed block: 0" in capsys.readouterr().out
 
 
+def test_flush_destroys_the_writers_root_key(tmp_path, capsys, monkeypatch):
+    store = _init(tmp_path, capsys, c=1, m=5)
+    destroyed = []
+    original = RootLoggingKey.destroy
+
+    def recording_destroy(self):
+        original(self)
+        destroyed.append(self)
+
+    monkeypatch.setattr(RootLoggingKey, "destroy", recording_destroy)
+    assert main(["flush", "--store", str(store)]) == 0
+    assert destroyed and all(rlk.destroyed for rlk in destroyed)
+
+
 def test_gen_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "a.log", tmp_path / "b.log"
     assert main(["gen", "--count", "500", "--seed", "11", "--out", str(out1)]) == 0
@@ -101,6 +117,8 @@ def test_export_formats_json(capsys):
     assert doc["seal"]["magic"] == "EMLS"
     assert len(bytes.fromhex(doc["scheme_salt_hex"])) == 32
     assert doc["exit_codes"] == {"ok": 0, "findings": 1, "usage": 2, "io_or_alarm": 3}
+    for module in doc["docs"]:  # each names a module whose docstring defines formats
+        assert importlib.import_module(module).__doc__
 
 
 def test_serve_fetch_verify_archive_roundtrip(tmp_path, capsys):

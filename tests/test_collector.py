@@ -21,6 +21,7 @@ from sealog.collector import (
 )
 from sealog.errors import InvalidParameter
 from sealog.keyschedule import ChainParams
+from sealog.logchain import RECORD_LEN
 from sealog.sealstore import SealedStore, verify_store
 
 APACHE_LINE = b'127.0.0.1 - - [30/Jun/2016:00:00:00 -0400] "GET /index HTTP/1.1" 200 512'
@@ -197,6 +198,23 @@ def test_ram_window_bound(tmp_path):
         assert writer.ram_records <= bound
     writer.flush()
     assert writer.peak_ram_records <= bound
+
+
+@pytest.mark.parametrize("c", [1, 3, 200])
+def test_ram_window_accounting_matches_recount(tmp_path, c):
+    m = 2
+    store = build_store(tmp_path / "s", c=c, m=m)
+    writer = LogWriter(store)
+    # One whole group, then some; entries of one or two records.
+    for i in range(c * m + 2 * m + 1):
+        writer.append_entry(RawEntry("generic", b"z" * (1 + i * 37 % 300)))
+        ram_blocks, open_records = writer._ram_blocks, writer._records
+        assert writer.ram_records == sum(len(b.records) for b in ram_blocks) + len(open_records)
+        assert writer.ram_bytes == (
+            sum(len(b.serialize()) for b in ram_blocks) + len(open_records) * RECORD_LEN
+        )
+    assert writer.groups_sealed >= 1
+    writer.close()
 
 
 def test_ingest_policy_validation():

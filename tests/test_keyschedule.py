@@ -12,8 +12,10 @@ from sealog.errors import BlockFull, InvalidParameter, KeyUnavailable
 from sealog.keyschedule import (
     LABEL_BLOCK_FIRST,
     LABEL_BLOCK_NEXT,
+    LABEL_CHANNEL,
     LABEL_IK,
     LABEL_MESSAGE,
+    LABEL_STORAGE,
     SCHEME_SALT,
     ChainParams,
     IntermediateKey,
@@ -23,6 +25,8 @@ from sealog.keyschedule import (
     first_block_key,
     first_message_key,
     hkdf,
+    hkdf_expand,
+    hkdf_extract,
     message_keys_for_block,
     next_block_key,
     next_message_key,
@@ -150,6 +154,20 @@ def test_hkdf_expansion_limit():
 )
 def test_hkdf_matches_oracle(ikm, salt, info, length):
     assert hkdf(ikm, salt, info, length) == oracle_hkdf(ikm, salt, info, length, "sha256")
+
+
+@pytest.mark.parametrize(
+    "label", [LABEL_IK, LABEL_BLOCK_FIRST, LABEL_BLOCK_NEXT, LABEL_MESSAGE, LABEL_STORAGE, LABEL_CHANNEL]
+)
+@settings(max_examples=25, deadline=None)
+@given(ikm=st.binary(max_size=80), suffix=st.binary(max_size=40))
+def test_one_shot_hkdf_matches_extract_expand(label, ikm, suffix):
+    # Outputs of up to 32 bytes take the one-shot path; the general
+    # extract/expand path is its reference.
+    info = label + suffix
+    prk = hkdf_extract(ikm, SCHEME_SALT)
+    for out_len in range(1, 33):
+        assert hkdf(ikm, SCHEME_SALT, info, out_len) == hkdf_expand(prk, info, out_len)
 
 
 # Intermediate keys ----------------------------------------------------------
@@ -349,3 +367,29 @@ def test_erased_ik_unusable():
     ik.erase()
     with pytest.raises(KeyUnavailable):
         first_block_key(ik, 0, params)
+
+
+def _one_key_of_each_type():
+    params = ChainParams(c=2, m=2)
+    ik = derive_ik(RootLoggingKey(b"\x31" * 32), 0)
+    bk = first_block_key(ik, 0, params)
+    return [ik, bk, first_message_key(bk)]
+
+
+def test_erase_zeroes_the_same_buffer_in_place():
+    for key in _one_key_of_each_type():
+        buf = key.key
+        key.erase()
+        assert key.key is buf
+        assert bytes(buf) == bytes(32)
+        with pytest.raises(KeyUnavailable):
+            key.key_bytes()
+
+
+def test_key_repr_never_shows_material():
+    for key in _one_key_of_each_type():
+        material = key.key_bytes()
+        for text in (repr(key), str(key)):
+            assert material.hex() not in text
+            assert repr(material) not in text
+            assert repr(key.key) not in text

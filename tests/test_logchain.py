@@ -221,6 +221,13 @@ def test_wrong_rlk_fails_every_record(identity):
     assert outcome.signature_ok  # signature has nothing to do with the RLK
 
 
+def test_block_longer_than_m_rejected(identity):
+    block = _build_block(0, [bytes([i]) for i in range(PARAMS.m)], identity)
+    overlong = Block(0, block.records + block.records[:1], block.signature)
+    with pytest.raises(InvalidParameter):
+        verify_block_full(overlong, RootLoggingKey(SEED), PARAMS, identity.public_key)
+
+
 def test_public_full_consistency(identity):
     # Anything that passes full verification passes the public check too.
     for block_id in range(4):

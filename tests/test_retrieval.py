@@ -383,6 +383,65 @@ def test_dishonest_server_truncation_detected(tmp_path, endpoints):
     assert any(FINDING_TRUNCATION in f for f in report.findings)
 
 
+def test_single_block_poll_before_latest_audits_ok(tmp_path, endpoints):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)  # 10 blocks, state says latest=9
+    server = LogExportServer(store, [verifier.certificate], port=0)
+    server.start()
+    try:
+        request = RetrievalRequest(store.manifest.device_id, start=3, end=3)
+        result = fetch(
+            "127.0.0.1", server.address[1], verifier, [store.identity().certificate], request
+        )
+    finally:
+        server.close()
+    assert [b.block_id for b in result.blocks] == [3]
+    report = audit(result, store.identity().certificate)
+    assert report.verdict == "ok"
+    assert report.findings == []
+
+
+@pytest.mark.parametrize("end", [4, 9])
+def test_dishonest_server_truncating_a_bounded_request_detected(tmp_path, endpoints, end):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)  # 10 blocks, state says latest=9
+    device_identity = store.identity()
+    results = _handshake_pair(
+        device_identity,
+        verifier,
+        [verifier.certificate],
+        [device_identity.certificate],
+    )
+    server_session, client_session = results["server"], results["client"]
+    request = RetrievalRequest(store.manifest.device_id, start=0, end=end)
+
+    def dishonest_device():
+        # serves blocks 0..end-1 of the requested 0..end, with the signed state
+        for block_id in range(end):
+            server_session.send_message(
+                retrieval.MSG_BLOCK, store.load_block(block_id).serialize()
+            )
+        state, sig = store.signed_state_snapshot()
+        summary = retrieval.TransferSummary(
+            device_id=store.manifest.device_id,
+            params=store.params,
+            state=state,
+            state_signature=sig,
+            count=end,
+            range_start=0,
+            range_end=end - 1,
+        )
+        server_session.send_message(retrieval.MSG_SUMMARY, summary.to_json())
+
+    thread = threading.Thread(target=dishonest_device)
+    thread.start()
+    result = receive_transfer(client_session, request)
+    thread.join()
+    report = audit(result, device_identity.certificate)
+    assert report.verdict == "fail"
+    assert any(FINDING_TRUNCATION in f for f in report.findings)
+
+
 def test_forged_state_signature_detected(tmp_path, endpoints):
     _device, verifier = endpoints
     store = _serving_store(tmp_path)
