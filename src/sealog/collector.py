@@ -21,7 +21,7 @@ from __future__ import annotations
 import queue
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Iterator
 
@@ -69,16 +69,6 @@ _SNORT_RE = re.compile(
 _DMESG_RE = re.compile(rb"^\[\s*(\d+\.\d+)\]")
 
 
-@dataclass
-class RawEntry:
-    """One parsed log line; ``body`` is the verbatim line sans newline."""
-
-    source: str
-    body: bytes
-    timestamp: float | None = None
-    warning: str | None = None
-
-
 def _parse_apache_timestamp(raw: bytes) -> float | None:
     try:
         return datetime.strptime(raw.decode("ascii"), "%d/%b/%Y:%H:%M:%S %z").timestamp()
@@ -96,6 +86,56 @@ def _parse_snort_timestamp(raw: bytes) -> float | None:
     return None
 
 
+# Structured source -> (shape check, timestamp group, timestamp parser).
+_SHAPES = {
+    SOURCE_APACHE: (_APACHE_RE, 4, _parse_apache_timestamp),
+    SOURCE_SNORT: (_SNORT_RE, 1, _parse_snort_timestamp),
+    SOURCE_DMESG: (_DMESG_RE, 1, float),
+}
+
+
+class RawEntry:
+    """One parsed log line; ``body`` is the verbatim line sans newline.
+
+    ``timestamp`` is epoch seconds (dmesg: seconds since boot), or None.
+    For entries from ``parse_line`` it is parsed from the matched bytes on
+    first read: ingestion itself never reads it.
+    """
+
+    __slots__ = ("source", "body", "warning", "_timestamp", "_raw_timestamp")
+
+    def __init__(
+        self,
+        source: str,
+        body: bytes,
+        timestamp: float | None = None,
+        warning: str | None = None,
+    ) -> None:
+        self.source = source
+        self.body = body
+        self.warning = warning
+        self._timestamp = timestamp
+        self._raw_timestamp: bytes | None = None
+
+    @property
+    def timestamp(self) -> float | None:
+        if self._raw_timestamp is not None:
+            self._timestamp = _SHAPES[self.source][2](self._raw_timestamp)
+            self._raw_timestamp = None
+        return self._timestamp
+
+    def _fields(self) -> tuple:
+        return (self.source, self.body, self.timestamp, self.warning)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RawEntry) and self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "RawEntry(source={!r}, body={!r}, timestamp={!r}, warning={!r})".format(
+            *self._fields()
+        )
+
+
 def parse_line(source: str, line: bytes) -> RawEntry:
     """Parse one line for the declared source format.
 
@@ -111,37 +151,14 @@ def parse_line(source: str, line: bytes) -> RawEntry:
         raise InvalidParameter("empty line has no entry body")
 
     if source == SOURCE_GENERIC:
-        return RawEntry(source=SOURCE_GENERIC, body=body)
-
-    if source == SOURCE_APACHE:
-        match = _APACHE_RE.match(body)
-        if match:
-            return RawEntry(
-                source=SOURCE_APACHE,
-                body=body,
-                timestamp=_parse_apache_timestamp(match.group(4)),
-            )
-    elif source == SOURCE_SNORT:
-        match = _SNORT_RE.match(body)
-        if match:
-            return RawEntry(
-                source=SOURCE_SNORT,
-                body=body,
-                timestamp=_parse_snort_timestamp(match.group(1)),
-            )
-    elif source == SOURCE_DMESG:
-        match = _DMESG_RE.match(body)
-        if match:
-            return RawEntry(
-                source=SOURCE_DMESG,
-                body=body,
-                timestamp=float(match.group(1)),
-            )
-    return RawEntry(
-        source=SOURCE_GENERIC,
-        body=body,
-        warning=f"line does not match {source} format",
-    )
+        return RawEntry(SOURCE_GENERIC, body)
+    pattern, group, _ = _SHAPES[source]
+    match = pattern.match(body)
+    if match is None:
+        return RawEntry(SOURCE_GENERIC, body, warning=f"line does not match {source} format")
+    entry = RawEntry(source, body)
+    entry._raw_timestamp = match.group(group)
+    return entry
 
 
 def chunk_entry(entry: RawEntry) -> list[tuple[bytes, bool]]:
@@ -383,12 +400,15 @@ class LogWriter:
         self._seal_ram_blocks()
 
     def close(self) -> None:
-        self.flush()
-        if self._mk is not None:
-            self._mk.erase()
-        if self._bk is not None:
-            self._bk.erase()
-        self._rlk.destroy()
+        """Flush, then erase the writer's keys even if the last commit fails."""
+        try:
+            self.flush()
+        finally:
+            if self._mk is not None:
+                self._mk.erase()
+            if self._bk is not None:
+                self._bk.erase()
+            self._rlk.destroy()
 
 
 def ingest(

@@ -22,6 +22,9 @@ from __future__ import annotations
 import hmac as hmac_mod
 import struct
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import starmap
+from typing import NamedTuple
 
 from cryptography.hazmat.primitives.asymmetric import ec
 
@@ -43,7 +46,9 @@ TAG_LEN = 32
 TEXT_FIELD_LEN = 256
 TEXT_PREFIX_LEN = 2
 MAX_TEXT_LEN = TEXT_FIELD_LEN - TEXT_PREFIX_LEN  # 254
-RECORD_LEN = 4 + TAG_LEN + TEXT_FIELD_LEN  # 292
+# The one record codec: BE32 msg_id, tag, text field.
+_RECORD = struct.Struct(">I32s256s")
+RECORD_LEN = _RECORD.size  # 292
 
 _BLOCK_HEADER = struct.Struct(">4sBII")
 # Bytes a serialized block adds around its records: header and signature.
@@ -88,17 +93,27 @@ def record_preimage(block_id: int, msg_id: int, text_field: bytes) -> bytes:
     return struct.pack(">II", block_id, msg_id) + text_field
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class _RecordFields(NamedTuple):
     msg_id: int
     tag: bytes
     text_field: bytes
 
-    def __post_init__(self) -> None:
-        if len(self.tag) != TAG_LEN:
+
+class LogRecord(_RecordFields):
+    """One 292-byte record: an immutable (msg_id, tag, text_field) triple.
+
+    Direct construction checks the field lengths; the codec builds records
+    through ``_record_from_fields``, since its struct format fixes them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, msg_id: int, tag: bytes, text_field: bytes) -> "LogRecord":
+        if len(tag) != TAG_LEN:
             raise InvalidParameter(f"tag must be {TAG_LEN} bytes")
-        if len(self.text_field) != TEXT_FIELD_LEN:
+        if len(text_field) != TEXT_FIELD_LEN:
             raise InvalidParameter(f"text field must be {TEXT_FIELD_LEN} bytes")
+        return super().__new__(cls, msg_id, tag, text_field)
 
     @property
     def text(self) -> bytes:
@@ -109,14 +124,17 @@ class LogRecord:
         return unpack_text_field(self.text_field)[1]
 
     def serialize(self) -> bytes:
-        return struct.pack(">I", self.msg_id) + self.tag + self.text_field
+        return _RECORD.pack(*self)
 
     @classmethod
     def deserialize(cls, data: bytes) -> "LogRecord":
         if len(data) != RECORD_LEN:
             raise ParseError(f"record must be {RECORD_LEN} bytes, got {len(data)}")
-        msg_id = struct.unpack(">I", data[:4])[0]
-        return cls(msg_id=msg_id, tag=data[4 : 4 + TAG_LEN], text_field=data[4 + TAG_LEN :])
+        return _record_from_fields(_RECORD.unpack(data))
+
+
+# ``LogRecord._make`` minus its field-count check, as one C call.
+_record_from_fields = partial(tuple.__new__, LogRecord)
 
 
 def make_record(
@@ -143,7 +161,7 @@ def make_record(
     )
     if erase_key:
         key.erase()
-    return LogRecord(msg_id=msg_id, tag=tag, text_field=text_field)
+    return _record_from_fields((msg_id, tag, text_field))
 
 
 @dataclass(frozen=True)
@@ -156,8 +174,7 @@ class Block:
 
     def serialize(self) -> bytes:
         head = _BLOCK_HEADER.pack(BLOCK_MAGIC, FORMAT_VERSION, self.block_id, len(self.records))
-        body = b"".join(r.serialize() for r in self.records)
-        return head + body + self.signature
+        return b"".join((head, *starmap(_RECORD.pack, self.records), self.signature))
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Block":
@@ -171,12 +188,10 @@ class Block:
         expected = BLOCK_ENVELOPE_LEN + count * RECORD_LEN
         if len(data) != expected:
             raise ParseError(f"block length {len(data)} does not match declared count {count}")
-        records = []
-        offset = _BLOCK_HEADER.size
-        for _ in range(count):
-            records.append(LogRecord.deserialize(data[offset : offset + RECORD_LEN]))
-            offset += RECORD_LEN
-        return cls(block_id=block_id, records=tuple(records), signature=data[offset:])
+        end = len(data) - SIGNATURE_LEN
+        body = memoryview(data)[_BLOCK_HEADER.size : end]
+        records = tuple(map(_record_from_fields, _RECORD.iter_unpack(body)))
+        return cls(block_id=block_id, records=records, signature=data[end:])
 
 
 def block_sign_preimage(block_id: int, tags: list[bytes]) -> bytes:
@@ -332,7 +347,8 @@ def verify_sequence(
     itself a finding).  With an RLK the full hash matrix is recomputed; with
     rlk=None only signatures and structure are checked (public mode).  The
     run must reach ``expected_end`` (a requested last block) or, when that
-    is None or beyond the state, the newest committed block.
+    is None or beyond the state, the newest committed block.  A run that
+    starts past the newest committed block has nothing due.
     """
     mode = "full" if rlk is not None else "public"
     if report is None:
@@ -381,7 +397,7 @@ def verify_sequence(
         report.add(_verify_one(block, rlk, params, public_key, report))
         expected_id = block.block_id + 1
 
-    _check_state_consistency(report, blocks, state, mode, expected_end)
+    _check_state_consistency(report, blocks, state, mode, expected_start, expected_end)
     return report
 
 
@@ -410,7 +426,7 @@ def _verify_one(block, rlk, params, public_key, report) -> BlockEntry:
     return BlockEntry(block.block_id, status)
 
 
-def _check_state_consistency(report, blocks, state, mode, expected_end) -> None:
+def _check_state_consistency(report, blocks, state, mode, expected_start, expected_end) -> None:
     if state is None:
         report.findings.append(FINDING_MISSING_STATE)
         return
@@ -423,9 +439,11 @@ def _check_state_consistency(report, blocks, state, mode, expected_end) -> None:
             )
         return
     if highest is None:
-        report.findings.append(
-            f"{FINDING_TRUNCATION}: no blocks presented but state commits through {latest}"
-        )
+        # A run that starts past the newest committed block has nothing due.
+        if expected_start <= latest:
+            report.findings.append(
+                f"{FINDING_TRUNCATION}: no blocks presented but state commits through {latest}"
+            )
         return
     if expected_end is not None and expected_end < latest:
         due, source = expected_end, "request ends at"

@@ -277,6 +277,7 @@ class SealedStore:
         self.directory = Path(directory)
         self.sk = sk
         self.manifest = manifest
+        self._identity: DeviceIdentity | None = None
         self.state: ChainState | None = ChainState()
         self.state_error: str | None = None
         self.crash_hook: Callable[[str], None] | None = None
@@ -354,9 +355,12 @@ class SealedStore:
         return store
 
     def identity(self) -> DeviceIdentity:
-        return DeviceIdentity.from_material(
-            self.manifest.certificate_pem, self.manifest.signing_key_der
-        )
+        """The device identity, parsed from the manifest once per handle."""
+        if self._identity is None:
+            self._identity = DeviceIdentity.from_material(
+                self.manifest.certificate_pem, self.manifest.signing_key_der
+            )
+        return self._identity
 
     def root_logging_key(self) -> RootLoggingKey:
         return RootLoggingKey(self.manifest.rlk)

@@ -19,7 +19,7 @@ from sealog.collector import (
     read_entries,
     reassemble_entries,
 )
-from sealog.errors import InvalidParameter
+from sealog.errors import InvalidParameter, StorageError
 from sealog.keyschedule import ChainParams
 from sealog.logchain import RECORD_LEN
 from sealog.sealstore import SealedStore, verify_store
@@ -250,3 +250,29 @@ def test_bounded_queue_drop_policy():
     assert q.put(RawEntry("generic", b"2"))
     assert not q.put(RawEntry("generic", b"3"))
     assert q.dropped == 1
+
+
+def test_close_erases_keys_when_the_last_commit_fails(tmp_path):
+    store = build_store(tmp_path / "s", c=3, m=4)
+    writer = LogWriter(store)
+    writer.append_entry(RawEntry("generic", b"pending"))
+
+    def failing_commit(blocks):
+        raise StorageError("disk full")
+
+    store.commit_blocks = failing_commit
+    with pytest.raises(StorageError):
+        writer.close()
+    assert writer._rlk.destroyed
+    assert writer._bk.erased
+
+
+def test_parsed_timestamp_is_read_lazily_with_the_same_value():
+    entry = parse_line("apache_access", APACHE_LINE)
+    assert entry._raw_timestamp is not None  # not parsed yet
+    assert entry.timestamp == 1467259200.0  # 2016-06-30 04:00:00 UTC
+    assert entry._raw_timestamp is None
+    assert entry == RawEntry("apache_access", APACHE_LINE, timestamp=1467259200.0)
+    snort = parse_line("snort_fast", SNORT_LINE)
+    assert isinstance(snort.timestamp, float)
+    assert parse_line("apache_access", b"garbage").timestamp is None

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import hmac as hmac_mod
 import struct
 
@@ -112,6 +113,28 @@ def test_text_field_prefix_roundtrip():
     assert content == b"abc" and cont is True
     field2 = pack_text_field(b"", continuation=False)
     assert unpack_text_field(field2) == (b"", False)
+
+
+@pytest.mark.parametrize(
+    "tag_len, field_len", [(31, 256), (33, 256), (32, 255), (32, 257)]
+)
+def test_direct_record_with_wrong_field_length_rejected(tag_len, field_len):
+    with pytest.raises(InvalidParameter):
+        LogRecord(0, b"t" * tag_len, b"f" * field_len)
+    with pytest.raises(InvalidParameter):
+        LogRecord(msg_id=0, tag=b"t" * tag_len, text_field=b"f" * field_len)
+
+
+def test_record_value_semantics():
+    field = pack_text_field(b"abc", continuation=True)
+    record = LogRecord(7, b"t" * 32, field)
+    assert record == LogRecord(msg_id=7, tag=b"t" * 32, text_field=field)
+    assert record != LogRecord(8, b"t" * 32, field)
+    assert repr(record).startswith("LogRecord(msg_id=7, tag=b'tttt")
+    assert (record.text, record.continuation) == (b"abc", True)
+    with pytest.raises(AttributeError):
+        record.msg_id = 8
+    assert LogRecord.deserialize(record.serialize()) == record
 
 
 # Blocks ------------------------------------------------------------------------
@@ -282,6 +305,55 @@ def test_block_roundtrip_property(block_id, contents, signature):
     assert again == block
     for rec, (text, cont) in zip(again.records, contents):
         assert rec.text == text and rec.continuation == cont
+
+
+def test_block_bytes_match_golden_digest():
+    # Pins the EMLB encoding: a continued record, a full 254-byte one and an
+    # empty one (all padding), under fixed tags and signature.
+    records = (
+        LogRecord(0, bytes(range(32)), pack_text_field(b"hello", continuation=True)),
+        LogRecord(1, bytes(range(32, 64)), pack_text_field(b"A" * 254)),
+        LogRecord(2, b"\xff" * 32, pack_text_field(b"")),
+    )
+    block = Block(block_id=0x01020304, records=records, signature=bytes(range(64, 128)))
+    raw = block.serialize()
+    assert raw[:13] == b"EMLB\x01\x01\x02\x03\x04\x00\x00\x00\x03"
+    assert len(raw) == 13 + 3 * RECORD_LEN + 64
+    assert (
+        hashlib.sha256(raw).hexdigest()
+        == "bc7cccf0ef6ed0081642619be9689f141591f4e008a887a36490ab9dfc5e1777"
+    )
+    assert Block.deserialize(raw) == block
+
+
+def _block_like_bytes():
+    """Well-formed block encodings (0-3 records, arbitrary record and
+    signature bytes), and the same cut short or with up to 4 bytes
+    overwritten or spliced in anywhere, header included."""
+    well_formed = st.integers(min_value=0, max_value=3).flatmap(
+        lambda n: st.builds(
+            lambda block_id, rest: struct.pack(">4sBII", b"EMLB", 1, block_id, n) + rest,
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.binary(min_size=n * RECORD_LEN + 64, max_size=n * RECORD_LEN + 64),
+        )
+    )
+
+    def damaged(raw):
+        return st.tuples(
+            st.integers(min_value=0, max_value=len(raw)), st.binary(max_size=4), st.booleans()
+        ).map(lambda t: raw[: t[0]] + t[1] + (b"" if t[2] else raw[t[0] + len(t[1]) :]))
+
+    return st.one_of(well_formed, well_formed.flatmap(damaged))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(st.binary(max_size=700), _block_like_bytes()))
+def test_block_deserialize_arbitrary_bytes_roundtrips_or_parse_error(data):
+    try:
+        block = Block.deserialize(data)
+    except ParseError:
+        return
+    assert block.serialize() == data
 
 
 # Compromise scope -----------------------------------------------------------------

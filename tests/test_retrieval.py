@@ -442,6 +442,61 @@ def test_dishonest_server_truncating_a_bounded_request_detected(tmp_path, endpoi
     assert any(FINDING_TRUNCATION in f for f in report.findings)
 
 
+def test_poll_past_newest_block_audits_ok(tmp_path, endpoints):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)  # 10 blocks, state says latest=9
+    server = LogExportServer(store, [verifier.certificate], port=0)
+    server.start()
+    try:
+        request = RetrievalRequest(store.manifest.device_id, start=10)
+        result = fetch(
+            "127.0.0.1", server.address[1], verifier, [store.identity().certificate], request
+        )
+    finally:
+        server.close()
+    assert result.blocks == [] and result.summary.count == 0
+    for rlk in (None, store.root_logging_key()):
+        report = audit(result, store.identity().certificate, rlk=rlk)
+        assert report.verdict == "ok"
+        assert report.findings == []
+
+
+def test_dishonest_server_sending_nothing_for_due_blocks_detected(tmp_path, endpoints):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)  # 10 blocks, state says latest=9
+    device_identity = store.identity()
+    results = _handshake_pair(
+        device_identity,
+        verifier,
+        [verifier.certificate],
+        [device_identity.certificate],
+    )
+    server_session, client_session = results["server"], results["client"]
+    request = RetrievalRequest(store.manifest.device_id, start=8)
+
+    def dishonest_device():
+        # blocks 8 and 9 are due; sends none of them, with the signed state
+        state, sig = store.signed_state_snapshot()
+        summary = retrieval.TransferSummary(
+            device_id=store.manifest.device_id,
+            params=store.params,
+            state=state,
+            state_signature=sig,
+            count=0,
+            range_start=8,
+            range_end=None,
+        )
+        server_session.send_message(retrieval.MSG_SUMMARY, summary.to_json())
+
+    thread = threading.Thread(target=dishonest_device)
+    thread.start()
+    result = receive_transfer(client_session, request)
+    thread.join()
+    report = audit(result, device_identity.certificate)
+    assert report.verdict == "fail"
+    assert any(FINDING_TRUNCATION in f for f in report.findings)
+
+
 def test_forged_state_signature_detected(tmp_path, endpoints):
     _device, verifier = endpoints
     store = _serving_store(tmp_path)

@@ -129,6 +129,15 @@ def test_create_then_open_restores_manifest(tmp_path):
     assert reopened.state.sealed_blocks == 0
 
 
+def test_identity_is_parsed_once_per_handle(tmp_path):
+    store = build_store(tmp_path / "s", c=3, m=5)
+    reopened = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    assert reopened.identity() is reopened.identity()
+    assert reopened.identity().certificate == store.identity().certificate
+    message = b"state"
+    assert store.identity().verify(message, reopened.identity().sign(message))
+
+
 def test_create_refuses_nonempty_directory(tmp_path):
     (tmp_path / "s").mkdir()
     (tmp_path / "s" / "junk").write_text("x")
