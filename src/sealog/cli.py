@@ -4,8 +4,8 @@ Exit codes: 0 success / verified; 1 verification findings; 2 usage or
 configuration error; 3 I/O failure or integrity alarm.
 
 A JSON config file (``--config``) can supply defaults for the keys
-c, m, host, port, epoch_seconds, secret, anchors, max_payload_bytes;
-explicit flags always win.
+c, m, host, port, epoch_seconds, secret and anchors; explicit flags always
+win.  Any other key is a configuration error (exit 2).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-_CONFIG_KEYS = ("c", "m", "host", "port", "epoch_seconds", "secret", "anchors", "max_payload_bytes")
+_CONFIG_KEYS = ("c", "m", "host", "port", "epoch_seconds", "secret", "anchors")
 
 
 def _load_config(path: str | None) -> dict:
@@ -110,9 +110,8 @@ def _cmd_init(args, config) -> int:
 
 def _cmd_ingest(args, config) -> int:
     store = _open_store(args, config)
-    epoch = _cfg(args, config, "epoch_seconds")
-    writer = collector.LogWriter(store, epoch_seconds=epoch)
-    policy = collector.IngestPolicy(params=store.params, epoch_seconds=epoch)
+    writer = collector.LogWriter(store, epoch_seconds=_cfg(args, config, "epoch_seconds"))
+    policy = collector.IngestPolicy(params=store.params)
     if args.input and args.input != "-":
         fh = open(args.input, "rb")
     else:

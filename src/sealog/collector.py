@@ -18,7 +18,6 @@ blocks), on epoch expiry, or on an explicit flush.
 
 from __future__ import annotations
 
-import queue
 import re
 import time
 from dataclasses import dataclass
@@ -194,17 +193,13 @@ def reassemble_entries(blocks: Iterable[Block]) -> list[bytes]:
 
 @dataclass
 class IngestPolicy:
-    """Assembly policy: chain geometry plus the seal triggers."""
+    """Chain geometry that ``ingest`` checks against the writer's store.
+
+    The seal triggers live elsewhere: group completion and the epoch belong
+    to the ``LogWriter``, and ``ingest`` flushes at the end of its input.
+    """
 
     params: ChainParams
-    epoch_seconds: float | None = None
-    on_full_queue: str = "block"  # or "drop-with-count"
-
-    def __post_init__(self) -> None:
-        if self.epoch_seconds is not None and self.epoch_seconds < 1:
-            raise InvalidParameter("epoch_seconds must be >= 1 when set")
-        if self.on_full_queue not in ("block", "drop-with-count"):
-            raise InvalidParameter(f"unknown queue policy {self.on_full_queue!r}")
 
 
 @dataclass
@@ -234,38 +229,6 @@ class IngestStats:
         }
 
 
-class BoundedEntryQueue:
-    """Ordered handoff between a concurrent producer and the ingest loop."""
-
-    _SENTINEL = object()
-
-    def __init__(self, capacity: int = 1024, on_full: str = "block") -> None:
-        self._queue: queue.Queue = queue.Queue(maxsize=capacity)
-        self._on_full = on_full
-        self.dropped = 0
-
-    def put(self, entry: RawEntry) -> bool:
-        if self._on_full == "block":
-            self._queue.put(entry)
-            return True
-        try:
-            self._queue.put_nowait(entry)
-            return True
-        except queue.Full:
-            self.dropped += 1
-            return False
-
-    def close(self) -> None:
-        self._queue.put(self._SENTINEL)
-
-    def __iter__(self) -> Iterator[RawEntry]:
-        while True:
-            item = self._queue.get()
-            if item is self._SENTINEL:
-                return
-            yield item
-
-
 class LogWriter:
     """Single-writer chain producer bound to one sealed store.
 
@@ -275,6 +238,8 @@ class LogWriter:
     """
 
     def __init__(self, store: SealedStore, epoch_seconds: float | None = None):
+        if epoch_seconds is not None and epoch_seconds < 1:
+            raise InvalidParameter("epoch_seconds must be >= 1 when set")
         if store.state is None:
             raise InvalidParameter("store has no chain state; cannot write")
         self.store = store
@@ -415,7 +380,6 @@ def ingest(
     entries: Iterable[RawEntry],
     policy: IngestPolicy,
     writer: LogWriter,
-    final_flush: bool = True,
 ) -> IngestStats:
     """Drive the assembly pipeline over a stream of parsed entries."""
     if policy.params != writer.params:
@@ -429,8 +393,7 @@ def ingest(
         if entry.warning is not None:
             stats.parse_warnings += 1
         stats.records += writer.append_entry(entry)
-    if final_flush:
-        writer.flush()
+    writer.flush()
     stats.elapsed_seconds = time.perf_counter() - start
     stats.blocks = writer.blocks_committed - blocks_before
     stats.groups = writer.groups_sealed - groups_before

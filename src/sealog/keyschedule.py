@@ -207,9 +207,7 @@ def first_block_key(ik: IntermediateKey, block_id: int, params: ChainParams) -> 
     return BlockKey(block_id=block_id, key=bytearray(okm))
 
 
-def next_block_key(
-    prev: BlockKey, block_id: int, params: ChainParams, erase: bool = True
-) -> BlockKey:
+def next_block_key(prev: BlockKey, block_id: int, params: ChainParams) -> BlockKey:
     """Advance the block-key chain; the predecessor buffer is zeroed.
 
     Group boundaries are rejected: the first block of each group derives
@@ -225,8 +223,7 @@ def next_block_key(
         )
     info = LABEL_BLOCK_NEXT + _be32(block_id)
     okm = hkdf(prev.key_bytes(), SCHEME_SALT, info, KEY_LEN)
-    if erase:
-        prev.erase()
+    prev.erase()
     return BlockKey(block_id=block_id, key=bytearray(okm))
 
 

@@ -224,13 +224,12 @@ class BlockVerification:
 
     block_id: int
     signature_ok: bool
-    record_order_ok: bool = True
     bad_records: list[int] = field(default_factory=list)
     checked_records: int = 0
 
     @property
     def ok(self) -> bool:
-        return self.signature_ok and self.record_order_ok and not self.bad_records
+        return self.signature_ok and not self.bad_records
 
     @property
     def first_bad_msg_id(self) -> int | None:
@@ -253,8 +252,6 @@ def verify_block_full(
     result = BlockVerification(block_id=block.block_id, signature_ok=signature_ok)
     result.checked_records = len(block.records)
 
-    order_ok = [r.msg_id for r in block.records] == list(range(len(block.records)))
-    result.record_order_ok = order_ok
     # Keys are derived for the declared positions, each erased as its
     # successor is derived; records whose claimed msg_id disagrees with
     # their position fail their tag check below.
@@ -415,8 +412,6 @@ def _verify_one(block, rlk, params, public_key, report) -> BlockEntry:
             return BlockEntry(
                 block.block_id, STATUS_BAD_HMAC, msg_id=outcome.first_bad_msg_id
             )
-        if not outcome.record_order_ok:
-            return BlockEntry(block.block_id, STATUS_ORDER_VIOLATION)
         return BlockEntry(block.block_id, STATUS_BAD_SIGNATURE)
     try:
         status = verify_block_public(block, public_key)

@@ -220,10 +220,11 @@ class ChannelHello:
 class HelloReplayCache:
     """Remembers recent hello nonces so a recorded handshake cannot rerun."""
 
-    def __init__(self, capacity: int = 4096):
+    _CAPACITY = 4096
+
+    def __init__(self) -> None:
         self._seen: set[bytes] = set()
         self._order: deque[bytes] = deque()
-        self._capacity = capacity
         self._lock = threading.Lock()
 
     def check_and_add(self, nonce: bytes) -> bool:
@@ -232,7 +233,7 @@ class HelloReplayCache:
                 return False
             self._seen.add(nonce)
             self._order.append(nonce)
-            if len(self._order) > self._capacity:
+            if len(self._order) > self._CAPACITY:
                 self._seen.discard(self._order.popleft())
             return True
 
@@ -494,12 +495,15 @@ class RetrievalRequest:
         if len(body) != DEVICE_ID_LEN + 9:
             raise ParseError("malformed retrieval request")
         start, end, mode = struct.unpack_from(">IIB", body, DEVICE_ID_LEN)
-        return cls(
-            device_id=body[:DEVICE_ID_LEN],
-            start=start,
-            end=None if end == RANGE_OPEN_END else end,
-            mode="full" if mode == MODE_FULL else "public",
-        )
+        try:
+            return cls(
+                device_id=body[:DEVICE_ID_LEN],
+                start=start,
+                end=None if end == RANGE_OPEN_END else end,
+                mode="full" if mode == MODE_FULL else "public",
+            )
+        except InvalidParameter as exc:
+            raise ParseError(f"malformed retrieval request: {exc}") from exc
 
 
 @dataclass
@@ -551,7 +555,6 @@ def serve_range(
     session: SecureSession,
     store: SealedStore,
     request: RetrievalRequest,
-    update_watermark: bool = True,
 ) -> int:
     """Stream the requested blocks then the signed-state summary.
 
@@ -593,7 +596,7 @@ def serve_range(
         session.send_message(MSG_BLOCK, block.serialize())
         sent += 1
 
-    if update_watermark and sent:
+    if sent:
         store.mark_delivered(last)
     state, state_sig = store.signed_state_snapshot()
     summary = TransferSummary(
@@ -657,14 +660,12 @@ class LogExportServer:
         port: int = 0,
         evidence: bytes = b"",
         attestation_policy: AttestationPolicy | None = None,
-        update_watermark: bool = True,
     ):
         self.store = store
         self.identity = store.identity()
         self.anchors = anchors
         self.evidence = evidence
         self.attestation_policy = attestation_policy
-        self.update_watermark = update_watermark
         self.replay_cache = HelloReplayCache()
         self._listener = socket.create_server((host, port))
         self.address = self._listener.getsockname()
@@ -697,7 +698,7 @@ class LogExportServer:
             if request.device_id != self.identity.device_id:
                 session.abort(ABORT_AUTH, "request names a different device")
                 raise AuthFailure("request device id mismatch")
-            serve_range(session, self.store, request, self.update_watermark)
+            serve_range(session, self.store, request)
         except (AuthFailure, NegotiationFailure, ReplayDetected, ParseError, ChannelClosed):
             pass  # already aborted on the wire where possible
         finally:

@@ -135,15 +135,9 @@ def derive_storage_key(root_storage_key: bytes, app_id: bytes) -> StorageKey:
     return StorageKey(hkdf(root_storage_key, SCHEME_SALT, LABEL_STORAGE + app_id, KEY_LEN))
 
 
-def seal(
-    payload: bytes,
-    sk: StorageKey,
-    object_type: int,
-    object_id: int,
-    max_payload: int = DEFAULT_MAX_PAYLOAD,
-) -> SealedObject:
-    if len(payload) > max_payload:
-        raise InvalidParameter(f"payload of {len(payload)} bytes exceeds {max_payload}")
+def seal(payload: bytes, sk: StorageKey, object_type: int, object_id: int) -> SealedObject:
+    if len(payload) > DEFAULT_MAX_PAYLOAD:
+        raise InvalidParameter(f"payload of {len(payload)} bytes exceeds {DEFAULT_MAX_PAYLOAD}")
     if sk.writes >= MAX_WRITES_PER_KEY:
         raise StorageError("storage key write budget exhausted; re-key the store")
     sk.writes += 1
@@ -422,9 +416,6 @@ class SealedStore:
     def load_state(self) -> ChainState:
         return ChainState.unpack(self._read_sealed(self.state_path, OBJECT_STATE, 0))
 
-    def has_state(self) -> bool:
-        return self.state_path.exists()
-
     def _require_state(self) -> ChainState:
         if self.state is None:
             raise StorageError(f"chain state unavailable: {self.state_error}")
@@ -451,10 +442,6 @@ class SealedStore:
         self._commit_state(new_state)
 
     # -- blocks --
-
-    def commit_block(self, block: Block) -> ChainState:
-        """Durably seal one block, then the advanced chain state."""
-        return self.commit_blocks([block])
 
     def commit_blocks(self, blocks: list[Block]) -> ChainState:
         """Seal a contiguous batch of blocks, then one state advance.

@@ -69,6 +69,14 @@ def test_usage_errors_exit_two(tmp_path):
     assert main(["ingest", "--store", str(tmp_path / "nope"), "/dev/null"]) == 3
 
 
+def test_ingest_rejects_sub_second_epoch(tmp_path, capsys):
+    store = _init(tmp_path, capsys)
+    logfile = tmp_path / "logs.txt"
+    _write_lines(logfile, 10)
+    argv = ["ingest", "--store", str(store), "--epoch-seconds", "0.5", str(logfile)]
+    assert main(argv) == 2
+
+
 def test_ingest_json_stats(tmp_path, capsys):
     store = _init(tmp_path, capsys, c=1, m=10)
     logfile = tmp_path / "logs.txt"
@@ -195,4 +203,7 @@ def test_config_file_defaults(tmp_path, capsys):
 def test_config_rejects_unknown_keys(tmp_path):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"frobnicate": 1}))
+    assert main(["--config", str(config), "init", "--store", str(tmp_path / "s")]) == 2
+    # The seal payload cap is a format constant, not a setting.
+    config.write_text(json.dumps({"max_payload_bytes": 1024}))
     assert main(["--config", str(config), "init", "--store", str(tmp_path / "s")]) == 2

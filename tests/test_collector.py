@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import threading
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +7,6 @@ from hypothesis import strategies as st
 from conftest import ROOT_SECRET, build_store, fill_store
 from sealog.collector import (
     MAX_LINE_LEN,
-    BoundedEntryQueue,
     IngestPolicy,
     LogWriter,
     RawEntry,
@@ -217,39 +214,11 @@ def test_ram_window_accounting_matches_recount(tmp_path, c):
     writer.close()
 
 
-def test_ingest_policy_validation():
+def test_writer_rejects_sub_second_epoch_before_copying_the_root_key(tmp_path, monkeypatch):
+    store = build_store(tmp_path / "s", c=1, m=1)
+    monkeypatch.setattr(store, "root_logging_key", lambda: pytest.fail("RLK copied"))
     with pytest.raises(InvalidParameter):
-        IngestPolicy(params=ChainParams(1, 1), epoch_seconds=0.5)
-    with pytest.raises(InvalidParameter):
-        IngestPolicy(params=ChainParams(1, 1), on_full_queue="explode")
-
-
-# queue handoff -------------------------------------------------------------------
-
-
-def test_bounded_queue_preserves_order_across_threads(tmp_path):
-    q = BoundedEntryQueue(capacity=8, on_full="block")
-    bodies = [f"line {i}".encode() for i in range(200)]
-
-    def produce():
-        for body in bodies:
-            q.put(RawEntry("generic", body))
-        q.close()
-
-    thread = threading.Thread(target=produce)
-    thread.start()
-    received = [e.body for e in q]
-    thread.join()
-    assert received == bodies
-    assert q.dropped == 0
-
-
-def test_bounded_queue_drop_policy():
-    q = BoundedEntryQueue(capacity=2, on_full="drop-with-count")
-    assert q.put(RawEntry("generic", b"1"))
-    assert q.put(RawEntry("generic", b"2"))
-    assert not q.put(RawEntry("generic", b"3"))
-    assert q.dropped == 1
+        LogWriter(store, epoch_seconds=0.5)
 
 
 def test_close_erases_keys_when_the_last_commit_fails(tmp_path):

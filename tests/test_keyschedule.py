@@ -318,7 +318,7 @@ def test_group_keys_derivable_from_ik_alone():
     bk = first_block_key(ik, 6, params)
     for bid in (6, 7, 8):
         if bid > 6:
-            bk = next_block_key(bk, bid, params, erase=False)
+            bk = next_block_key(bk, bid, params)
         mk = first_message_key(bk)
         msg_keys = [mk.key_bytes()]
         for _ in range(params.m - 1):

@@ -22,6 +22,7 @@ from sealog.keyschedule import (
 from sealog.logchain import (
     MAX_TEXT_LEN,
     RECORD_LEN,
+    STATUS_BAD_HMAC,
     STATUS_BAD_SIGNATURE,
     STATUS_OK,
     Block,
@@ -32,7 +33,9 @@ from sealog.logchain import (
     unpack_text_field,
     verify_block_full,
     verify_block_public,
+    verify_sequence,
 )
+from sealog.sealstore import ChainState
 
 PARAMS = ChainParams(c=2, m=8)
 SEED = b"\x21" * 32
@@ -223,6 +226,23 @@ def test_swapped_records_fail_at_first_swapped_coordinate(identity):
     outcome = verify_block_full(swapped, RootLoggingKey(SEED), PARAMS, identity.public_key)
     assert not outcome.ok
     assert outcome.first_bad_msg_id == 3
+
+
+def test_swapped_records_report_one_bad_hmac_entry(identity):
+    texts = [b"zero", b"one", b"two", b"three", b"four"]
+    block = _build_block(0, texts, identity)
+    records = list(block.records)
+    records[3], records[4] = records[4], records[3]
+    swapped = Block(block.block_id, tuple(records), block.signature)
+    state = ChainState(block_id=0, msg_count=len(texts), sealed_blocks=1, commit_counter=1)
+    report = verify_sequence(
+        [swapped], 0, state, RootLoggingKey(SEED), identity.public_key, PARAMS
+    )
+    assert report.mode == "full"
+    assert [(e.block_id, e.status, e.msg_id) for e in report.entries] == [
+        (0, STATUS_BAD_HMAC, 3)
+    ]
+    assert report.findings == []
 
 
 def test_record_moved_across_blocks_fails(identity):

@@ -583,6 +583,35 @@ def test_request_validation():
         RetrievalRequest(b"\x00" * 16, start=0, end=1, mode="superuser")
 
 
+def test_inverted_range_request_does_not_kill_the_server(tmp_path, endpoints):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)  # 10 blocks
+    device_cert = store.identity().certificate
+    server = LogExportServer(store, [verifier.certificate], port=0)
+    thread = server.start()
+
+    def session():
+        sock = socket.create_connection(("127.0.0.1", server.address[1]), timeout=5)
+        return sock, client_handshake(verifier, [device_cert], FrameTransport(sock))
+
+    try:
+        sock, bad = session()
+        with sock:
+            # RetrievalRequest refuses to build this range, so pack it by hand.
+            body = store.manifest.device_id + struct.pack(">IIB", 5, 2, retrieval.MODE_PUBLIC)
+            bad.send_message(retrieval.MSG_REQUEST, body)
+            with pytest.raises(ChannelClosed):
+                bad.recv_message()
+        sock, good = session()
+        with sock:
+            result = receive_transfer(good, RetrievalRequest(store.manifest.device_id, start=0))
+        assert thread.is_alive()
+    finally:
+        server.close()
+    assert [b.block_id for b in result.blocks] == list(range(10))
+    assert audit(result, device_cert).verdict == "ok"
+
+
 def test_delivered_watermark_advances(tmp_path, endpoints):
     _device, verifier = endpoints
     store = _serving_store(tmp_path)

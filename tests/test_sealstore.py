@@ -21,6 +21,7 @@ from sealog.logchain import (
     STATUS_SEAL_FAILURE,
 )
 from sealog.sealstore import (
+    DEFAULT_MAX_PAYLOAD,
     OBJECT_BLOCK,
     OBJECT_IK,
     ChainState,
@@ -81,7 +82,7 @@ def test_storage_key_derivation_deterministic():
 def test_seal_payload_cap():
     sk = derive_storage_key(b"\x01" * 32, b"a")
     with pytest.raises(InvalidParameter):
-        seal(b"x" * 17, sk, OBJECT_BLOCK, 0, max_payload=16)
+        seal(b"x" * (DEFAULT_MAX_PAYLOAD + 1), sk, OBJECT_BLOCK, 0)
 
 
 def test_exhaustive_byte_flip_always_detected():
@@ -165,7 +166,7 @@ def test_commit_out_of_order_rejected(tmp_path):
 
     fake = Block(block_id=5, records=block5.records, signature=block5.signature)
     with pytest.raises(InvalidParameter):
-        store.commit_block(fake)
+        store.commit_blocks([fake])
 
 
 def test_commit_counter_strictly_increases(tmp_path):
