@@ -209,7 +209,6 @@ class IngestStats:
     blocks: int = 0
     groups: int = 0
     parse_warnings: int = 0
-    dropped: int = 0
     elapsed_seconds: float = 0.0
 
     @property
@@ -223,7 +222,6 @@ class IngestStats:
             "blocks": self.blocks,
             "groups": self.groups,
             "parse_warnings": self.parse_warnings,
-            "dropped": self.dropped,
             "elapsed_seconds": self.elapsed_seconds,
             "throughput_logs_per_sec": self.throughput,
         }

@@ -15,6 +15,20 @@ earlier keys computationally unreachable from later ones.
 
 All context labels, the fixed salt, and the index encodings below are
 normative: changing any of them changes every derived key.
+
+Every chain derivation must stay one call of this module's ``hkdf``,
+looked up at call time as a module global, so that wrapping
+``keyschedule.hkdf`` (as a profiler does) sees each one; the chain's
+modules reach it only through this module's functions.
+Every HMAC-SHA256 of the chain goes through ``hmac_sha256``: RFC 2104
+over ``hashlib.sha256`` from the key's inner and outer pad states, which
+for ``SCHEME_SALT`` are hashed once at import and only ever copied.  The
+stdlib one-shot ``hmac.digest`` goes through OpenSSL 3's ``HMAC()``, which
+fetches the digest implementation anew on every call; that fetch costs
+more than the two SHA-256 compressions of a short message.  Padding the
+key is the RFC construction only for keys of at most one SHA-256 block
+(64 bytes); longer keys are hashed first, and those calls go to
+``hmac.digest``.
 """
 
 from __future__ import annotations
@@ -24,6 +38,7 @@ import hmac
 import os
 import struct
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import BlockFull, InvalidParameter, KeyUnavailable
 
@@ -67,17 +82,44 @@ def hkdf_expand(prk: bytes, info: bytes, out_len: int, hash_name: str = "sha256"
     return b"".join(blocks)[:out_len]
 
 
+# RFC 2104 pads: a key of at most one block, zero padded, XOR 0x36 / 0x5C.
+_SHA256_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+_SALT_KEY = SCHEME_SALT.ljust(_SHA256_BLOCK, b"\x00")
+_SALT_INNER = hashlib.sha256(_SALT_KEY.translate(_IPAD))
+_SALT_OUTER = hashlib.sha256(_SALT_KEY.translate(_OPAD))
+
+
+def hmac_sha256(key: bytes, msg: bytes) -> bytes:
+    """HMAC-SHA256 (RFC 2104), equal to ``hmac.digest(key, msg, "sha256")``.
+
+    The ``SCHEME_SALT`` object keys from its cached pad states, which are
+    copied, never updated, so threads may share them.
+    """
+    if key is SCHEME_SALT:
+        inner, outer = _SALT_INNER.copy(), _SALT_OUTER.copy()
+        inner.update(msg)
+        outer.update(inner.digest())
+        return outer.digest()
+    if len(key) > _SHA256_BLOCK:
+        return hmac.digest(key, msg, "sha256")
+    key = key.ljust(_SHA256_BLOCK, b"\x00")
+    inner = hashlib.sha256(key.translate(_IPAD) + msg).digest()
+    return hashlib.sha256(key.translate(_OPAD) + inner).digest()
+
+
 def hkdf(ikm: bytes, salt: bytes, info: bytes, out_len: int, hash_name: str = "sha256") -> bytes:
     """HKDF extract-then-expand (RFC 5869).
 
     The scheme fixes hash_name to SHA-256; the parameter exists so the
     published RFC test vectors for other hashes remain checkable.  An
     output of at most one SHA-256 block, as every chain key is, takes two
-    one-shot HMACs: PRK, then T(1) = HMAC(PRK, info || 0x01).
+    HMACs: PRK, then T(1) = HMAC(PRK, info || 0x01).
     """
     if hash_name == "sha256" and 0 < out_len <= 32:
-        prk = hmac.digest(salt, ikm, "sha256")
-        return hmac.digest(prk, info + b"\x01", "sha256")[:out_len]
+        prk = hmac_sha256(salt, ikm)
+        return hmac_sha256(prk, info + b"\x01")[:out_len]
     return hkdf_expand(hkdf_extract(ikm, salt, hash_name), info, out_len, hash_name)
 
 
@@ -251,12 +293,17 @@ def next_message_key(prev: MessageKey, params: ChainParams, erase: bool = True) 
 
 def walk_block_chain(ik: IntermediateKey, block_id: int, params: ChainParams) -> BlockKey:
     """Derive the key of a block in ik's group by walking the group's block
-    chain from its first block; the IK and every key passed are erased."""
+    chain from its first block; the IK is erased, and each step overwrites
+    its predecessor in the one key buffer."""
     first = params.first_block_of(ik.group_id)
+    if not first <= block_id < first + params.c:
+        raise InvalidParameter(f"block {block_id} is not in group {ik.group_id}")
     bk = first_block_key(ik, first, params)
     ik.erase()
+    key = bk.key
     for bid in range(first + 1, block_id + 1):
-        bk = next_block_key(bk, bid, params)
+        key[:] = hkdf(key, SCHEME_SALT, LABEL_BLOCK_NEXT + _be32(bid), KEY_LEN)
+    bk.block_id = block_id
     return bk
 
 
@@ -265,19 +312,32 @@ def block_key_at(rlk: RootLoggingKey, block_id: int, params: ChainParams) -> Blo
     return walk_block_chain(derive_ik(rlk, params.group_of(block_id)), block_id, params)
 
 
-def message_keys_for_block(
+def walk_message_chain(
     rlk: RootLoggingKey, block_id: int, count: int, params: ChainParams
-) -> list[MessageKey]:
+) -> Iterator[bytearray]:
     """Re-derive the first ``count`` message keys of a block from the RLK.
 
-    The returned keys are live copies; the internal chain intermediates are
-    consumed along the way.
+    The block key is derived on the first ``next`` even when ``count`` is 0.
+    Every key is yielded in the block key's own buffer, overwritten by its
+    successor (message key 0 derives from the block key exactly as key i
+    from key i-1), and zeroed when the walk ends or is closed.
     """
     if count < 0 or count > params.m:
         raise InvalidParameter(f"count {count} outside [0, m={params.m}]")
-    bk = block_key_at(rlk, block_id, params)
-    keys = [first_message_key(bk)] if count else []
-    bk.erase()
-    for _ in range(1, count):
-        keys.append(next_message_key(keys[-1], params, erase=False))
-    return keys
+    key = block_key_at(rlk, block_id, params).key
+    prefix = LABEL_MESSAGE + _be32(block_id)
+    try:
+        for msg_id in range(count):
+            key[:] = hkdf(key, SCHEME_SALT, prefix + _be32(msg_id), KEY_LEN)
+            yield key
+    finally:
+        _erase_buffer(key)
+
+
+def message_keys_for_block(
+    rlk: RootLoggingKey, block_id: int, count: int, params: ChainParams
+) -> list[MessageKey]:
+    """Re-derive the first ``count`` message keys of a block from the RLK,
+    each as a live copy of the walk's buffer."""
+    walk = walk_message_chain(rlk, block_id, count, params)
+    return [MessageKey(block_id, msg_id, bytearray(key)) for msg_id, key in enumerate(walk)]

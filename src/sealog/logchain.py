@@ -34,9 +34,8 @@ from .keyschedule import (
     ChainParams,
     MessageKey,
     RootLoggingKey,
-    block_key_at,
-    first_message_key,
-    next_message_key,
+    hmac_sha256,
+    walk_message_chain,
 )
 
 BLOCK_MAGIC = b"EMLB"
@@ -156,9 +155,7 @@ def make_record(
             f"key coordinate ({key.block_id},{key.msg_id}) does not match msg_id {msg_id}"
         )
     text_field = pack_text_field(text, continuation)
-    tag = hmac_mod.digest(
-        key.key_bytes(), record_preimage(key.block_id, msg_id, text_field), "sha256"
-    )
+    tag = hmac_sha256(key.key_bytes(), record_preimage(key.block_id, msg_id, text_field))
     if erase_key:
         key.erase()
     return _record_from_fields((msg_id, tag, text_field))
@@ -252,23 +249,16 @@ def verify_block_full(
     result = BlockVerification(block_id=block.block_id, signature_ok=signature_ok)
     result.checked_records = len(block.records)
 
-    # Keys are derived for the declared positions, each erased as its
-    # successor is derived; records whose claimed msg_id disagrees with
-    # their position fail their tag check below.
-    if len(block.records) > params.m:
-        raise InvalidParameter(f"count {len(block.records)} outside [0, m={params.m}]")
-    bk = block_key_at(rlk, block.block_id, params)
-    key = first_message_key(bk) if block.records else None
-    bk.erase()
-    for position, record in enumerate(block.records):
-        if position:
-            key = next_message_key(key, params)
-        preimage = record_preimage(block.block_id, position, record.text_field)
-        expected = hmac_mod.digest(key.key_bytes(), preimage, "sha256")
+    # Keys are derived for the declared positions, each overwriting its
+    # predecessor; records whose claimed msg_id disagrees with their
+    # position fail their tag check below.
+    records = block.records
+    keys = walk_message_chain(rlk, block.block_id, len(records), params)
+    for position, key in enumerate(keys):
+        record = records[position]
+        expected = hmac_sha256(key, record_preimage(block.block_id, position, record.text_field))
         if record.msg_id != position or not hmac_mod.compare_digest(expected, record.tag):
             result.bad_records.append(position)
-    if key is not None:
-        key.erase()
     return result
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import logging
 import os
 import socket
 import struct
@@ -68,6 +69,8 @@ from .logchain import (
     verify_sequence,
 )
 from .sealstore import ChainState, SealedStore
+
+_log = logging.getLogger("sealog.retrieval")
 
 PROTOCOL_VERSION = 1
 MAX_FRAME_LEN = 32 * 1024 * 1024
@@ -675,7 +678,7 @@ class LogExportServer:
         """Accept and serve a single session; returns False on timeout."""
         self._listener.settimeout(timeout)
         try:
-            conn, _ = self._listener.accept()
+            conn, peer = self._listener.accept()
         except socket.timeout:
             return False
         except OSError:
@@ -699,8 +702,20 @@ class LogExportServer:
                 session.abort(ABORT_AUTH, "request names a different device")
                 raise AuthFailure("request device id mismatch")
             serve_range(session, self.store, request)
-        except (AuthFailure, NegotiationFailure, ReplayDetected, ParseError, ChannelClosed):
-            pass  # already aborted on the wire where possible
+        except (
+            AuthFailure,
+            NegotiationFailure,
+            ReplayDetected,
+            ParseError,
+            ChannelClosed,
+            InvalidParameter,
+            OSError,
+        ) as exc:
+            # Aborted on the wire where possible; one session's failure,
+            # a peer reset included, must not end the service.
+            _log.warning(
+                "session from %s:%s ended: %s: %s", peer[0], peer[1], type(exc).__name__, exc
+            )
         finally:
             transport.close()
         return True

@@ -86,6 +86,7 @@ def test_ingest_json_stats(tmp_path, capsys):
     assert stats["entries"] == 25
     assert stats["blocks"] == 3  # two full + one partial on flush
     assert stats["records"] == 25
+    assert "dropped" not in stats
 
 
 def test_flush_reports_latest(tmp_path, capsys):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import hmac as hmac_mod
 import struct
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +29,12 @@ from sealog.keyschedule import (
     hkdf,
     hkdf_expand,
     hkdf_extract,
+    hmac_sha256,
     message_keys_for_block,
     next_block_key,
     next_message_key,
+    walk_block_chain,
+    walk_message_chain,
 )
 
 # RFC 5869 Appendix A test vectors (published OKM values; cross-checked
@@ -170,6 +175,56 @@ def test_one_shot_hkdf_matches_extract_expand(label, ikm, suffix):
         assert hkdf(ikm, SCHEME_SALT, info, out_len) == hkdf_expand(prk, info, out_len)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.one_of(st.just(SCHEME_SALT), st.binary(max_size=100)),
+    msg=st.binary(max_size=600),
+)
+def test_hmac_sha256_matches_stdlib(key, msg):
+    # Keys of up to 64 bytes take the pad path, SCHEME_SALT its cached
+    # states, longer keys the stdlib fallback.
+    assert hmac_sha256(key, msg) == hmac_mod.digest(key, msg, "sha256")
+    assert hmac_sha256(bytearray(key), msg) == hmac_mod.digest(key, msg, "sha256")
+
+
+def test_hmac_sha256_cached_salt_states_are_never_updated():
+    messages = [b"", b"a", b"b" * 63, b"c" * 64, b"d" * 65, b"e" * 1000, b"a"]
+    first = [hmac_sha256(SCHEME_SALT, msg) for msg in messages]
+    again = [hmac_sha256(SCHEME_SALT, msg) for msg in reversed(messages)][::-1]
+    assert first == again == [hmac_mod.digest(SCHEME_SALT, m, "sha256") for m in messages]
+    assert first[1] == first[-1]
+
+
+def test_hkdf_with_cached_salt_states_is_thread_safe():
+    # The export server thread and the main thread share the cached states.
+    failures, results = [], []
+
+    def derive(seed: int) -> None:
+        try:
+            for i in range(2000):
+                ikm, info = struct.pack(">II", seed, i) * 4, LABEL_MESSAGE + struct.pack(">I", i)
+                expected = oracle_hkdf(ikm, SCHEME_SALT, info, 32, "sha256")
+                if hkdf(ikm, SCHEME_SALT, info, 32) != expected:
+                    failures.append((seed, i))
+            results.append(seed)
+        except Exception as exc:  # surfaced by the assertions below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=derive, args=(seed,)) for seed in (1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert sorted(results) == [1, 2]
+
+
 # Intermediate keys ----------------------------------------------------------
 
 
@@ -227,6 +282,17 @@ def test_block_chain_matches_full_rederivation():
     bk = next_block_key(bk, 2, params)
     fresh = block_key_at(RootLoggingKey(b"\x05" * 32), 2, params)
     assert bk.key_bytes() == fresh.key_bytes()
+
+
+def test_walk_block_chain_rejects_a_block_outside_the_ik_group():
+    params = ChainParams(c=4, m=2)
+    rlk = RootLoggingKey(b"\x07" * 32)
+    for block_id in (3, 8, 100):  # group 1 serves blocks 4..7
+        with pytest.raises(InvalidParameter):
+            walk_block_chain(derive_ik(rlk, 1), block_id, params)
+    walked = walk_block_chain(derive_ik(rlk, 1), 7, params)
+    assert walked.block_id == 7
+    assert walked.key_bytes() == block_key_at(rlk, 7, params).key_bytes()
 
 
 def test_next_block_key_rejects_group_boundary():
@@ -352,6 +418,20 @@ def test_next_message_key_erases_predecessor():
     buf = mk0.key
     next_message_key(mk0, params)
     assert bytes(buf) == b"\x00" * 32
+
+
+def test_message_walk_zeroes_its_buffer_when_done_or_closed():
+    params = ChainParams(c=2, m=4)
+    rlk = RootLoggingKey(b"\x01" * 32)
+    walk = walk_message_chain(rlk, 1, 4, params)
+    buf = next(walk)
+    assert next(walk) is buf  # one buffer, overwritten in place
+    walk.close()
+    assert bytes(buf) == bytes(32)
+
+    bufs = list(walk_message_chain(rlk, 1, 4, params))
+    assert all(b is bufs[0] for b in bufs)
+    assert bytes(bufs[0]) == bytes(32)
 
 
 def test_rlk_destroy_zeroes_buffer():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sealog import keyschedule
 from sealog.errors import InvalidParameter, KeyMisuse, ParseError
 from sealog.identity import DeviceIdentity
 from sealog.keyschedule import (
@@ -269,6 +270,27 @@ def test_block_longer_than_m_rejected(identity):
     overlong = Block(0, block.records + block.records[:1], block.signature)
     with pytest.raises(InvalidParameter):
         verify_block_full(overlong, RootLoggingKey(SEED), PARAMS, identity.public_key)
+
+
+def test_empty_block_derives_only_its_block_key(identity, monkeypatch):
+    calls = []
+    real_hkdf = keyschedule.hkdf
+
+    def counting_hkdf(*args, **kwargs):
+        calls.append(args[2])
+        return real_hkdf(*args, **kwargs)
+
+    monkeypatch.setattr(keyschedule, "hkdf", counting_hkdf)
+    empty = Block(block_id=3, records=(), signature=b"\x00" * 64)
+    outcome = verify_block_full(empty, RootLoggingKey(SEED), PARAMS, identity.public_key)
+    # Block 3 is the second of group 1: its IK, the group's first block key,
+    # one chain step; no message key.
+    assert calls == [
+        b"IK" + struct.pack(">I", 1),
+        b"BK0" + struct.pack(">I", 2),
+        b"BK" + struct.pack(">I", 3),
+    ]
+    assert outcome.bad_records == [] and outcome.checked_records == 0
 
 
 def test_public_full_consistency(identity):

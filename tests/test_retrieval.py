@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import logging
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -610,6 +612,70 @@ def test_inverted_range_request_does_not_kill_the_server(tmp_path, endpoints):
         server.close()
     assert [b.block_id for b in result.blocks] == list(range(10))
     assert audit(result, device_cert).verdict == "ok"
+
+
+def test_peer_reset_during_transfer_does_not_kill_the_server(tmp_path, endpoints, caplog):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path, n_entries=20_000, c=10, m=100)  # 200 blocks
+    device_cert = store.identity().certificate
+    server = LogExportServer(store, [verifier.certificate], port=0)
+    thread = server.start()
+
+    def session():
+        sock = socket.create_connection(("127.0.0.1", server.address[1]), timeout=5)
+        return sock, client_handshake(verifier, [device_cert], FrameTransport(sock))
+
+    try:
+        with caplog.at_level(logging.WARNING, logger="sealog.retrieval"):
+            sock, rude = session()
+            with sock:
+                rude.send_message(
+                    retrieval.MSG_REQUEST, RetrievalRequest(store.manifest.device_id, 0).pack()
+                )
+                time.sleep(0.2)
+                # Close with an RST while the server is still sending.
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock, good = session()
+            with sock:
+                result = receive_transfer(good, RetrievalRequest(store.manifest.device_id, 0))
+        assert thread.is_alive()
+    finally:
+        server.close()
+    assert [b.block_id for b in result.blocks] == list(range(200))
+    assert audit(result, device_cert).verdict == "ok"
+    resets = [r for r in caplog.records if r.name == "sealog.retrieval"]
+    assert any(
+        "ConnectionResetError" in r.getMessage() or "BrokenPipeError" in r.getMessage()
+        for r in resets
+    )
+
+
+def test_store_without_state_does_not_kill_the_server(tmp_path, endpoints, caplog):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)  # 10 blocks
+    device_cert = store.identity().certificate
+    server = LogExportServer(store, [verifier.certificate], port=0)
+    thread = server.start()
+    request = RetrievalRequest(store.manifest.device_id, start=0)
+
+    def transfer():
+        with socket.create_connection(("127.0.0.1", server.address[1]), timeout=5) as sock:
+            return receive_transfer(
+                client_handshake(verifier, [device_cert], FrameTransport(sock)), request
+            )
+
+    try:
+        with caplog.at_level(logging.WARNING, logger="sealog.retrieval"):
+            real_state, store.state = store.state, None
+            refused = transfer()
+            store.state = real_state
+            result = transfer()
+        assert thread.is_alive()
+    finally:
+        server.close()
+    assert refused.summary is None and refused.blocks == []
+    assert [b.block_id for b in result.blocks] == list(range(10))
+    assert any("InvalidParameter" in r.getMessage() for r in caplog.records)
 
 
 def test_delivered_watermark_advances(tmp_path, endpoints):
