@@ -277,7 +277,7 @@ def first_message_key(bk: BlockKey) -> MessageKey:
     return MessageKey(block_id=bk.block_id, msg_id=0, key=bytearray(okm))
 
 
-def next_message_key(prev: MessageKey, params: ChainParams, erase: bool = True) -> MessageKey:
+def next_message_key(prev: MessageKey, params: ChainParams) -> MessageKey:
     """Advance the message-key chain; the predecessor buffer is zeroed."""
     msg_id = prev.msg_id + 1
     if msg_id >= params.m:
@@ -286,8 +286,7 @@ def next_message_key(prev: MessageKey, params: ChainParams, erase: bool = True) 
         )
     info = LABEL_MESSAGE + _be32(prev.block_id) + _be32(msg_id)
     okm = hkdf(prev.key_bytes(), SCHEME_SALT, info, KEY_LEN)
-    if erase:
-        prev.erase()
+    prev.erase()
     return MessageKey(block_id=prev.block_id, msg_id=msg_id, key=bytearray(okm))
 
 

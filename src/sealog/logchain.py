@@ -14,7 +14,14 @@ tag_{n-1}; including the header bytes stops a signature from being
 transplanted onto a different block id or record count.
 
 Block serialization: magic "EMLB", version byte, BE32 block_id,
-BE32 record_count, the records, then the 64-byte raw r||s signature.
+BE32 record_count, the records, then the 64-byte raw r||s signature.  The
+signed header fields are bytes 5 to 12 of that encoding, so a serialized
+block carries its own signature preimage.
+
+A ``Block`` read from bytes (disk or wire) keeps those bytes: deserializing
+checks only the header and the length, the signature check reads the tags
+straight out of the body, and records are decoded on the first read of
+``block.records``, which only the full audit and entry reassembly make.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import starmap
+from operator import itemgetter
 from typing import NamedTuple
 
 from cryptography.hazmat.primitives.asymmetric import ec
@@ -49,7 +57,12 @@ MAX_TEXT_LEN = TEXT_FIELD_LEN - TEXT_PREFIX_LEN  # 254
 _RECORD = struct.Struct(">I32s256s")
 RECORD_LEN = _RECORD.size  # 292
 
+# One record's tag, read in place from a serialized body.
+_RECORD_TAG = struct.Struct(">4x32s256x")
+
 _BLOCK_HEADER = struct.Struct(">4sBII")
+# BE32 block_id || BE32 record_count inside a serialized block's header.
+_SIGNED_HEADER = slice(5, _BLOCK_HEADER.size)
 # Bytes a serialized block adds around its records: header and signature.
 BLOCK_ENVELOPE_LEN = _BLOCK_HEADER.size + SIGNATURE_LEN
 
@@ -161,20 +174,61 @@ def make_record(
     return _record_from_fields((msg_id, tag, text_field))
 
 
-@dataclass(frozen=True)
 class Block:
-    """A finalized, signed run of records."""
+    """A finalized, signed run of records.
 
-    block_id: int
-    records: tuple[LogRecord, ...]
-    signature: bytes
+    A block holds its records, its serialized bytes, or both, and derives
+    the missing one once, on first use: a block built from records encodes
+    on its first ``serialize()``, and a block read by ``deserialize`` keeps
+    the bytes it was given, so ``serialize()`` returns exactly them and
+    ``records`` decodes them on first read.  ``sign_preimage()`` reads the
+    tags from the bytes and never decodes a record.  Blocks are compared by
+    their bytes and are not changed after construction.
+    """
+
+    __slots__ = ("block_id", "signature", "_records", "_data")
+
+    def __init__(self, block_id: int, records: tuple[LogRecord, ...], signature: bytes) -> None:
+        self.block_id = block_id
+        self.signature = signature
+        self._records: tuple[LogRecord, ...] | None = tuple(records)
+        self._data: bytes | None = None
+
+    @property
+    def records(self) -> tuple[LogRecord, ...]:
+        if self._records is None:
+            body = memoryview(self._data)[_BLOCK_HEADER.size : -SIGNATURE_LEN]
+            self._records = tuple(map(_record_from_fields, _RECORD.iter_unpack(body)))
+        return self._records
 
     def serialize(self) -> bytes:
-        head = _BLOCK_HEADER.pack(BLOCK_MAGIC, FORMAT_VERSION, self.block_id, len(self.records))
-        return b"".join((head, *starmap(_RECORD.pack, self.records), self.signature))
+        if self._data is None:
+            records = self._records
+            head = _BLOCK_HEADER.pack(BLOCK_MAGIC, FORMAT_VERSION, self.block_id, len(records))
+            self._data = b"".join((head, *starmap(_RECORD.pack, records), self.signature))
+        return self._data
+
+    def sign_preimage(self) -> bytes:
+        """``block_sign_preimage(block_id, tags)``, taken from the bytes."""
+        data = self.serialize()
+        body = memoryview(data)[_BLOCK_HEADER.size : len(data) - len(self.signature)]
+        tags = map(itemgetter(0), _RECORD_TAG.iter_unpack(body))
+        return data[_SIGNED_HEADER] + b"".join(tags)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Block):
+            return NotImplemented
+        return self.serialize() == other.serialize()
+
+    def __hash__(self) -> int:
+        return hash(self.serialize())
+
+    def __repr__(self) -> str:
+        return f"Block(block_id={self.block_id}, {len(self.serialize())} bytes)"
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Block":
+        data = bytes(data)
         if len(data) < BLOCK_ENVELOPE_LEN:
             raise ParseError("block too short")
         magic, version, block_id, count = _BLOCK_HEADER.unpack_from(data)
@@ -185,10 +239,12 @@ class Block:
         expected = BLOCK_ENVELOPE_LEN + count * RECORD_LEN
         if len(data) != expected:
             raise ParseError(f"block length {len(data)} does not match declared count {count}")
-        end = len(data) - SIGNATURE_LEN
-        body = memoryview(data)[_BLOCK_HEADER.size : end]
-        records = tuple(map(_record_from_fields, _RECORD.iter_unpack(body)))
-        return cls(block_id=block_id, records=records, signature=data[end:])
+        block = cls.__new__(cls)
+        block.block_id = block_id
+        block.signature = data[-SIGNATURE_LEN:]
+        block._records = None
+        block._data = data
+        return block
 
 
 def block_sign_preimage(block_id: int, tags: list[bytes]) -> bytes:
@@ -207,12 +263,13 @@ def verify_block_public(block: Block, public_key: ec.EllipticCurvePublicKey) -> 
     """Signature-only check: authenticates origin without any chain secret.
 
     Record text is not covered directly (only the tags are signed), so
-    HMAC-level tampering is out of this path's scope by design.
+    HMAC-level tampering is out of this path's scope by design.  The tags
+    are read from the block's bytes; no record is decoded.
     """
     if len(block.signature) != SIGNATURE_LEN:
         raise ParseError(f"signature must be {SIGNATURE_LEN} bytes, got {len(block.signature)}")
-    preimage = block_sign_preimage(block.block_id, [r.tag for r in block.records])
-    return STATUS_OK if verify_raw(public_key, preimage, block.signature) else STATUS_BAD_SIGNATURE
+    ok = verify_raw(public_key, block.sign_preimage(), block.signature)
+    return STATUS_OK if ok else STATUS_BAD_SIGNATURE
 
 
 @dataclass

@@ -35,6 +35,7 @@ import os
 import socket
 import struct
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -99,6 +100,10 @@ MODE_PUBLIC = 0
 MODE_FULL = 1
 
 HELLO_NONCE_LEN = 16
+# Seconds an accepted connection gets for its handshake and request
+# together, and then for each send of the transfer, before the export
+# server drops it for the next peer.
+SESSION_TIMEOUT = 10.0
 _EPH_PUB_LEN = 65
 _TRANSCRIPT_MAGIC = b"EMHS"
 _FRAME_AAD_MAGIC = b"EMFR"
@@ -110,19 +115,34 @@ AttestationPolicy = Callable[[bytes, int, bytes], bool]
 
 
 class FrameTransport:
-    """Blocking length-prefixed frame IO over a connected socket."""
+    """Blocking length-prefixed frame IO over a connected socket.
+
+    While ``deadline`` (a ``time.monotonic()`` value) is set, every send and
+    receive must finish by then, however the peer paces its bytes; past it
+    they raise ``TimeoutError``.
+    """
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
+        self.deadline: float | None = None
+
+    def _apply_deadline(self) -> None:
+        if self.deadline is not None:
+            remaining = self.deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError("session deadline passed")
+            self._sock.settimeout(remaining)
 
     def send_frame(self, frame_type: int, payload: bytes) -> None:
         if 1 + len(payload) > MAX_FRAME_LEN:
             raise InvalidParameter("frame exceeds maximum length")
+        self._apply_deadline()
         self._sock.sendall(struct.pack(">IB", 1 + len(payload), frame_type) + payload)
 
     def _recv_exact(self, n: int) -> bytes:
         buf = bytearray()
         while len(buf) < n:
+            self._apply_deadline()
             chunk = self._sock.recv(n - len(buf))
             if not chunk:
                 raise ChannelClosed("peer closed the connection")
@@ -561,9 +581,12 @@ def serve_range(
 ) -> int:
     """Stream the requested blocks then the signed-state summary.
 
-    A block that fails to unseal raises the integrity alarm to the peer and
-    aborts the transfer; blocks already sent remain usable.  Returns the
-    number of blocks sent.
+    Each block is sent as its unsealed payload, the exact ``EMLB`` bytes
+    committed for it: ``load_block`` checks the header's block id and the
+    length, and no record is decoded or re-encoded on the way.  A block
+    that cannot be read or unsealed raises the integrity alarm to the peer
+    and aborts the transfer; blocks already sent remain usable.  Returns
+    the number of blocks sent.
     """
     state = store.state
     if state is None:
@@ -653,7 +676,12 @@ def receive_transfer(session: SecureSession, request: RetrievalRequest) -> Fetch
 
 
 class LogExportServer:
-    """Sequential TCP export service for one sealed store."""
+    """Sequential TCP export service for one sealed store.
+
+    Each accepted connection must finish its handshake and request within
+    ``SESSION_TIMEOUT`` seconds, and each later send within the same bound,
+    so a silent or stalled peer holds the service for at most that long.
+    """
 
     def __init__(
         self,
@@ -685,6 +713,7 @@ class LogExportServer:
             self._stop.set()  # listener closed under us
             return False
         transport = FrameTransport(conn)
+        transport.deadline = time.monotonic() + SESSION_TIMEOUT
         try:
             session = server_handshake(
                 self.identity,
@@ -701,6 +730,8 @@ class LogExportServer:
             if request.device_id != self.identity.device_id:
                 session.abort(ABORT_AUTH, "request names a different device")
                 raise AuthFailure("request device id mismatch")
+            transport.deadline = None
+            conn.settimeout(SESSION_TIMEOUT)
             serve_range(session, self.store, request)
         except (
             AuthFailure,
@@ -712,7 +743,7 @@ class LogExportServer:
             OSError,
         ) as exc:
             # Aborted on the wire where possible; one session's failure,
-            # a peer reset included, must not end the service.
+            # a peer reset or a timeout included, must not end the service.
             _log.warning(
                 "session from %s:%s ended: %s: %s", peer[0], peer[1], type(exc).__name__, exc
             )

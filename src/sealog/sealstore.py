@@ -111,14 +111,19 @@ class SealedObject:
 
 
 class StorageKey:
-    """Application-bound sealing key with a nonce-budget write counter."""
+    """Application-bound sealing key with a nonce-budget write counter.
 
-    __slots__ = ("_key", "writes")
+    ``aead`` is the key's one AES-GCM context, shared by every seal and
+    unseal under it.
+    """
+
+    __slots__ = ("_key", "aead", "writes")
 
     def __init__(self, key: bytes) -> None:
         if len(key) != KEY_LEN:
             raise InvalidParameter(f"storage key must be {KEY_LEN} bytes")
         self._key = key
+        self.aead = AESGCM(key)
         self.writes = 0
 
     def key_bytes(self) -> bytes:
@@ -149,7 +154,7 @@ def seal(payload: bytes, sk: StorageKey, object_type: int, object_id: int) -> Se
         nonce=nonce,
         ciphertext=b"",
     )
-    ct = AESGCM(sk.key_bytes()).encrypt(nonce, payload, obj.header())
+    ct = sk.aead.encrypt(nonce, payload, obj.header())
     return SealedObject(SEAL_VERSION, object_type, object_id, nonce, ct)
 
 
@@ -159,7 +164,7 @@ def unseal(obj: SealedObject, sk: StorageKey) -> bytes:
     A wrong key is indistinguishable from tampering and reports the same.
     """
     try:
-        return AESGCM(sk.key_bytes()).decrypt(obj.nonce, obj.ciphertext, obj.header())
+        return sk.aead.decrypt(obj.nonce, obj.ciphertext, obj.header())
     except InvalidTag as exc:
         raise AuthFailure(
             f"unseal failed for object type={obj.object_type} id={obj.object_id}"
@@ -250,6 +255,17 @@ class StoreManifest:
 
 # Atomic file plumbing ------------------------------------------------------
 
+STATE_FILE = "state.seal"
+MANIFEST_FILE = "manifest.seal"
+
+
+def _block_file(block_id: int) -> str:
+    return f"blk_{block_id:08d}.seal"
+
+
+def _ik_file(group_id: int) -> str:
+    return f"ik_{group_id:08d}.seal"
+
 
 def _fsync_dir(path: Path) -> None:
     fd = os.open(path, os.O_DIRECTORY)
@@ -269,6 +285,8 @@ class SealedStore:
 
     def __init__(self, directory: str | Path, sk: StorageKey, manifest: StoreManifest):
         self.directory = Path(directory)
+        # Sealed objects are read and written by plain string paths.
+        self._prefix = os.path.join(self.directory, "")
         self.sk = sk
         self.manifest = manifest
         self._identity: DeviceIdentity | None = None
@@ -279,18 +297,14 @@ class SealedStore:
     # -- paths --
 
     def block_path(self, block_id: int) -> Path:
-        return self.directory / f"blk_{block_id:08d}.seal"
+        return self.directory / _block_file(block_id)
 
     def ik_path(self, group_id: int) -> Path:
-        return self.directory / f"ik_{group_id:08d}.seal"
+        return self.directory / _ik_file(group_id)
 
     @property
     def state_path(self) -> Path:
-        return self.directory / "state.seal"
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.directory / "manifest.seal"
+        return self.directory / STATE_FILE
 
     # -- lifecycle --
 
@@ -317,7 +331,7 @@ class SealedStore:
             certificate_pem=identity.certificate_pem(),
         )
         store = cls(directory, sk, manifest)
-        store._write_sealed(store.manifest_path, manifest.pack(), OBJECT_MANIFEST, 0)
+        store._write_sealed(MANIFEST_FILE, manifest.pack(), OBJECT_MANIFEST, 0)
         store._commit_state(store.state)
         # Exportable copy of the public certificate for verifiers.
         (directory / "cert.pem").write_bytes(identity.certificate_pem())
@@ -337,7 +351,7 @@ class SealedStore:
         placeholder = StoreManifest(ChainParams(1, 1), b"\x00" * 16, b"\x00" * 32, b"", b"")
         store = cls(directory, sk, placeholder)
         store.manifest = StoreManifest.unpack(
-            store._read_sealed(store.manifest_path, OBJECT_MANIFEST, 0)
+            store._read_sealed(MANIFEST_FILE, OBJECT_MANIFEST, 0)
         )
         # A missing or unreadable state record is a first-class audit
         # finding, so opening for verification must survive it.
@@ -370,10 +384,10 @@ class SealedStore:
             self.crash_hook(step)
 
     def _write_sealed(
-        self, path: Path, payload: bytes, object_type: int, object_id: int, step: str = ""
+        self, name: str, payload: bytes, object_type: int, object_id: int, step: str = ""
     ) -> None:
         data = seal(payload, self.sk, object_type, object_id).serialize()
-        prefix = step or path.name
+        prefix = step or name
         self._hook(f"{prefix}:start")
         fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=self.directory)
         tmp = Path(tmp_name)
@@ -383,26 +397,33 @@ class SealedStore:
                 fh.flush()
                 os.fsync(fh.fileno())
             self._hook(f"{prefix}:tmp-written")
-            os.replace(tmp, path)
+            os.replace(tmp, self._prefix + name)
             self._hook(f"{prefix}:renamed")
             _fsync_dir(self.directory)
             self._hook(f"{prefix}:durable")
         except OSError as exc:
             tmp.unlink(missing_ok=True)
-            raise StorageError(f"failed writing {path.name}: {exc}") from exc
+            raise StorageError(f"failed writing {name}: {exc}") from exc
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
 
-    def _read_sealed(self, path: Path, object_type: int, object_id: int) -> bytes:
+    def _read_sealed(self, name: str, object_type: int, object_id: int) -> bytes:
+        """One open and one read of the named object, then its unseal.
+
+        Any ``OSError`` becomes a ``StorageError`` whose ``__cause__`` is
+        the original, so a caller can tell a missing file
+        (``FileNotFoundError``) from one that exists but cannot be read.
+        """
         try:
-            raw = path.read_bytes()
+            with open(self._prefix + name, "rb") as fh:
+                raw = fh.read()
         except OSError as exc:
-            raise StorageError(f"cannot read {path.name}: {exc}") from exc
+            raise StorageError(f"cannot read {name}: {exc}") from exc
         obj = SealedObject.deserialize(raw)
         if obj.object_type != object_type or obj.object_id != object_id:
             raise AuthFailure(
-                f"{path.name} header claims type={obj.object_type} id={obj.object_id}, "
+                f"{name} header claims type={obj.object_type} id={obj.object_id}, "
                 f"expected type={object_type} id={object_id}"
             )
         return unseal(obj, self.sk)
@@ -410,11 +431,11 @@ class SealedStore:
     # -- chain state --
 
     def _commit_state(self, new_state: ChainState) -> None:
-        self._write_sealed(self.state_path, new_state.pack(), OBJECT_STATE, 0, step="state")
+        self._write_sealed(STATE_FILE, new_state.pack(), OBJECT_STATE, 0, step="state")
         self.state = new_state
 
     def load_state(self) -> ChainState:
-        return ChainState.unpack(self._read_sealed(self.state_path, OBJECT_STATE, 0))
+        return ChainState.unpack(self._read_sealed(STATE_FILE, OBJECT_STATE, 0))
 
     def _require_state(self) -> ChainState:
         if self.state is None:
@@ -464,7 +485,7 @@ class SealedStore:
                 )
         for block in blocks:
             self._write_sealed(
-                self.block_path(block.block_id),
+                _block_file(block.block_id),
                 block.serialize(),
                 OBJECT_BLOCK,
                 block.block_id,
@@ -483,7 +504,15 @@ class SealedStore:
         return new_state
 
     def load_block(self, block_id: int) -> Block:
-        payload = self._read_sealed(self.block_path(block_id), OBJECT_BLOCK, block_id)
+        """Read, unseal and deserialize one block file.
+
+        The block keeps the unsealed payload as its bytes and decodes no
+        record until one is read.  Raises ``StorageError`` when the file
+        cannot be read (missing or not), ``AuthFailure`` when it does not
+        unseal as this block, and ``ParseError`` when the payload is not a
+        block.
+        """
+        payload = self._read_sealed(_block_file(block_id), OBJECT_BLOCK, block_id)
         block = Block.deserialize(payload)
         if block.block_id != block_id:
             raise AuthFailure(
@@ -503,31 +532,33 @@ class SealedStore:
     def iter_committed_blocks(self) -> Iterator[tuple[int, Block | None, str | None]]:
         """Yield (block_id, block, error) for every committed id in order.
 
-        ``block`` is None when the file is missing or fails to unseal; the
-        error string then classifies the failure (gap vs seal-failure).
+        Each block is read once, with no existence probe.  ``block`` is None
+        when the read fails; ``error`` is then ``"missing"`` when the file
+        does not exist (an audit ``gap``), else the reason it could not be
+        read, unsealed or parsed (an audit ``seal-failure``).  A yielded
+        block has decoded none of its records.
         """
         latest = self.state.latest_block_id if self.state is not None else None
         if latest is None:
             return
         for block_id in range(latest + 1):
-            path = self.block_path(block_id)
-            if not path.exists():
-                yield block_id, None, "missing"
-                continue
             try:
-                yield block_id, self.load_block(block_id), None
+                block, error = self.load_block(block_id), None
+            except StorageError as exc:
+                missing = isinstance(exc.__cause__, FileNotFoundError)
+                block, error = None, "missing" if missing else str(exc)
             except (AuthFailure, ParseError) as exc:
-                yield block_id, None, str(exc)
+                block, error = None, str(exc)
+            yield block_id, block, error
 
     # -- intermediate keys --
 
     def seal_ik(self, ik: IntermediateKey) -> None:
         """Persist a group's intermediate key exactly once, then erase it."""
-        path = self.ik_path(ik.group_id)
-        if path.exists():
+        if self.has_ik(ik.group_id):
             raise AlreadyExists(f"intermediate key for group {ik.group_id} already sealed")
         self._write_sealed(
-            path, ik.key_bytes(), OBJECT_IK, ik.group_id, step=f"ik{ik.group_id}"
+            _ik_file(ik.group_id), ik.key_bytes(), OBJECT_IK, ik.group_id, step=f"ik{ik.group_id}"
         )
         ik.erase()
 
@@ -535,7 +566,7 @@ class SealedStore:
         return self.ik_path(group_id).exists()
 
     def load_ik(self, group_id: int) -> IntermediateKey:
-        key = self._read_sealed(self.ik_path(group_id), OBJECT_IK, group_id)
+        key = self._read_sealed(_ik_file(group_id), OBJECT_IK, group_id)
         return IntermediateKey(group_id=group_id, key=bytearray(key))
 
     # -- recovery --
@@ -560,9 +591,11 @@ class SealedStore:
 def verify_store(store: SealedStore, full: bool = True):
     """Audit everything committed to a local store.
 
-    Collects blocks (classifying unseal failures), then delegates to the
-    sequence verifier; a missing or unreadable state record becomes a
-    ``missing-state`` finding rather than an error.
+    Collects blocks, then delegates to the sequence verifier.  A block file
+    that is missing leaves a ``gap``; one that cannot be read, unsealed or
+    parsed is a ``seal-failure`` entry, and the audit goes on.  A missing or
+    unreadable state record becomes a ``missing-state`` finding rather than
+    an error.  The public audit decodes no record.
     """
     mode = "full" if full else "public"
     report = VerificationReport(mode=mode, expected_start=0)
@@ -581,7 +614,7 @@ def verify_store(store: SealedStore, full: bool = True):
         for block_id in store.block_ids_on_disk():
             try:
                 blocks.append(store.load_block(block_id))
-            except (AuthFailure, ParseError) as exc:
+            except (StorageError, AuthFailure, ParseError) as exc:
                 report.add(BlockEntry(block_id, STATUS_SEAL_FAILURE, detail=str(exc)))
 
     return verify_sequence(

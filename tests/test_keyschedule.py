@@ -342,7 +342,7 @@ def test_message_chain_rederivation_matches_device_side():
     mk = first_message_key(bk)
     device.append(mk.key_bytes())
     for _ in range(99):
-        mk = next_message_key(mk, params, erase=False)
+        mk = next_message_key(mk, params)
         device.append(mk.key_bytes())
     verifier = message_keys_for_block(RootLoggingKey(seed), 3, 100, params)
     assert [k.key_bytes() for k in verifier] == device
@@ -388,7 +388,7 @@ def test_group_keys_derivable_from_ik_alone():
         mk = first_message_key(bk)
         msg_keys = [mk.key_bytes()]
         for _ in range(params.m - 1):
-            mk = next_message_key(mk, params, erase=False)
+            mk = next_message_key(mk, params)
             msg_keys.append(mk.key_bytes())
         from_ik[bid] = msg_keys
 

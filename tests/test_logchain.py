@@ -28,6 +28,7 @@ from sealog.logchain import (
     STATUS_OK,
     Block,
     LogRecord,
+    block_sign_preimage,
     make_record,
     pack_text_field,
     sign_block,
@@ -368,17 +369,21 @@ def test_block_bytes_match_golden_digest():
     assert Block.deserialize(raw) == block
 
 
-def _block_like_bytes():
-    """Well-formed block encodings (0-3 records, arbitrary record and
-    signature bytes), and the same cut short or with up to 4 bytes
-    overwritten or spliced in anywhere, header included."""
-    well_formed = st.integers(min_value=0, max_value=3).flatmap(
+def _well_formed_block_bytes(max_records=3):
+    """Well-formed block encodings: arbitrary record and signature bytes."""
+    return st.integers(min_value=0, max_value=max_records).flatmap(
         lambda n: st.builds(
             lambda block_id, rest: struct.pack(">4sBII", b"EMLB", 1, block_id, n) + rest,
             st.integers(min_value=0, max_value=2**32 - 1),
             st.binary(min_size=n * RECORD_LEN + 64, max_size=n * RECORD_LEN + 64),
         )
     )
+
+
+def _block_like_bytes():
+    """Well-formed block encodings (0-3 records), and the same cut short or
+    with up to 4 bytes overwritten or spliced in anywhere, header included."""
+    well_formed = _well_formed_block_bytes()
 
     def damaged(raw):
         return st.tuples(
@@ -396,6 +401,31 @@ def test_block_deserialize_arbitrary_bytes_roundtrips_or_parse_error(data):
     except ParseError:
         return
     assert block.serialize() == data
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_well_formed_block_bytes(max_records=8))
+def test_block_read_from_bytes_keeps_them_and_signs_its_tags(data):
+    block = Block.deserialize(data)
+    assert block.serialize() == data
+    assert block.sign_preimage() == block_sign_preimage(
+        block.block_id, [r.tag for r in block.records]
+    )
+    # The same block built from its decoded records encodes to the same bytes.
+    rebuilt = Block(block.block_id, block.records, block.signature)
+    assert rebuilt.serialize() == data and rebuilt == block
+    assert rebuilt.sign_preimage() == block.sign_preimage()
+
+
+def test_read_block_equals_the_block_it_was_built_from(identity):
+    built = _build_block(5, [b"first", b"x" * MAX_TEXT_LEN, b""], identity)
+    read = Block.deserialize(built.serialize())
+    assert read == built and hash(read) == hash(built)
+    assert (read.block_id, read.signature) == (built.block_id, built.signature)
+    assert read.records == built.records
+    assert read.sign_preimage() == block_sign_preimage(5, [r.tag for r in built.records])
+    assert verify_block_public(read, identity.public_key) == STATUS_OK
+    assert Block.deserialize(_build_block(6, [b"first"], identity).serialize()) != built
 
 
 # Compromise scope -----------------------------------------------------------------

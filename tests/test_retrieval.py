@@ -19,8 +19,9 @@ from sealog.errors import (
 )
 from sealog.identity import DeviceIdentity
 from sealog.keyschedule import RootLoggingKey
-from sealog.logchain import FINDING_TRUNCATION
-from sealog import retrieval
+from sealog.logchain import FINDING_TRUNCATION, LogRecord
+from sealog.sealstore import SealedStore, verify_store
+from sealog import logchain, retrieval
 from sealog.retrieval import (
     FRAME_DATA,
     FRAME_HELLO,
@@ -676,6 +677,95 @@ def test_store_without_state_does_not_kill_the_server(tmp_path, endpoints, caplo
     assert refused.summary is None and refused.blocks == []
     assert [b.block_id for b in result.blocks] == list(range(10))
     assert any("InvalidParameter" in r.getMessage() for r in caplog.records)
+
+
+def _drip(sock, stop):
+    """A peer that trickles a frame header one byte at a time, never
+    finishing it: each read sees data well within any per-read timeout."""
+    sock.sendall(struct.pack(">I", 1000))
+    while not stop.is_set():
+        try:
+            sock.sendall(b"\x01")
+        except OSError:
+            return
+        stop.wait(0.05)
+
+
+@pytest.mark.parametrize("peer", ["silent", "dripping"])
+def test_stalled_peer_cannot_hold_the_server_past_the_session_deadline(
+    tmp_path, endpoints, caplog, monkeypatch, peer
+):
+    monkeypatch.setattr(retrieval, "SESSION_TIMEOUT", 0.5)
+    margin = 3.0
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)  # 10 blocks
+    device_cert = store.identity().certificate
+    server = LogExportServer(store, [verifier.certificate], port=0)
+    thread = server.start()
+    address = ("127.0.0.1", server.address[1])
+    request = RetrievalRequest(store.manifest.device_id, start=0, end=2)
+    stop = threading.Event()
+    try:
+        with caplog.at_level(logging.WARNING, logger="sealog.retrieval"):
+            with socket.create_connection(address) as stalled:
+                if peer == "dripping":
+                    threading.Thread(target=_drip, args=(stalled, stop), daemon=True).start()
+                time.sleep(0.1)  # the server has accepted it by now
+                start = time.monotonic()
+                # The fetch gives up (failing the test) if the server is
+                # still held once the deadline and the margin have passed.
+                with socket.create_connection(
+                    address, timeout=retrieval.SESSION_TIMEOUT + margin
+                ) as sock:
+                    session = client_handshake(verifier, [device_cert], FrameTransport(sock))
+                    result = receive_transfer(session, request)
+                elapsed = time.monotonic() - start
+                stop.set()
+        assert thread.is_alive()
+    finally:
+        stop.set()
+        server.close()
+    assert elapsed < retrieval.SESSION_TIMEOUT + margin
+    assert [b.block_id for b in result.blocks] == [0, 1, 2]
+    assert audit(result, device_cert).verdict == "ok"
+    assert any(
+        r.name == "sealog.retrieval" and "TimeoutError" in r.getMessage() for r in caplog.records
+    )
+
+
+def test_public_audit_paths_build_no_records(tmp_path, endpoints, monkeypatch):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)  # 10 blocks
+    device_cert = store.identity().certificate
+    built = []
+    decode, construct = logchain._record_from_fields, LogRecord.__new__
+
+    def counting_decode(fields):
+        built.append(fields)
+        return decode(fields)
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return construct(cls, *args, **kwargs)
+
+    # Every LogRecord comes from the record codec or from the constructor.
+    monkeypatch.setattr(logchain, "_record_from_fields", counting_decode)
+    monkeypatch.setattr(LogRecord, "__new__", staticmethod(counting_new))
+    server = LogExportServer(store, [verifier.certificate], port=0)
+    server.start()
+    try:
+        report = verify_store(SealedStore.open(store.directory, ROOT_SECRET), full=False)
+        request = RetrievalRequest(store.manifest.device_id, start=3, end=3)
+        result = fetch("127.0.0.1", server.address[1], verifier, [device_cert], request)
+        poll = audit(result, device_cert)
+    finally:
+        server.close()
+    assert report.verdict == "ok" and len(report.entries) == 10
+    assert poll.verdict == "ok" and [b.block_id for b in result.blocks] == [3]
+    assert built == []
+    # The counters do see decoding: a full audit reads every record.
+    verify_store(SealedStore.open(store.directory, ROOT_SECRET), full=True)
+    assert len(built) == 40
 
 
 def test_delivered_watermark_advances(tmp_path, endpoints):

@@ -18,6 +18,8 @@ from sealog.keyschedule import ChainParams, IntermediateKey, derive_ik
 from sealog.logchain import (
     FINDING_MISSING_STATE,
     FINDING_TRUNCATION,
+    STATUS_GAP,
+    STATUS_OK,
     STATUS_SEAL_FAILURE,
 )
 from sealog.sealstore import (
@@ -261,6 +263,46 @@ def test_corrupted_block_is_seal_failure(tmp_path):
     assert any(
         e.status == STATUS_SEAL_FAILURE and e.block_id == 2 for e in report.entries
     )
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full", "public"])
+def test_unreadable_block_is_seal_failure_and_audit_goes_on(tmp_path, full):
+    store = build_store(tmp_path / "s", c=2, m=2)
+    fill_store(store, 12)  # 6 blocks
+    store.block_path(3).unlink()
+    store.block_path(3).mkdir()  # exists, but reading it fails
+    store.block_path(4).unlink()
+    report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=full)
+    # Reported as a corrupted file is: its seal failure first, then the
+    # sequence of blocks that did load, with one gap over 3..4.
+    assert [(e.block_id, e.status) for e in report.entries] == [
+        (3, STATUS_SEAL_FAILURE),
+        (0, STATUS_OK),
+        (1, STATUS_OK),
+        (2, STATUS_OK),
+        (3, STATUS_GAP),
+        (5, STATUS_OK),
+    ]
+    assert "blk_00000003.seal" in report.entries[0].detail
+    assert report.entries[4].detail == "blocks 3..4 missing"
+    assert report.verdict == "fail" and report.findings == []
+
+
+def test_unreadable_block_without_state_is_seal_failure(tmp_path):
+    store = build_store(tmp_path / "s", c=2, m=2)
+    fill_store(store, 8)  # 4 blocks
+    store.state_path.unlink()
+    store.block_path(1).unlink()
+    store.block_path(1).mkdir()
+    report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=True)
+    assert [(e.block_id, e.status) for e in report.entries] == [
+        (1, STATUS_SEAL_FAILURE),
+        (0, STATUS_OK),
+        (1, STATUS_GAP),
+        (2, STATUS_OK),
+        (3, STATUS_OK),
+    ]
+    assert FINDING_MISSING_STATE in report.findings
 
 
 def test_confidentiality_no_plaintext_in_store(tmp_path):
