@@ -32,7 +32,7 @@ from pathlib import Path
 from .collector import IngestPolicy, LogWriter, RawEntry, ingest
 from .errors import InvalidParameter
 from .identity import DeviceIdentity
-from .keyschedule import ChainParams, RootLoggingKey, message_keys_for_block
+from .keyschedule import ChainParams, RootLoggingKey, walk_message_chain
 from .logchain import make_record, sign_block, verify_block_full
 from .sealstore import OBJECT_BLOCK, SealedStore, derive_storage_key, seal
 
@@ -160,10 +160,8 @@ def _bench_block_cells(
         payloads = [lines[i % len(lines)][:254] for i in range(m)]
 
         def create_block():
-            keys = message_keys_for_block(rlk, 0, m, params)
-            records = [
-                make_record(i, payloads[i], keys[i], erase_key=False) for i in range(m)
-            ]
+            keys = walk_message_chain(rlk, 0, m, params)
+            records = [make_record(0, i, payloads[i], key) for i, key in enumerate(keys)]
             return sign_block(0, records, identity)
 
         block = create_block()  # warm-up, reused by the verify cell
@@ -235,10 +233,9 @@ def _bench_storage(
     sk = derive_storage_key(b"\x42" * 32, b"bench")
     for m in config.storage_m_values:
         params = ChainParams(c=1, m=m)
-        keys = message_keys_for_block(rlk, 0, m, params)
+        keys = walk_message_chain(rlk, 0, m, params)
         records = [
-            make_record(i, lines[i % len(lines)][:254], keys[i], erase_key=False)
-            for i in range(m)
+            make_record(0, i, lines[i % len(lines)][:254], key) for i, key in enumerate(keys)
         ]
         block = sign_block(0, records, identity)
         sealed = seal(block.serialize(), sk, OBJECT_BLOCK, 0)

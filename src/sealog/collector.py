@@ -13,7 +13,10 @@ continuation bit so the verifier can reassemble entries byte-exactly.
 The writer owns the producer side of the chain: it derives keys in order,
 tags records, signs blocks at ``m`` records, buffers finished blocks in
 RAM, and seals them to the store when the group completes (every ``c``
-blocks), on epoch expiry, or on an explicit flush.
+blocks), on epoch expiry, or on an explicit flush.  Message keys come from
+the verifier's own message walk, stepped over a copy of the block key: they
+live in that walk's one buffer, which each record's key overwrites and
+which is zeroed when the block ends or the writer closes.
 """
 
 from __future__ import annotations
@@ -22,18 +25,16 @@ import re
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Iterator
+from typing import Generator, Iterable, Iterator
 
 from .errors import InvalidParameter
 from .keyschedule import (
     BlockKey,
     ChainParams,
-    MessageKey,
     derive_ik,
     first_block_key,
-    first_message_key,
+    message_walk,
     next_block_key,
-    next_message_key,
     walk_block_chain,
 )
 from .logchain import (
@@ -230,9 +231,11 @@ class IngestStats:
 class LogWriter:
     """Single-writer chain producer bound to one sealed store.
 
-    Keys are strictly single-owner here: each message key is erased when
-    the chain advances past it, each block key when its successor is
-    derived or its group ends, and each intermediate key when sealed.
+    Keys are strictly single-owner here.  The open block's message keys live
+    in one buffer, owned by its message walk: each record's key overwrites
+    its predecessor's, and the buffer is zeroed at block end or ``close()``.
+    Each block key is erased when its successor is derived or its group
+    ends, and each intermediate key when sealed.
     """
 
     def __init__(self, store: SealedStore, epoch_seconds: float | None = None):
@@ -251,12 +254,14 @@ class LogWriter:
         self._ram_blocks: list[Block] = []
         self._ram_block_records = 0  # records inside self._ram_blocks
         self._bk: BlockKey | None = None
-        self._mk: MessageKey | None = None
+        self._walk: Generator[bytearray, None, None] | None = None  # open block's keys
         self._last_seal = time.monotonic()
         self.blocks_committed = 0
         self.groups_sealed = 0
-        self.peak_ram_records = 0
-        self.peak_ram_bytes = 0
+        # The window's peak before the open block's records: noted as each
+        # block is finalized, since the window only grows between seals.
+        self._peak_records = 0
+        self._peak_bytes = 0
 
     # -- accounting --
 
@@ -270,9 +275,19 @@ class LogWriter:
         """Serialized size of the R9 window: its records plus block envelopes."""
         return self.ram_records * RECORD_LEN + len(self._ram_blocks) * BLOCK_ENVELOPE_LEN
 
-    def _note_peak(self) -> None:
-        self.peak_ram_records = max(self.peak_ram_records, self.ram_records)
-        self.peak_ram_bytes = max(self.peak_ram_bytes, self.ram_bytes)
+    @property
+    def peak_ram_records(self) -> int:
+        """Largest ``ram_records`` right after any append so far."""
+        if self._records:
+            return max(self._peak_records, self.ram_records)
+        return self._peak_records
+
+    @property
+    def peak_ram_bytes(self) -> int:
+        """Largest ``ram_bytes`` right after any append so far."""
+        if self._records:
+            return max(self._peak_bytes, self.ram_bytes)
+        return self._peak_bytes
 
     # -- key chain --
 
@@ -292,48 +307,52 @@ class LogWriter:
             self._bk = walk_block_chain(ik, self._next_block_id, self.params)
         return self._bk
 
-    def _advance_message_key(self) -> MessageKey:
-        if self._mk is None:
-            self._mk = first_message_key(self._ensure_block_key())
-        else:
-            self._mk = next_message_key(self._mk, self.params)
-        return self._mk
+    def _close_walk(self) -> None:
+        if self._walk is not None:
+            self._walk.close()
+            self._walk = None
 
     # -- record/block assembly --
 
     def append_entry(self, entry: RawEntry) -> int:
         """Chunk and append one entry; returns the number of records added."""
-        chunks = chunk_entry(entry)
-        for payload, continuation in chunks:
-            self._append_record(payload, continuation)
+        body = entry.body
+        if len(body) <= MAX_TEXT_LEN:
+            self._append_record(body, False)
+            added = 1
+        else:
+            chunks = chunk_entry(entry)
+            for payload, continuation in chunks:
+                self._append_record(payload, continuation)
+            added = len(chunks)
         if (
             self.epoch_seconds is not None
             and time.monotonic() - self._last_seal >= self.epoch_seconds
         ):
             self.flush()
-        return len(chunks)
+        return added
 
     def _append_record(self, payload: bytes, continuation: bool) -> None:
-        key = self._advance_message_key()
-        record = make_record(
-            key.msg_id, payload, key, continuation=continuation, erase_key=False
-        )
-        self._records.append(record)
-        self._note_peak()
-        if len(self._records) == self.params.m:
+        walk, records, block_id = self._walk, self._records, self._next_block_id
+        if walk is None:
+            key = bytearray(self._ensure_block_key().key_bytes())
+            walk = self._walk = message_walk(key, block_id, self.params.m, self.params)
+        records.append(make_record(block_id, len(records), payload, next(walk), continuation))
+        if len(records) == self.params.m:
             self._finalize_block()
 
     def _finalize_block(self) -> None:
         if not self._records:
             return
+        # The window as it stood right after the last append: its peak so far.
+        self._peak_records = max(self._peak_records, self.ram_records)
+        self._peak_bytes = max(self._peak_bytes, self.ram_bytes)
         block_id = self._next_block_id
         block = sign_block(block_id, self._records, self._identity)
         self._ram_blocks.append(block)
         self._ram_block_records += len(self._records)
         self._records = []
-        if self._mk is not None:
-            self._mk.erase()
-            self._mk = None
+        self._close_walk()
         self._next_block_id = block_id + 1
         if self._next_block_id % self.params.c == 0:
             # Group complete: retire the chain and seal the RAM window.
@@ -367,8 +386,7 @@ class LogWriter:
         try:
             self.flush()
         finally:
-            if self._mk is not None:
-                self._mk.erase()
+            self._close_walk()
             if self._bk is not None:
                 self._bk.erase()
             self._rlk.destroy()

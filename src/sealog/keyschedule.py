@@ -13,6 +13,11 @@ exposes at most the c blocks it serves.  Block and message keys are chained:
 each derivation consumes its predecessor, whose buffer is zeroed, making
 earlier keys computationally unreachable from later ones.
 
+One message walk, ``message_walk``, serves both sides: the writer steps it
+from a copy of its live block key as it tags records, and the verifier
+(``walk_message_chain``) from a block key re-derived from the RLK.  Each
+step overwrites the walk's one key buffer in place.
+
 All context labels, the fixed salt, and the index encodings below are
 normative: changing any of them changes every derived key.
 
@@ -38,9 +43,9 @@ import hmac
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Generator
 
-from .errors import BlockFull, InvalidParameter, KeyUnavailable
+from .errors import InvalidParameter, KeyUnavailable
 
 KEY_LEN = 32
 
@@ -58,10 +63,21 @@ LABEL_STORAGE = b"SSK"
 LABEL_CHANNEL = b"CHK"
 
 
-def _be32(value: int) -> bytes:
+def _check_u32(value: int) -> None:
     if not 0 <= value < 2**32:
         raise InvalidParameter(f"index {value} outside unsigned 32-bit range")
+
+
+def _be32(value: int) -> bytes:
+    _check_u32(value)
     return struct.pack(">I", value)
+
+
+# KDF info of the two chain steps: LABEL_BLOCK_NEXT || BE32 block_id, and
+# LABEL_MESSAGE || BE32 block_id || BE32 msg_id.  A walk checks its largest
+# index once, before its first step.
+_BLOCK_INFO = struct.Struct(">2sI")
+_MESSAGE_INFO = struct.Struct(">2sII")
 
 
 def hkdf_extract(ikm: bytes, salt: bytes, hash_name: str = "sha256") -> bytes:
@@ -269,27 +285,6 @@ def next_block_key(prev: BlockKey, block_id: int, params: ChainParams) -> BlockK
     return BlockKey(block_id=block_id, key=bytearray(okm))
 
 
-def first_message_key(bk: BlockKey) -> MessageKey:
-    """Derive message key 0 of a block.  The block key is kept alive: it is
-    still needed to advance the block chain at the end of the block."""
-    info = LABEL_MESSAGE + _be32(bk.block_id) + _be32(0)
-    okm = hkdf(bk.key_bytes(), SCHEME_SALT, info, KEY_LEN)
-    return MessageKey(block_id=bk.block_id, msg_id=0, key=bytearray(okm))
-
-
-def next_message_key(prev: MessageKey, params: ChainParams) -> MessageKey:
-    """Advance the message-key chain; the predecessor buffer is zeroed."""
-    msg_id = prev.msg_id + 1
-    if msg_id >= params.m:
-        raise BlockFull(
-            f"block {prev.block_id} holds at most {params.m} messages"
-        )
-    info = LABEL_MESSAGE + _be32(prev.block_id) + _be32(msg_id)
-    okm = hkdf(prev.key_bytes(), SCHEME_SALT, info, KEY_LEN)
-    prev.erase()
-    return MessageKey(block_id=prev.block_id, msg_id=msg_id, key=bytearray(okm))
-
-
 def walk_block_chain(ik: IntermediateKey, block_id: int, params: ChainParams) -> BlockKey:
     """Derive the key of a block in ik's group by walking the group's block
     chain from its first block; the IK is erased, and each step overwrites
@@ -299,9 +294,10 @@ def walk_block_chain(ik: IntermediateKey, block_id: int, params: ChainParams) ->
         raise InvalidParameter(f"block {block_id} is not in group {ik.group_id}")
     bk = first_block_key(ik, first, params)
     ik.erase()
-    key = bk.key
+    _check_u32(block_id)
+    key, pack, label = bk.key, _BLOCK_INFO.pack, LABEL_BLOCK_NEXT
     for bid in range(first + 1, block_id + 1):
-        key[:] = hkdf(key, SCHEME_SALT, LABEL_BLOCK_NEXT + _be32(bid), KEY_LEN)
+        key[:] = hkdf(key, SCHEME_SALT, pack(label, bid), KEY_LEN)
     bk.block_id = block_id
     return bk
 
@@ -311,26 +307,38 @@ def block_key_at(rlk: RootLoggingKey, block_id: int, params: ChainParams) -> Blo
     return walk_block_chain(derive_ik(rlk, params.group_of(block_id)), block_id, params)
 
 
-def walk_message_chain(
-    rlk: RootLoggingKey, block_id: int, count: int, params: ChainParams
-) -> Iterator[bytearray]:
-    """Re-derive the first ``count`` message keys of a block from the RLK.
+def message_walk(
+    key: bytearray, block_id: int, count: int, params: ChainParams
+) -> Generator[bytearray, None, None]:
+    """Step the first ``count`` message keys of a block from its block key.
 
-    The block key is derived on the first ``next`` even when ``count`` is 0.
-    Every key is yielded in the block key's own buffer, overwritten by its
-    successor (message key 0 derives from the block key exactly as key i
-    from key i-1), and zeroed when the walk ends or is closed.
+    The walk owns ``key``, the block key's buffer: each step derives the
+    next message key from the buffer's content (key 0 from the block key,
+    key i from key i-1) into that same buffer and yields it, so a key lives
+    until the next step.  The buffer is zeroed when the walk ends, fails or
+    is closed after its first step.  A ``count`` outside [0, m] raises
+    ``InvalidParameter`` on the first step: a block holds at most m keys.
     """
-    if count < 0 or count > params.m:
-        raise InvalidParameter(f"count {count} outside [0, m={params.m}]")
-    key = block_key_at(rlk, block_id, params).key
-    prefix = LABEL_MESSAGE + _be32(block_id)
     try:
+        if count < 0 or count > params.m:
+            raise InvalidParameter(f"count {count} outside [0, m={params.m}]")
+        _check_u32(block_id)
+        _check_u32(max(count - 1, 0))
+        pack, label = _MESSAGE_INFO.pack, LABEL_MESSAGE
         for msg_id in range(count):
-            key[:] = hkdf(key, SCHEME_SALT, prefix + _be32(msg_id), KEY_LEN)
+            key[:] = hkdf(key, SCHEME_SALT, pack(label, block_id, msg_id), KEY_LEN)
             yield key
     finally:
         _erase_buffer(key)
+
+
+def walk_message_chain(
+    rlk: RootLoggingKey, block_id: int, count: int, params: ChainParams
+) -> Generator[bytearray, None, None]:
+    """Re-derive the first ``count`` message keys of a block from the RLK:
+    the block key from ``block_key_at``, derived at the call, then
+    ``message_walk`` over its buffer."""
+    return message_walk(block_key_at(rlk, block_id, params).key, block_id, count, params)
 
 
 def message_keys_for_block(

@@ -36,11 +36,10 @@ from typing import NamedTuple
 
 from cryptography.hazmat.primitives.asymmetric import ec
 
-from .errors import InvalidParameter, KeyMisuse, KeyUnavailable, ParseError
+from .errors import InvalidParameter, KeyUnavailable, ParseError
 from .identity import SIGNATURE_LEN, DeviceIdentity, verify_raw
 from .keyschedule import (
     ChainParams,
-    MessageKey,
     RootLoggingKey,
     hmac_sha256,
     walk_message_chain,
@@ -56,6 +55,9 @@ MAX_TEXT_LEN = TEXT_FIELD_LEN - TEXT_PREFIX_LEN  # 254
 # The one record codec: BE32 msg_id, tag, text field.
 _RECORD = struct.Struct(">I32s256s")
 RECORD_LEN = _RECORD.size  # 292
+
+# The text field: the length/flag prefix, then the content zero padded.
+_TEXT_FIELD = struct.Struct(">H254s")
 
 # One record's tag, read in place from a serialized body.
 _RECORD_TAG = struct.Struct(">4x32s256x")
@@ -85,8 +87,7 @@ def pack_text_field(text: bytes, continuation: bool = False) -> bytes:
     """Build the fixed 256-byte text field: length/flag prefix + content."""
     if len(text) > MAX_TEXT_LEN:
         raise InvalidParameter(f"text exceeds {MAX_TEXT_LEN} bytes: {len(text)}")
-    prefix = (len(text) << 4) | (0x08 if continuation else 0x00)
-    return struct.pack(">H", prefix) + text + b"\x00" * (MAX_TEXT_LEN - len(text))
+    return _TEXT_FIELD.pack(len(text) << 4 | (0x08 if continuation else 0x00), text)
 
 
 def unpack_text_field(fieldbytes: bytes) -> tuple[bytes, bool]:
@@ -101,8 +102,8 @@ def unpack_text_field(fieldbytes: bytes) -> tuple[bytes, bool]:
     return fieldbytes[TEXT_PREFIX_LEN : TEXT_PREFIX_LEN + used], continuation
 
 
-def record_preimage(block_id: int, msg_id: int, text_field: bytes) -> bytes:
-    return struct.pack(">II", block_id, msg_id) + text_field
+# A record tag's preimage: BE32 block_id || BE32 msg_id || text field.
+record_preimage = struct.Struct(">II256s").pack
 
 
 class _RecordFields(NamedTuple):
@@ -150,27 +151,16 @@ _record_from_fields = partial(tuple.__new__, LogRecord)
 
 
 def make_record(
-    msg_id: int,
-    text: bytes,
-    key: MessageKey,
-    continuation: bool = False,
-    erase_key: bool = True,
+    block_id: int, msg_id: int, text: bytes, key: bytearray, continuation: bool = False
 ) -> LogRecord:
-    """Tag one log chunk under its position-bound message key.
+    """Tag one log chunk under the message key of its position.
 
-    The key must match the record coordinate exactly.  By default the key
-    buffer is zeroed after tagging; the writer defers erasure to the chain
-    advance because the same key material also feeds the successor
-    derivation.
+    ``key`` is the 32-byte message key for (block_id, msg_id), as the
+    message walk yields it.  The caller owns the key buffer: it is read,
+    never kept or erased here.
     """
-    if key.msg_id != msg_id:
-        raise KeyMisuse(
-            f"key coordinate ({key.block_id},{key.msg_id}) does not match msg_id {msg_id}"
-        )
     text_field = pack_text_field(text, continuation)
-    tag = hmac_sha256(key.key_bytes(), record_preimage(key.block_id, msg_id, text_field))
-    if erase_key:
-        key.erase()
+    tag = hmac_sha256(key, record_preimage(block_id, msg_id, text_field))
     return _record_from_fields((msg_id, tag, text_field))
 
 
@@ -384,6 +374,7 @@ def verify_sequence(
     params: ChainParams,
     report: VerificationReport | None = None,
     expected_end: int | None = None,
+    unreadable: dict[int, str] | None = None,
 ) -> VerificationReport:
     """Audit an ordered run of blocks against the committed chain state.
 
@@ -393,7 +384,12 @@ def verify_sequence(
     run must reach ``expected_end`` (a requested last block) or, when that
     is None or beyond the state, the newest committed block.  A run that
     starts past the newest committed block has nothing due.
+
+    ``unreadable`` maps the ids of blocks whose stored copy exists but could
+    not be read to the reason; each gets a ``seal-failure`` entry at its
+    place in the run, and a ``gap`` covers only the ids with no copy.
     """
+    unreadable = unreadable or {}
     mode = "full" if rlk is not None else "public"
     if report is None:
         report = VerificationReport(mode=mode, expected_start=expected_start)
@@ -429,20 +425,33 @@ def verify_sequence(
                 )
                 expected_id = block.block_id + 1
                 continue
-            report.add(
-                BlockEntry(
-                    expected_id,
-                    STATUS_GAP,
-                    detail=f"blocks {expected_id}..{block.block_id - 1} missing",
-                )
-            )
+            _add_absent(report, expected_id, block.block_id - 1, unreadable)
             expected_id = block.block_id
 
         report.add(_verify_one(block, rlk, params, public_key, report))
         expected_id = block.block_id + 1
+    trailing = [block_id for block_id in unreadable if block_id >= expected_id]
+    if trailing:
+        _add_absent(report, expected_id, max(trailing), unreadable)
 
     _check_state_consistency(report, blocks, state, mode, expected_start, expected_end)
     return report
+
+
+def _add_absent(report, first: int, last: int, unreadable: dict[int, str]) -> None:
+    """Entries for ids first..last, which no block of the run has: a seal
+    failure for each unreadable one, a gap over each run of the others."""
+    for block_id in sorted(i for i in unreadable if first <= i <= last):
+        if first < block_id:
+            report.add(_gap(first, block_id - 1))
+        report.add(BlockEntry(block_id, STATUS_SEAL_FAILURE, detail=unreadable[block_id]))
+        first = block_id + 1
+    if first <= last:
+        report.add(_gap(first, last))
+
+
+def _gap(first: int, last: int) -> BlockEntry:
+    return BlockEntry(first, STATUS_GAP, detail=f"blocks {first}..{last} missing")
 
 
 def _verify_one(block, rlk, params, public_key, report) -> BlockEntry:

@@ -262,7 +262,11 @@ class HelloReplayCache:
 
 
 class SecureSession:
-    """AEAD-protected message channel after a completed handshake."""
+    """AEAD-protected message channel after a completed handshake.
+
+    ``blocks_sent`` and ``block_bytes_sent`` count the block messages sent
+    and their payload (``EMLB``) bytes.
+    """
 
     def __init__(
         self,
@@ -285,6 +289,8 @@ class SecureSession:
         self.peer_device_id = peer_device_id
         self.peer_certificate = peer_certificate
         self.peer_evidence = peer_evidence
+        self.blocks_sent = 0
+        self.block_bytes_sent = 0
 
     @staticmethod
     def _nonce(seq: int) -> bytes:
@@ -301,6 +307,9 @@ class SecureSession:
             self._nonce(seq), bytes([msg_type]) + body, self._aad(self._send_dir, seq)
         )
         self._transport.send_frame(FRAME_DATA, struct.pack(">Q", seq) + ct)
+        if msg_type == MSG_BLOCK:
+            self.blocks_sent += 1
+            self.block_bytes_sent += len(body)
 
     def recv_message(self) -> tuple[int, bytes]:
         frame_type, payload = self._transport.recv_frame()
@@ -703,7 +712,14 @@ class LogExportServer:
         self._stop = threading.Event()
 
     def handle_one(self, timeout: float | None = None) -> bool:
-        """Accept and serve a single session; returns False on timeout."""
+        """Accept and serve a single session; returns False on timeout.
+
+        Each session ends in one event on the ``sealog.retrieval`` logger,
+        INFO when it succeeded and WARNING when it failed, whose message
+        and ``session`` attribute carry: the peer address, the peer device
+        id once the handshake has it, the outcome (``ok`` or the exception
+        type), the blocks and block payload bytes sent, and the duration.
+        """
         self._listener.settimeout(timeout)
         try:
             conn, peer = self._listener.accept()
@@ -712,8 +728,10 @@ class LogExportServer:
         except OSError:
             self._stop.set()  # listener closed under us
             return False
+        start = time.monotonic()
         transport = FrameTransport(conn)
-        transport.deadline = time.monotonic() + SESSION_TIMEOUT
+        transport.deadline = start + SESSION_TIMEOUT
+        session = error = None
         try:
             session = server_handshake(
                 self.identity,
@@ -744,11 +762,10 @@ class LogExportServer:
         ) as exc:
             # Aborted on the wire where possible; one session's failure,
             # a peer reset or a timeout included, must not end the service.
-            _log.warning(
-                "session from %s:%s ended: %s: %s", peer[0], peer[1], type(exc).__name__, exc
-            )
+            error = exc
         finally:
             transport.close()
+        _log_session(peer, session, error, time.monotonic() - start)
         return True
 
     def serve_forever(self) -> None:
@@ -766,6 +783,27 @@ class LogExportServer:
     def close(self) -> None:
         self.stop()
         self._listener.close()
+
+
+def _log_session(
+    peer, session: SecureSession | None, error: Exception | None, seconds: float
+) -> None:
+    event = {
+        "peer": f"{peer[0]}:{peer[1]}",
+        "device": session.peer_device_id.hex() if session is not None else None,
+        "outcome": "ok" if error is None else type(error).__name__,
+        "blocks": session.blocks_sent if session is not None else 0,
+        "bytes": session.block_bytes_sent if session is not None else 0,
+        "ms": round(seconds * 1000, 3),
+    }
+    if error is not None:
+        event["error"] = str(error)
+    _log.log(
+        logging.INFO if error is None else logging.WARNING,
+        "session %s",
+        " ".join(f"{key}={value}" for key, value in event.items()),
+        extra={"session": event},
+    )
 
 
 def fetch(

@@ -44,13 +44,7 @@ from .keyschedule import (
     RootLoggingKey,
     hkdf,
 )
-from .logchain import (
-    STATUS_SEAL_FAILURE,
-    Block,
-    BlockEntry,
-    VerificationReport,
-    verify_sequence,
-)
+from .logchain import Block, verify_sequence
 
 SEAL_MAGIC = b"EMLS"
 SEAL_VERSION = 1
@@ -591,32 +585,32 @@ class SealedStore:
 def verify_store(store: SealedStore, full: bool = True):
     """Audit everything committed to a local store.
 
-    Collects blocks, then delegates to the sequence verifier.  A block file
-    that is missing leaves a ``gap``; one that cannot be read, unsealed or
-    parsed is a ``seal-failure`` entry, and the audit goes on.  A missing or
+    Collects blocks, then delegates to the sequence verifier, which gives
+    each id one entry in block order.  A block file that is missing leaves
+    a ``gap``; one that cannot be read, unsealed or parsed is a
+    ``seal-failure`` entry, and the audit goes on.  A missing or
     unreadable state record becomes a ``missing-state`` finding rather than
     an error.  The public audit decodes no record.
     """
-    mode = "full" if full else "public"
-    report = VerificationReport(mode=mode, expected_start=0)
     identity = store.identity()
     rlk = store.root_logging_key() if full else None
 
     blocks = []
+    unreadable: dict[int, str] = {}
     if store.state is not None:
         for block_id, block, error in store.iter_committed_blocks():
             if error is None:
                 blocks.append(block)
             elif error != "missing":
-                report.add(BlockEntry(block_id, STATUS_SEAL_FAILURE, detail=error))
+                unreadable[block_id] = error
     else:
         # No trustworthy committed range: audit whatever files exist.
         for block_id in store.block_ids_on_disk():
             try:
                 blocks.append(store.load_block(block_id))
             except (StorageError, AuthFailure, ParseError) as exc:
-                report.add(BlockEntry(block_id, STATUS_SEAL_FAILURE, detail=str(exc)))
+                unreadable[block_id] = str(exc)
 
     return verify_sequence(
-        blocks, 0, store.state, rlk, identity.public_key, store.params, report=report
+        blocks, 0, store.state, rlk, identity.public_key, store.params, unreadable=unreadable
     )

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +19,9 @@ from sealog.collector import (
     reassemble_entries,
 )
 from sealog.errors import InvalidParameter, StorageError
-from sealog.keyschedule import ChainParams
-from sealog.logchain import RECORD_LEN
+from sealog.identity import DeviceIdentity
+from sealog.keyschedule import ChainParams, RootLoggingKey
+from sealog.logchain import BLOCK_ENVELOPE_LEN, RECORD_LEN
 from sealog.sealstore import SealedStore, verify_store
 
 APACHE_LINE = b'127.0.0.1 - - [30/Jun/2016:00:00:00 -0400] "GET /index HTTP/1.1" 200 512'
@@ -202,16 +205,29 @@ def test_ram_window_accounting_matches_recount(tmp_path, c):
     m = 2
     store = build_store(tmp_path / "s", c=c, m=m)
     writer = LogWriter(store)
+    appended = peak_records = peak_bytes = blocks_completed = 0
     # One whole group, then some; entries of one or two records.
     for i in range(c * m + 2 * m + 1):
-        writer.append_entry(RawEntry("generic", b"z" * (1 + i * 37 % 300)))
+        added = writer.append_entry(RawEntry("generic", b"z" * (1 + i * 37 % 300)))
+        for k in range(appended + 1, appended + added + 1):
+            # Right after record k is appended, the window holds the records
+            # since the last group seal: full blocks of m, then the open one.
+            window = (k - 1) % (c * m) + 1
+            peak_records = max(peak_records, window)
+            peak_bytes = max(
+                peak_bytes, window * RECORD_LEN + (window - 1) // m * BLOCK_ENVELOPE_LEN
+            )
+        appended += added
         ram_blocks, open_records = writer._ram_blocks, writer._records
         assert writer.ram_records == sum(len(b.records) for b in ram_blocks) + len(open_records)
         assert writer.ram_bytes == (
             sum(len(b.serialize()) for b in ram_blocks) + len(open_records) * RECORD_LEN
         )
-    assert writer.groups_sealed >= 1
+        assert (writer.peak_ram_records, writer.peak_ram_bytes) == (peak_records, peak_bytes)
+        blocks_completed += not open_records
+    assert writer.groups_sealed >= 1 and blocks_completed >= 2
     writer.close()
+    assert (writer.peak_ram_records, writer.peak_ram_bytes) == (peak_records, peak_bytes)
 
 
 def test_writer_rejects_sub_second_epoch_before_copying_the_root_key(tmp_path, monkeypatch):
@@ -245,3 +261,28 @@ def test_parsed_timestamp_is_read_lazily_with_the_same_value():
     snort = parse_line("snort_fast", SNORT_LINE)
     assert isinstance(snort.timestamp, float)
     assert parse_line("apache_access", b"garbage").timestamp is None
+
+
+def test_writer_output_matches_golden_digest(tmp_path):
+    # Pins what the writer commits under a fixed RLK: message keys, tags and
+    # record packing over two groups (c=3, m=4), with an entry that spans two
+    # records and a partial last block.  Signatures are randomized (ECDSA
+    # under a fresh device key), so each block's 64-byte signature is cut.
+    store = SealedStore.create(
+        tmp_path / "s",
+        ROOT_SECRET,
+        ChainParams(c=3, m=4),
+        DeviceIdentity.generate(),
+        RootLoggingKey(bytes(range(32))),
+    )
+    bodies = [b"entry %d" % i for i in range(9)]
+    bodies += [b"x" * 254, b"y" * 300, b"after the long one"]
+    bodies += [b"entry %d" % i for i in range(9, 14)]
+    stats = fill_store(store, len(bodies), body=bodies.__getitem__)
+    assert (stats.records, stats.blocks, stats.groups) == (18, 5, 1)
+    digest = hashlib.sha256()
+    for _, block, _ in store.iter_committed_blocks():
+        digest.update(block.serialize()[:-64])
+    assert digest.hexdigest() == (
+        "e221c77fcfe7aee68555abc143471f3819037976647c4df9a827e886bc9241b5"
+    )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sealog.errors import BlockFull, InvalidParameter, KeyUnavailable
+from sealog.errors import InvalidParameter, KeyUnavailable
 from sealog.keyschedule import (
     LABEL_BLOCK_FIRST,
     LABEL_BLOCK_NEXT,
@@ -25,14 +25,13 @@ from sealog.keyschedule import (
     block_key_at,
     derive_ik,
     first_block_key,
-    first_message_key,
     hkdf,
     hkdf_expand,
     hkdf_extract,
     hmac_sha256,
     message_keys_for_block,
+    message_walk,
     next_block_key,
-    next_message_key,
     walk_block_chain,
     walk_message_chain,
 )
@@ -325,25 +324,43 @@ def test_block_chain_oracle_recomputation():
 # Message keys ----------------------------------------------------------------
 
 
+def _oracle_message_keys(block_key: bytes, block_id: int, count: int) -> list[bytes]:
+    keys, mk = [], block_key
+    for i in range(count):
+        info = LABEL_MESSAGE + struct.pack(">II", block_id, i)
+        mk = oracle_hkdf(mk, SCHEME_SALT, info, 32, "sha256")
+        keys.append(mk)
+    return keys
+
+
 def test_message_chain_single_message_block():
     params = ChainParams(c=1, m=1)
-    bk = block_key_at(RootLoggingKey(b"\x09" * 32), 0, params)
-    mk = first_message_key(bk)
-    assert (mk.block_id, mk.msg_id) == (0, 0)
-    with pytest.raises(BlockFull):
-        next_message_key(mk, params)
+    bk = block_key_at(RootLoggingKey(b"\x09" * 32), 0, params).key_bytes()
+    keys = [bytes(k) for k in message_walk(bytearray(bk), 0, 1, params)]
+    assert keys == _oracle_message_keys(bk, 0, 1)
+    # A block holds at most m keys: a walk past m fails on its first step,
+    # and still zeroes the buffer it owns.
+    buf = bytearray(bk)
+    walk = message_walk(buf, 0, params.m + 1, params)
+    with pytest.raises(InvalidParameter):
+        next(walk)
+    assert bytes(buf) == bytes(32)
+
+
+def test_message_walk_rejects_a_block_id_outside_32_bits():
+    buf = bytearray(b"\x01" * 32)
+    with pytest.raises(InvalidParameter):
+        next(message_walk(buf, 2**32, 1, ChainParams(c=1, m=4)))
+    assert bytes(buf) == bytes(32)
 
 
 def test_message_chain_rederivation_matches_device_side():
     params = ChainParams(c=2, m=100)
     seed = b"\x5a" * 32
-    device = []
+    # Device side: the writer's walk, over a copy of its live block key.
     bk = block_key_at(RootLoggingKey(seed), 3, params)
-    mk = first_message_key(bk)
-    device.append(mk.key_bytes())
-    for _ in range(99):
-        mk = next_message_key(mk, params)
-        device.append(mk.key_bytes())
+    device = [bytes(k) for k in message_walk(bytearray(bk.key_bytes()), 3, 100, params)]
+    assert device == _oracle_message_keys(bk.key_bytes(), 3, 100)
     verifier = message_keys_for_block(RootLoggingKey(seed), 3, 100, params)
     assert [k.key_bytes() for k in verifier] == device
 
@@ -379,20 +396,24 @@ def test_group_keys_derivable_from_ik_alone():
     seed = b"\x2b" * 32
     rlk = RootLoggingKey(seed)
     ik = derive_ik(rlk, 2)  # serves blocks 6, 7, 8
+    ik_bytes = ik.key_bytes()
 
     from_ik = {}
     bk = first_block_key(ik, 6, params)
     for bid in (6, 7, 8):
         if bid > 6:
             bk = next_block_key(bk, bid, params)
-        mk = first_message_key(bk)
-        msg_keys = [mk.key_bytes()]
-        for _ in range(params.m - 1):
-            mk = next_message_key(mk, params)
-            msg_keys.append(mk.key_bytes())
-        from_ik[bid] = msg_keys
+        walk = message_walk(bytearray(bk.key_bytes()), bid, params.m, params)
+        from_ik[bid] = [bytes(k) for k in walk]
 
+    info = LABEL_BLOCK_FIRST + struct.pack(">I", 6)
+    oracle_bk = oracle_hkdf(ik_bytes, SCHEME_SALT, info, 32, "sha256")
     for bid in (6, 7, 8):
+        if bid > 6:
+            oracle_bk = oracle_hkdf(
+                oracle_bk, SCHEME_SALT, LABEL_BLOCK_NEXT + struct.pack(">I", bid), 32, "sha256"
+            )
+        assert from_ik[bid] == _oracle_message_keys(oracle_bk, bid, params.m)
         via_rlk = message_keys_for_block(RootLoggingKey(seed), bid, params.m, params)
         assert [k.key_bytes() for k in via_rlk] == from_ik[bid]
 
@@ -411,13 +432,18 @@ def test_next_block_key_erases_predecessor():
         bk0.key_bytes()
 
 
-def test_next_message_key_erases_predecessor():
+def test_message_walk_erases_each_predecessor():
     params = ChainParams(c=1, m=4)
-    bk = block_key_at(RootLoggingKey(b"\x01" * 32), 0, params)
-    mk0 = first_message_key(bk)
-    buf = mk0.key
-    next_message_key(mk0, params)
-    assert bytes(buf) == b"\x00" * 32
+    bk = block_key_at(RootLoggingKey(b"\x01" * 32), 0, params).key_bytes()
+    oracle = _oracle_message_keys(bk, 0, 4)
+    buf = bytearray(bk)
+    walk = message_walk(buf, 0, 4, params)
+    for i in range(4):
+        assert next(walk) is buf
+        # Key i overwrote key i-1 (the block key for i = 0) in place.
+        assert bytes(buf) == oracle[i]
+    walk.close()
+    assert bytes(buf) == bytes(32)
 
 
 def test_message_walk_zeroes_its_buffer_when_done_or_closed():
@@ -453,7 +479,7 @@ def _one_key_of_each_type():
     params = ChainParams(c=2, m=2)
     ik = derive_ik(RootLoggingKey(b"\x31" * 32), 0)
     bk = first_block_key(ik, 0, params)
-    return [ik, bk, first_message_key(bk)]
+    return [ik, bk, message_keys_for_block(RootLoggingKey(b"\x31" * 32), 0, 1, params)[0]]
 
 
 def test_erase_zeroes_the_same_buffer_in_place():

@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sealog import keyschedule
-from sealog.errors import InvalidParameter, KeyMisuse, ParseError
+from sealog.errors import InvalidParameter, ParseError
 from sealog.identity import DeviceIdentity
 from sealog.keyschedule import (
     LABEL_MESSAGE,
     SCHEME_SALT,
     ChainParams,
-    MessageKey,
     RootLoggingKey,
     hkdf,
     message_keys_for_block,
@@ -49,9 +48,7 @@ def _keys(block_id: int, count: int):
 
 def _build_block(block_id: int, texts: list[bytes], identity: DeviceIdentity) -> Block:
     keys = _keys(block_id, len(texts))
-    records = [
-        make_record(i, text, keys[i], erase_key=False) for i, text in enumerate(texts)
-    ]
+    records = [make_record(block_id, i, text, keys[i].key) for i, text in enumerate(texts)]
     return sign_block(block_id, records, identity)
 
 
@@ -65,31 +62,31 @@ def identity():
 
 def test_record_serialized_size_is_292():
     key = _keys(0, 1)[0]
-    record = make_record(0, b"hello", key, erase_key=False)
+    record = make_record(0, 0, b"hello", key.key)
     assert len(record.serialize()) == RECORD_LEN == 292
 
 
 def test_empty_text_record_valid():
     key = _keys(0, 1)[0]
-    record = make_record(0, b"", key, erase_key=False)
+    record = make_record(0, 0, b"", key.key)
     assert record.text == b""
     assert len(record.serialize()) == 292
 
 
 def test_text_boundary_254_ok_255_rejected():
     key = _keys(0, 1)[0]
-    record = make_record(0, b"x" * 254, key, erase_key=False)
+    record = make_record(0, 0, b"x" * 254, key.key)
     assert record.text == b"x" * 254
     key2 = _keys(0, 1)[0]
     with pytest.raises(InvalidParameter):
-        make_record(0, b"x" * 255, key2)
+        make_record(0, 0, b"x" * 255, key2.key)
 
 
 def test_record_identical_across_machines():
     # Same coordinate, text, and root key on two "machines": byte-identical
     # serialization, cross-checked against a direct HMAC computation.
-    a = make_record(3, b"payload", _keys(1, 4)[3], erase_key=False)
-    b = make_record(3, b"payload", _keys(1, 4)[3], erase_key=False)
+    a = make_record(1, 3, b"payload", _keys(1, 4)[3].key)
+    b = make_record(1, 3, b"payload", _keys(1, 4)[3].key)
     assert a.serialize() == b.serialize()
 
     key_bytes = _keys(1, 4)[3].key_bytes()
@@ -98,18 +95,6 @@ def test_record_identical_across_machines():
         key_bytes, struct.pack(">II", 1, 3) + field, "sha256"
     ).digest()
     assert a.tag == expected_tag
-
-
-def test_make_record_coordinate_mismatch():
-    key = _keys(0, 2)[1]
-    with pytest.raises(KeyMisuse):
-        make_record(0, b"x", key)
-
-
-def test_make_record_erases_key_by_default():
-    key = _keys(0, 1)[0]
-    make_record(0, b"x", key)
-    assert key.erased
 
 
 def test_text_field_prefix_roundtrip():

@@ -779,3 +779,48 @@ def test_delivered_watermark_advances(tmp_path, endpoints):
     finally:
         server.close()
     assert store.state.delivered_mark == 4
+
+
+def test_each_session_ends_in_one_structured_event(tmp_path, endpoints, caplog):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)  # 10 blocks
+    device_cert = store.identity().certificate
+    server = LogExportServer(store, [verifier.certificate], port=0)
+    stranger = DeviceIdentity.generate()  # not among the server's anchors
+    request = RetrievalRequest(store.manifest.device_id, start=3, end=3)
+    outcomes = {}
+
+    def poll(name, identity):
+        try:
+            outcomes[name] = fetch("127.0.0.1", server.address[1], identity, [device_cert], request)
+        except Exception as exc:  # the rejected peer's side of the abort
+            outcomes[name] = exc
+
+    try:
+        with caplog.at_level(logging.INFO, logger="sealog.retrieval"):
+            for name, identity in (("verifier", verifier), ("stranger", stranger)):
+                client = threading.Thread(target=poll, args=(name, identity))
+                client.start()
+                assert server.handle_one(timeout=5)
+                client.join(5)
+                assert not client.is_alive()
+    finally:
+        server.close()
+    assert [b.block_id for b in outcomes["verifier"].blocks] == [3]
+    assert isinstance(outcomes["stranger"], Exception)
+
+    good, rejected = [r for r in caplog.records if r.name == "sealog.retrieval"]
+    block_bytes = len(store.load_block(3).serialize())
+    assert good.levelno == logging.INFO
+    assert good.session["peer"].startswith("127.0.0.1:")
+    assert good.session["device"] == verifier.device_id.hex()
+    assert (good.session["outcome"], good.session["blocks"]) == ("ok", 1)
+    assert good.session["bytes"] == block_bytes
+    assert good.session["ms"] > 0
+    assert f"outcome=ok blocks=1 bytes={block_bytes} " in good.getMessage()
+
+    assert rejected.levelno == logging.WARNING
+    assert rejected.session["device"] is None  # the handshake never completed
+    assert rejected.session["outcome"] == "AuthFailure"
+    assert (rejected.session["blocks"], rejected.session["bytes"]) == (0, 0)
+    assert "trust anchor" in rejected.session["error"]

@@ -273,19 +273,38 @@ def test_unreadable_block_is_seal_failure_and_audit_goes_on(tmp_path, full):
     store.block_path(3).mkdir()  # exists, but reading it fails
     store.block_path(4).unlink()
     report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=full)
-    # Reported as a corrupted file is: its seal failure first, then the
-    # sequence of blocks that did load, with one gap over 3..4.
+    # One entry per id, in block order: the unreadable block is a seal
+    # failure at its place, and the gap covers only the id with no file.
     assert [(e.block_id, e.status) for e in report.entries] == [
-        (3, STATUS_SEAL_FAILURE),
         (0, STATUS_OK),
         (1, STATUS_OK),
         (2, STATUS_OK),
-        (3, STATUS_GAP),
+        (3, STATUS_SEAL_FAILURE),
+        (4, STATUS_GAP),
         (5, STATUS_OK),
     ]
-    assert "blk_00000003.seal" in report.entries[0].detail
-    assert report.entries[4].detail == "blocks 3..4 missing"
+    assert "blk_00000003.seal" in report.entries[3].detail
+    assert report.entries[4].detail == "blocks 4..4 missing"
+    assert report.first_failure == (3, None)
     assert report.verdict == "fail" and report.findings == []
+
+
+def test_unreadable_last_block_keeps_block_order(tmp_path):
+    store = build_store(tmp_path / "s", c=2, m=2)
+    fill_store(store, 8)  # 4 blocks
+    store.block_path(2).unlink()
+    store.block_path(3).unlink()
+    store.block_path(3).mkdir()
+    report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=False)
+    assert [(e.block_id, e.status) for e in report.entries] == [
+        (0, STATUS_OK),
+        (1, STATUS_OK),
+        (2, STATUS_GAP),
+        (3, STATUS_SEAL_FAILURE),
+    ]
+    assert report.entries[2].detail == "blocks 2..2 missing"
+    assert report.first_failure == (2, None)
+    assert any(f.startswith(FINDING_TRUNCATION) for f in report.findings)
 
 
 def test_unreadable_block_without_state_is_seal_failure(tmp_path):
@@ -296,9 +315,8 @@ def test_unreadable_block_without_state_is_seal_failure(tmp_path):
     store.block_path(1).mkdir()
     report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=True)
     assert [(e.block_id, e.status) for e in report.entries] == [
-        (1, STATUS_SEAL_FAILURE),
         (0, STATUS_OK),
-        (1, STATUS_GAP),
+        (1, STATUS_SEAL_FAILURE),
         (2, STATUS_OK),
         (3, STATUS_OK),
     ]
