@@ -30,7 +30,7 @@ import hmac as hmac_mod
 import struct
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import starmap
+from itertools import chain, starmap
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -434,7 +434,9 @@ def verify_sequence(
     if trailing:
         _add_absent(report, expected_id, max(trailing), unreadable)
 
-    _check_state_consistency(report, blocks, state, mode, expected_start, expected_end)
+    _check_state_consistency(
+        report, blocks, unreadable, state, mode, expected_start, expected_end
+    )
     return report
 
 
@@ -477,12 +479,16 @@ def _verify_one(block, rlk, params, public_key, report) -> BlockEntry:
     return BlockEntry(block.block_id, status)
 
 
-def _check_state_consistency(report, blocks, state, mode, expected_start, expected_end) -> None:
+def _check_state_consistency(
+    report, blocks, unreadable, state, mode, expected_start, expected_end
+) -> None:
     if state is None:
         report.findings.append(FINDING_MISSING_STATE)
         return
     latest = state.latest_block_id
-    highest = max((b.block_id for b in blocks), default=None)
+    # An unreadable block is present, and already reported as a seal
+    # failure: it does not also end the run early.
+    highest = max(chain((b.block_id for b in blocks), unreadable), default=None)
     if latest is None:
         if highest is not None:
             report.findings.append(

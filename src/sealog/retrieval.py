@@ -159,15 +159,16 @@ class FrameTransport:
     def close(self) -> None:
         try:
             self._sock.close()
-        except OSError:
-            pass
+        except OSError as exc:
+            _log.debug("socket close failed: %r", exc)
 
 
 def _abort(transport: FrameTransport, code: int, reason: str) -> None:
+    """Tell the peer why the session ends; the peer may already be gone."""
     try:
         transport.send_frame(FRAME_ABORT, bytes([code]) + reason.encode("utf-8"))
-    except (OSError, ChannelClosed):
-        pass
+    except (OSError, ChannelClosed) as exc:
+        _log.debug("abort frame (code %d) not sent: %r", code, exc)
 
 
 _ABORT_ERRORS = {

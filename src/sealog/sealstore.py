@@ -7,11 +7,18 @@ key is derived per application identity from a device root storage key, so
 no other application identity can unseal or forge objects.
 
 The store keeps one file per object (``blk_<id>.seal``, ``ik_<gid>.seal``,
-``state.seal``, ``manifest.seal``).  Commits are crash-safe: payloads are
-written to a temp file, flushed, atomically renamed, and the directory
-fsynced; the monotonic chain-state record is committed with the same
-protocol after its block, so any crash leaves either the pre- or
-post-commit view, never a torn file.
+``state.seal``, ``manifest.seal``).  Commits are crash-safe:
+
+- ``state.seal``, ``ik_<gid>.seal`` and ``manifest.seal`` are replaced
+  atomically: the payload is written to a temp file and fsynced, renamed
+  over the name, and the directory fsynced, so a crash leaves the old or
+  the new object, never a torn one.
+- A block file is created once, under its final name, and never replaced:
+  it is written and fsynced, then the directory fsynced.  It counts only
+  once the chain state, committed after every block of its batch is
+  durable, names it.  So a torn or stale block file can only exist beyond
+  the committed state, where ``recover`` drops it and the next commit of
+  that id replaces it.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import json
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -269,6 +277,19 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+def _write_synced(fd: int, data: bytes) -> None:
+    """Write all of ``data`` to the open file ``fd``, then fsync it."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+    os.fsync(fd)
+
+
+# A block file is only ever created: never truncated, written through an
+# existing entry, or reached through a symlink.
+_CREATE_ONCE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
+
+
 class SealedStore:
     """One directory of sealed objects plus the committed chain state.
 
@@ -325,7 +346,7 @@ class SealedStore:
             certificate_pem=identity.certificate_pem(),
         )
         store = cls(directory, sk, manifest)
-        store._write_sealed(MANIFEST_FILE, manifest.pack(), OBJECT_MANIFEST, 0)
+        store._write_sealed(MANIFEST_FILE, manifest.pack(), OBJECT_MANIFEST, 0, MANIFEST_FILE)
         store._commit_state(store.state)
         # Exportable copy of the public certificate for verifiers.
         (directory / "cert.pem").write_bytes(identity.certificate_pem())
@@ -377,30 +398,66 @@ class SealedStore:
         if self.crash_hook is not None:
             self.crash_hook(step)
 
-    def _write_sealed(
-        self, name: str, payload: bytes, object_type: int, object_id: int, step: str = ""
-    ) -> None:
-        data = seal(payload, self.sk, object_type, object_id).serialize()
-        prefix = step or name
-        self._hook(f"{prefix}:start")
-        fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=self.directory)
-        tmp = Path(tmp_name)
+    @contextmanager
+    def _durable_write(self, name: str, step: str) -> Iterator[None]:
+        """Bracket one durable write with its ``<step>:start`` and
+        ``<step>:durable`` crash points; an ``OSError`` becomes a
+        ``StorageError``."""
+        self._hook(f"{step}:start")
         try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-            self._hook(f"{prefix}:tmp-written")
-            os.replace(tmp, self._prefix + name)
-            self._hook(f"{prefix}:renamed")
-            _fsync_dir(self.directory)
-            self._hook(f"{prefix}:durable")
+            yield
         except OSError as exc:
-            tmp.unlink(missing_ok=True)
             raise StorageError(f"failed writing {name}: {exc}") from exc
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        self._hook(f"{step}:durable")
+
+    def _write_sealed(
+        self, name: str, payload: bytes, object_type: int, object_id: int, step: str
+    ) -> None:
+        """Seal ``payload`` and replace ``name`` with it atomically.
+
+        A temp file is written and fsynced (crash point ``tmp-written``),
+        renamed over ``name`` (``renamed``), and the directory fsynced.
+        """
+        data = seal(payload, self.sk, object_type, object_id).serialize()
+        with self._durable_write(name, step):
+            fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=self.directory)
+            try:
+                try:
+                    _write_synced(fd, data)
+                finally:
+                    os.close(fd)
+                self._hook(f"{step}:tmp-written")
+                os.replace(tmp_name, self._prefix + name)
+            except BaseException:
+                Path(tmp_name).unlink(missing_ok=True)
+                raise
+            self._hook(f"{step}:renamed")
+            _fsync_dir(self.directory)
+
+    def _create_block(self, block: Block, dir_fd: int) -> None:
+        """Seal ``block`` into a new file under its final name.
+
+        The file is created (crash point ``created``), written and fsynced
+        (``written``), then the directory ``dir_fd`` is fsynced.  An entry
+        already under the name is unlinked first, whatever it is.
+        """
+        name = _block_file(block.block_id)
+        step = f"block{block.block_id}"
+        data = seal(block.serialize(), self.sk, OBJECT_BLOCK, block.block_id).serialize()
+        with self._durable_write(name, step):
+            try:
+                fd = os.open(name, _CREATE_ONCE, 0o600, dir_fd=dir_fd)
+            except FileExistsError:
+                # A crashed commit's leftover: this id is beyond the state.
+                os.unlink(name, dir_fd=dir_fd)
+                fd = os.open(name, _CREATE_ONCE, 0o600, dir_fd=dir_fd)
+            try:
+                self._hook(f"{step}:created")
+                _write_synced(fd, data)
+            finally:
+                os.close(fd)
+            self._hook(f"{step}:written")
+            os.fsync(dir_fd)
 
     def _read_sealed(self, name: str, object_type: int, object_id: int) -> bytes:
         """One open and one read of the named object, then its unseal.
@@ -461,11 +518,14 @@ class SealedStore:
     def commit_blocks(self, blocks: list[Block]) -> ChainState:
         """Seal a contiguous batch of blocks, then one state advance.
 
-        The state record is committed once, after the whole batch, which is
-        what makes larger group sizes cheaper per log: one durable state
-        write per group instead of per block.  A crash mid-batch leaves
-        uncommitted block files that recovery drops; the producer replays
-        them from its in-RAM window.
+        The state record is committed once, after every block of the batch
+        is durable, which is what makes larger group sizes cheaper per log:
+        one durable state write per group instead of per block.  Each block
+        file is created once under its final name (no temp file, no rename),
+        through one directory fd per batch.  A crash mid-batch leaves block
+        files beyond the state, torn or whole, that recovery drops and a
+        later commit of the same ids replaces; the producer replays them
+        from its in-RAM window.
         """
         if not blocks:
             return self._require_state()
@@ -477,14 +537,15 @@ class SealedStore:
                     f"commit out of order: block {block.block_id}, "
                     f"expected {expected + offset}"
                 )
-        for block in blocks:
-            self._write_sealed(
-                _block_file(block.block_id),
-                block.serialize(),
-                OBJECT_BLOCK,
-                block.block_id,
-                step=f"block{block.block_id}",
-            )
+        try:
+            dir_fd = os.open(self.directory, os.O_DIRECTORY | os.O_CLOEXEC)
+        except OSError as exc:
+            raise StorageError(f"cannot open store directory: {exc}") from exc
+        try:
+            for block in blocks:
+                self._create_block(block, dir_fd)
+        finally:
+            os.close(dir_fd)
         last = blocks[-1]
         new_state = ChainState(
             group_id=self.params.group_of(last.block_id),
@@ -568,9 +629,11 @@ class SealedStore:
     def recover(self) -> ChainState:
         """Bring the directory back to the committed view after a crash.
 
-        Temp files are removed; any complete block file newer than the
-        committed state is dropped (its content is still re-derivable and
-        re-committable by the producer).
+        Temp files of an interrupted state, IK or manifest replace are
+        removed, and so is every block file beyond the committed state: it
+        may be torn, and its content is still re-derivable and
+        re-committable by the producer.  Committed blocks are never touched;
+        they were durable before the state that names them.
         """
         for tmp in self.directory.glob(".tmp-*"):
             tmp.unlink(missing_ok=True)

@@ -824,3 +824,15 @@ def test_each_session_ends_in_one_structured_event(tmp_path, endpoints, caplog):
     assert rejected.session["outcome"] == "AuthFailure"
     assert (rejected.session["blocks"], rejected.session["bytes"]) == (0, 0)
     assert "trust anchor" in rejected.session["error"]
+
+
+def test_abort_to_a_gone_peer_is_logged_not_raised(caplog):
+    a, b = socket.socketpair()
+    b.close()
+    transport = FrameTransport(a)
+    with caplog.at_level(logging.DEBUG, logger="sealog.retrieval"):
+        retrieval._abort(transport, retrieval.ABORT_AUTH, "rejected")
+        transport.close()
+    events = [r for r in caplog.records if r.name == "sealog.retrieval"]
+    assert events and all(r.levelno == logging.DEBUG for r in events)
+    assert "abort frame" in events[0].getMessage()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -304,7 +305,8 @@ def test_unreadable_last_block_keeps_block_order(tmp_path):
     ]
     assert report.entries[2].detail == "blocks 2..2 missing"
     assert report.first_failure == (2, None)
-    assert any(f.startswith(FINDING_TRUNCATION) for f in report.findings)
+    # The unreadable block 3 is present: the run does not end early.
+    assert report.verdict == "fail" and report.findings == []
 
 
 def test_unreadable_block_without_state_is_seal_failure(tmp_path):
@@ -396,3 +398,98 @@ def test_crash_at_every_commit_step_recovers_cleanly(tmp_path):
     # the walk resumes from committed progress, so later runs shrink; it
     # still has to survive a meaningful number of distinct injection points
     assert crash_at >= 10
+
+
+# group commit protocol ---------------------------------------------------------
+
+
+def test_full_group_commit_creates_blocks_once(tmp_path, monkeypatch):
+    c = 3
+    store = build_store(tmp_path / "s", c=c, m=2)
+    events = []
+    store.crash_hook = events.append
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            events.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for module, name in ((os, "fsync"), (os, "replace"), (tempfile, "mkstemp")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    writer = LogWriter(store)
+    for i in range(c * 2):  # one full group: the last append commits it
+        writer.append_entry(RawEntry("generic", f"entry {i}".encode()))
+    monkeypatch.undo()
+
+    def replaced(step):
+        return [f"{step}:start", "mkstemp", "fsync", f"{step}:tmp-written", "replace",
+                f"{step}:renamed", "fsync", f"{step}:durable"]
+
+    def created(step):
+        return [f"{step}:start", f"{step}:created", "fsync", f"{step}:written", "fsync",
+                f"{step}:durable"]
+
+    assert events == (
+        replaced("ik0") + created("block0") + created("block1") + created("block2")
+        + replaced("state")
+    )
+    assert events.count("fsync") == 2 * c + 4
+    assert events.count("replace") == 2 and events.count("mkstemp") == 2
+    assert store.load_state().latest_block_id == c - 1
+    assert not list(store.directory.glob(".tmp-*"))
+
+
+def _crash_group_commit(directory, label):
+    """Commit group 0, then crash group 1's commit at ``block2:<label>``."""
+    store = build_store(directory, c=2, m=2)
+    fill_store(store, 4)
+
+    def hook(step):
+        if step == f"block2:{label}":
+            raise _Crash(step)
+
+    store.crash_hook = hook
+    writer = LogWriter(store)
+    with pytest.raises(_Crash):
+        for i in range(4):
+            writer.append_entry(RawEntry("generic", f"late entry {i}".encode()))
+    return store
+
+
+@pytest.mark.parametrize("label", ["created", "written"])
+def test_block_left_by_a_crash_is_committed_over(tmp_path, label):
+    store = _crash_group_commit(tmp_path / "s", label)
+    leftover = store.block_path(2)
+    assert leftover.is_file()
+    assert store.load_state().latest_block_id == 1
+
+    store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    fill_store(store, 4)  # no recover: block 2 is created again over the leftover
+    report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=True)
+    assert report.verdict == "ok", report.to_dict()
+    assert [e.block_id for e in report.entries] == [0, 1, 2, 3]
+    assert [r.text for r in store.load_block(2).records] == [b"log entry 0", b"log entry 1"]
+
+
+@pytest.mark.parametrize("label", ["created", "written"])
+def test_recover_drops_a_block_left_by_a_crash(tmp_path, label):
+    _crash_group_commit(tmp_path / "s", label)
+    store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    assert store.recover().latest_block_id == 1
+    assert not store.block_path(2).exists()
+    assert verify_store(store, full=True).verdict == "ok"
+
+
+def test_block_commit_never_follows_a_planted_symlink(tmp_path):
+    store = build_store(tmp_path / "s", c=2, m=2)
+    fill_store(store, 4)  # blocks 0-1 committed
+    target = tmp_path / "target"
+    target.write_bytes(b"not a block")
+    store.block_path(2).symlink_to(target)
+    fill_store(store, 4)
+    assert target.read_bytes() == b"not a block"
+    assert not store.block_path(2).is_symlink()
+    report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=True)
+    assert report.verdict == "ok", report.to_dict()
