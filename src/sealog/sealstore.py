@@ -13,12 +13,17 @@ The store keeps one file per object (``blk_<id>.seal``, ``ik_<gid>.seal``,
   atomically: the payload is written to a temp file and fsynced, renamed
   over the name, and the directory fsynced, so a crash leaves the old or
   the new object, never a torn one.
-- A block file is created once, under its final name, and never replaced:
-  it is written and fsynced, then the directory fsynced.  It counts only
-  once the chain state, committed after every block of its batch is
-  durable, names it.  So a torn or stale block file can only exist beyond
-  the committed state, where ``recover`` drops it and the next commit of
-  that id replaces it.
+- A block file is created once, under its final name, and never replaced.
+  A batch is committed in windows of up to 32 blocks: every file of a
+  window is created and written first, then, in block order, each is
+  fsynced and closed and the directory fsynced.  Each block still gets its
+  own file and directory fsync, so the fsync count and the crash points
+  are those of one block at a time; writing the window first only leaves
+  the later fsyncs less to commit.  A block counts only once the chain
+  state, committed after every block of its batch is durable, names it.
+  So a torn, unsynced or stale block file can only exist beyond the
+  committed state, where ``recover`` drops it and the next commit of that
+  id replaces it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ import json
 import os
 import struct
 import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -277,17 +281,19 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def _write_synced(fd: int, data: bytes) -> None:
-    """Write all of ``data`` to the open file ``fd``, then fsync it."""
+def _write_all(fd: int, data: bytes) -> None:
+    """Write all of ``data`` to the open file ``fd``."""
     view = memoryview(data)
     while view:
         view = view[os.write(fd, view) :]
-    os.fsync(fd)
 
 
 # A block file is only ever created: never truncated, written through an
 # existing entry, or reached through a symlink.
 _CREATE_ONCE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
+
+# Most block files a commit holds open at once, written but not yet fsynced.
+_WINDOW = 32
 
 
 class SealedStore:
@@ -398,32 +404,24 @@ class SealedStore:
         if self.crash_hook is not None:
             self.crash_hook(step)
 
-    @contextmanager
-    def _durable_write(self, name: str, step: str) -> Iterator[None]:
-        """Bracket one durable write with its ``<step>:start`` and
-        ``<step>:durable`` crash points; an ``OSError`` becomes a
-        ``StorageError``."""
-        self._hook(f"{step}:start")
-        try:
-            yield
-        except OSError as exc:
-            raise StorageError(f"failed writing {name}: {exc}") from exc
-        self._hook(f"{step}:durable")
-
     def _write_sealed(
         self, name: str, payload: bytes, object_type: int, object_id: int, step: str
     ) -> None:
         """Seal ``payload`` and replace ``name`` with it atomically.
 
-        A temp file is written and fsynced (crash point ``tmp-written``),
-        renamed over ``name`` (``renamed``), and the directory fsynced.
+        Crash points: ``<step>:start``; a temp file written and fsynced
+        (``tmp-written``); renamed over ``name`` (``renamed``); the
+        directory fsynced (``durable``).  An ``OSError`` becomes a
+        ``StorageError``.
         """
         data = seal(payload, self.sk, object_type, object_id).serialize()
-        with self._durable_write(name, step):
+        self._hook(f"{step}:start")
+        try:
             fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=self.directory)
             try:
                 try:
-                    _write_synced(fd, data)
+                    _write_all(fd, data)
+                    os.fsync(fd)
                 finally:
                     os.close(fd)
                 self._hook(f"{step}:tmp-written")
@@ -433,31 +431,49 @@ class SealedStore:
                 raise
             self._hook(f"{step}:renamed")
             _fsync_dir(self.directory)
+        except OSError as exc:
+            raise StorageError(f"failed writing {name}: {exc}") from exc
+        self._hook(f"{step}:durable")
 
-    def _create_block(self, block: Block, dir_fd: int) -> None:
-        """Seal ``block`` into a new file under its final name.
+    def _create_window(self, blocks: list[Block], dir_fd: int) -> None:
+        """Seal each of ``blocks`` into a new file under its final name.
 
-        The file is created (crash point ``created``), written and fsynced
-        (``written``), then the directory ``dir_fd`` is fsynced.  An entry
-        already under the name is unlinked first, whatever it is.
+        Pass 1 creates each file (crash points ``block<id>:start`` and
+        ``:created``) and writes all its bytes, keeping it open.  Pass 2, in
+        block order, fsyncs and closes each file (``:written``) and then
+        fsyncs the directory ``dir_fd`` (``:durable``).  An entry already
+        under a name is unlinked first, whatever it is.  Every file is
+        closed on the way out, and an ``OSError`` becomes a ``StorageError``.
         """
-        name = _block_file(block.block_id)
-        step = f"block{block.block_id}"
-        data = seal(block.serialize(), self.sk, OBJECT_BLOCK, block.block_id).serialize()
-        with self._durable_write(name, step):
-            try:
-                fd = os.open(name, _CREATE_ONCE, 0o600, dir_fd=dir_fd)
-            except FileExistsError:
-                # A crashed commit's leftover: this id is beyond the state.
-                os.unlink(name, dir_fd=dir_fd)
-                fd = os.open(name, _CREATE_ONCE, 0o600, dir_fd=dir_fd)
-            try:
-                self._hook(f"{step}:created")
-                _write_synced(fd, data)
-            finally:
+        fds: list[int] = []
+        name = ""
+        try:
+            for block in blocks:
+                name = _block_file(block.block_id)
+                data = seal(block.serialize(), self.sk, OBJECT_BLOCK, block.block_id).serialize()
+                self._hook(f"block{block.block_id}:start")
+                try:
+                    fds.append(os.open(name, _CREATE_ONCE, 0o600, dir_fd=dir_fd))
+                except FileExistsError:
+                    # A crashed commit's leftover: this id is beyond the state.
+                    os.unlink(name, dir_fd=dir_fd)
+                    fds.append(os.open(name, _CREATE_ONCE, 0o600, dir_fd=dir_fd))
+                self._hook(f"block{block.block_id}:created")
+                _write_all(fds[-1], data)
+            for block in blocks:
+                name = _block_file(block.block_id)
+                try:
+                    os.fsync(fds[0])
+                finally:
+                    os.close(fds.pop(0))
+                self._hook(f"block{block.block_id}:written")
+                os.fsync(dir_fd)
+                self._hook(f"block{block.block_id}:durable")
+        except OSError as exc:
+            raise StorageError(f"failed writing {name}: {exc}") from exc
+        finally:
+            for fd in fds:
                 os.close(fd)
-            self._hook(f"{step}:written")
-            os.fsync(dir_fd)
 
     def _read_sealed(self, name: str, object_type: int, object_id: int) -> bytes:
         """One open and one read of the named object, then its unseal.
@@ -522,10 +538,16 @@ class SealedStore:
         is durable, which is what makes larger group sizes cheaper per log:
         one durable state write per group instead of per block.  Each block
         file is created once under its final name (no temp file, no rename),
-        through one directory fd per batch.  A crash mid-batch leaves block
-        files beyond the state, torn or whole, that recovery drops and a
-        later commit of the same ids replaces; the producer replays them
-        from its in-RAM window.
+        through one directory fd per batch, in windows of up to 32 blocks
+        (the most files held open): every file of a window is created and
+        written before the first is fsynced, then each is fsynced in block
+        order and followed by a directory fsync.  So the fsyncs are still
+        ``2c + 4`` per group with the IK and the state, and the state still
+        names only blocks whose two fsyncs have run; writing the window
+        first only leaves the later fsyncs less to commit.  A crash
+        mid-batch leaves block files beyond the state, torn, unsynced or
+        whole, that recovery drops and a later commit of the same ids
+        replaces; the producer replays them from its in-RAM window.
         """
         if not blocks:
             return self._require_state()
@@ -542,8 +564,8 @@ class SealedStore:
         except OSError as exc:
             raise StorageError(f"cannot open store directory: {exc}") from exc
         try:
-            for block in blocks:
-                self._create_block(block, dir_fd)
+            for start in range(0, len(blocks), _WINDOW):
+                self._create_window(blocks[start : start + _WINDOW], dir_fd)
         finally:
             os.close(dir_fd)
         last = blocks[-1]

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import errno
 import os
+import resource
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sealog
 from conftest import ROOT_SECRET, build_store, fill_store
 from sealog.collector import LogWriter, RawEntry
 from sealog.errors import (
@@ -427,58 +433,174 @@ def test_full_group_commit_creates_blocks_once(tmp_path, monkeypatch):
         return [f"{step}:start", "mkstemp", "fsync", f"{step}:tmp-written", "replace",
                 f"{step}:renamed", "fsync", f"{step}:durable"]
 
-    def created(step):
-        return [f"{step}:start", f"{step}:created", "fsync", f"{step}:written", "fsync",
-                f"{step}:durable"]
-
-    assert events == (
-        replaced("ik0") + created("block0") + created("block1") + created("block2")
-        + replaced("state")
-    )
+    blocks = [f"block{i}" for i in range(c)]
+    # Every block of the window is created and written, then each is made
+    # durable in block order.
+    created = [f"{b}:{label}" for b in blocks for label in ("start", "created")]
+    synced = [e for b in blocks for e in ("fsync", f"{b}:written", "fsync", f"{b}:durable")]
+    assert events == replaced("ik0") + created + synced + replaced("state")
     assert events.count("fsync") == 2 * c + 4
     assert events.count("replace") == 2 and events.count("mkstemp") == 2
     assert store.load_state().latest_block_id == c - 1
     assert not list(store.directory.glob(".tmp-*"))
 
 
+def test_group_commit_holds_at_most_a_window_of_blocks_open(tmp_path, monkeypatch):
+    c = 32 + 3  # one full window and a partial one
+    store = build_store(tmp_path / "s", c=c, m=1)
+    kinds = {}  # open fd -> "blk" or "dir"
+    fsyncs = []
+    peak = 0
+    real_open, real_close, real_fsync = os.open, os.close, os.fsync
+
+    def tracked_open(path, flags, *args, **kwargs):
+        nonlocal peak
+        fd = real_open(path, flags, *args, **kwargs)
+        if str(path).startswith("blk_"):
+            kinds[fd] = "blk"
+            peak = max(peak, list(kinds.values()).count("blk"))
+        elif flags & os.O_DIRECTORY:
+            kinds[fd] = "dir"
+        return fd
+
+    def tracked_close(fd):
+        kinds.pop(fd, None)
+        real_close(fd)
+
+    def tracked_fsync(fd):
+        fsyncs.append(kinds.get(fd, "other"))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "open", tracked_open)
+    monkeypatch.setattr(os, "close", tracked_close)
+    monkeypatch.setattr(os, "fsync", tracked_fsync)
+    fill_store(store, c)
+    monkeypatch.undo()
+
+    assert peak == 32
+    assert "blk" not in kinds.values()
+    # IK and state: a temp file, then the directory.  Each block file's
+    # fsync is followed at once by the directory's.
+    assert fsyncs == ["other", "dir"] + ["blk", "dir"] * c + ["other", "dir"]
+    report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=True)
+    assert report.verdict == "ok" and len(report.entries) == c
+
+
+def test_failed_block_write_closes_every_fd_and_keeps_the_state(tmp_path, monkeypatch):
+    store = build_store(tmp_path / "s", c=3, m=2)
+    fill_store(store, 6)  # group 0: blocks 0-2
+    state = store.load_state()
+    writer = LogWriter(store)
+    for i in range(5):  # blocks 3-4 in RAM, block 5 one record short
+        writer.append_entry(RawEntry("generic", f"log entry {6 + i}".encode()))
+
+    real_write = os.write
+    writes = 0
+
+    def full_disk_on_second_block(fd, data):
+        nonlocal writes
+        writes += 1
+        if writes == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data)
+
+    fds = sorted(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "write", full_disk_on_second_block)
+    with pytest.raises(StorageError, match="blk_00000004"):
+        writer.append_entry(RawEntry("generic", b"log entry 11"))  # commits group 1
+    monkeypatch.undo()
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    assert store.state == state and store.load_state() == state
+    assert store.block_path(3).stat().st_size > 0
+    assert store.block_path(4).stat().st_size == 0
+    assert not store.block_path(5).exists()
+
+    writer.flush()  # the same batch again, over the leftovers
+    report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=True)
+    assert report.verdict == "ok", report.to_dict()
+    assert [e.block_id for e in report.entries] == list(range(6))
+
+
+_CHILD = """
+import sys
+from sealog.cli import main
+
+store, logs = sys.argv[1:]
+for argv in (
+    ["init", "--store", store, "--c", "200", "--m", "1"],
+    ["ingest", "--store", store, logs],
+    ["verify", "--store", store, "--full"],
+):
+    code = main(argv)
+    if code:
+        sys.exit(code)
+"""
+
+
+def test_group_of_200_blocks_commits_under_64_open_files(tmp_path):
+    logs = tmp_path / "logs.txt"
+    logs.write_bytes(b"".join(f"line {i}\n".encode() for i in range(200)))  # one group
+    hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+    src = str(Path(sealog.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(tmp_path / "store"), str(logs)],
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert "verdict: ok" in child.stdout
+
+
+# A crash at the first block's ``written`` leaves the window's later blocks
+# created and written but never fsynced; one at the last block's ``created``
+# leaves that block empty and the others unsynced.
+_CRASH_POINTS = [
+    pytest.param("block5:created", id="created"),
+    pytest.param("block3:written", id="written"),
+]
+
+
 def _crash_group_commit(directory, label):
-    """Commit group 0, then crash group 1's commit at ``block2:<label>``."""
-    store = build_store(directory, c=2, m=2)
-    fill_store(store, 4)
+    """Commit group 0 (blocks 0-2), then crash group 1's commit at ``label``."""
+    store = build_store(directory, c=3, m=2)
+    fill_store(store, 6)
 
     def hook(step):
-        if step == f"block2:{label}":
+        if step == label:
             raise _Crash(step)
 
     store.crash_hook = hook
     writer = LogWriter(store)
     with pytest.raises(_Crash):
-        for i in range(4):
+        for i in range(6):
             writer.append_entry(RawEntry("generic", f"late entry {i}".encode()))
     return store
 
 
-@pytest.mark.parametrize("label", ["created", "written"])
+@pytest.mark.parametrize("label", _CRASH_POINTS)
 def test_block_left_by_a_crash_is_committed_over(tmp_path, label):
     store = _crash_group_commit(tmp_path / "s", label)
-    leftover = store.block_path(2)
-    assert leftover.is_file()
-    assert store.load_state().latest_block_id == 1
+    assert all(store.block_path(i).is_file() for i in (3, 4, 5))
+    assert store.load_state().latest_block_id == 2
 
     store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
-    fill_store(store, 4)  # no recover: block 2 is created again over the leftover
+    fill_store(store, 6)  # no recover: blocks 3-5 are created again over the leftovers
     report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=True)
     assert report.verdict == "ok", report.to_dict()
-    assert [e.block_id for e in report.entries] == [0, 1, 2, 3]
-    assert [r.text for r in store.load_block(2).records] == [b"log entry 0", b"log entry 1"]
+    assert [e.block_id for e in report.entries] == list(range(6))
+    texts = [r.text for i in (3, 4, 5) for r in store.load_block(i).records]
+    assert texts == [f"log entry {i}".encode() for i in range(6)]
 
 
-@pytest.mark.parametrize("label", ["created", "written"])
+@pytest.mark.parametrize("label", _CRASH_POINTS)
 def test_recover_drops_a_block_left_by_a_crash(tmp_path, label):
     _crash_group_commit(tmp_path / "s", label)
     store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
-    assert store.recover().latest_block_id == 1
-    assert not store.block_path(2).exists()
+    assert store.recover().latest_block_id == 2
+    assert store.block_ids_on_disk() == [0, 1, 2]
     assert verify_store(store, full=True).verdict == "ok"
 
 
