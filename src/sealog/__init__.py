@@ -4,10 +4,8 @@ sealed storage, and a mutually authenticated retrieval channel."""
 from .errors import (
     AlreadyExists,
     AuthFailure,
-    BlockFull,
     ChannelClosed,
     InvalidParameter,
-    KeyMisuse,
     KeyUnavailable,
     NegotiationFailure,
     ParseError,
@@ -28,14 +26,12 @@ __all__ = [
     "AlreadyExists",
     "AuthFailure",
     "Block",
-    "BlockFull",
     "ChainParams",
     "ChainState",
     "ChannelClosed",
     "DeviceIdentity",
     "IngestPolicy",
     "InvalidParameter",
-    "KeyMisuse",
     "KeyUnavailable",
     "LogExportServer",
     "LogRecord",

@@ -13,10 +13,11 @@ continuation bit so the verifier can reassemble entries byte-exactly.
 The writer owns the producer side of the chain: it derives keys in order,
 tags records, signs blocks at ``m`` records, buffers finished blocks in
 RAM, and seals them to the store when the group completes (every ``c``
-blocks), on epoch expiry, or on an explicit flush.  Message keys come from
-the verifier's own message walk, stepped over a copy of the block key: they
-live in that walk's one buffer, which each record's key overwrites and
-which is zeroed when the block ends or the writer closes.
+blocks), on epoch expiry, or on an explicit flush.  Its keys come from the
+verifier's own two walks: the open group's ``block_walk``, over a copy of
+the group's sealed IK, and the open block's ``message_walk``, over a copy
+of that block's key.  Each walk's one buffer is overwritten by each step
+and zeroed when its group or block ends or the writer closes.
 """
 
 from __future__ import annotations
@@ -25,18 +26,11 @@ import re
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import islice
 from typing import Generator, Iterable, Iterator
 
 from .errors import InvalidParameter
-from .keyschedule import (
-    BlockKey,
-    ChainParams,
-    derive_ik,
-    first_block_key,
-    message_walk,
-    next_block_key,
-    walk_block_chain,
-)
+from .keyschedule import ChainParams, block_walk, derive_ik, message_walk
 from .logchain import (
     BLOCK_ENVELOPE_LEN,
     MAX_TEXT_LEN,
@@ -231,11 +225,14 @@ class IngestStats:
 class LogWriter:
     """Single-writer chain producer bound to one sealed store.
 
-    Keys are strictly single-owner here.  The open block's message keys live
-    in one buffer, owned by its message walk: each record's key overwrites
-    its predecessor's, and the buffer is zeroed at block end or ``close()``.
-    Each block key is erased when its successor is derived or its group
-    ends, and each intermediate key when sealed.
+    Keys are strictly single-owner here, and the writer holds them only
+    inside its two walks.  The open group's block walk holds the key of the
+    open block: it steps to the next block's key as soon as a block is
+    signed, and is zeroed at group end or ``close()``.  The open block's
+    message walk holds the last record's key: each record's key overwrites
+    its predecessor's, and its buffer is zeroed at block end or
+    ``close()``.  A group's intermediate key lives only until it is sealed,
+    before the group's first record is tagged.
     """
 
     def __init__(self, store: SealedStore, epoch_seconds: float | None = None):
@@ -253,7 +250,7 @@ class LogWriter:
         self._records: list[LogRecord] = []
         self._ram_blocks: list[Block] = []
         self._ram_block_records = 0  # records inside self._ram_blocks
-        self._bk: BlockKey | None = None
+        self._blocks: Generator[bytearray, None, None] | None = None  # open group's keys
         self._walk: Generator[bytearray, None, None] | None = None  # open block's keys
         self._last_seal = time.monotonic()
         self.blocks_committed = 0
@@ -291,26 +288,35 @@ class LogWriter:
 
     # -- key chain --
 
-    def _ensure_block_key(self) -> BlockKey:
+    def _open_group(self) -> Generator[bytearray, None, None]:
         # A group's first block derives and seals the group's IK.  A restart
         # mid-group, or a replay after a crash, walks the block chain from
-        # the sealed IK instead, so it never touches the RLK.
-        if self._bk is not None:
-            return self._bk
-        group_id = self.params.group_of(self._next_block_id)
-        if self._next_block_id % self.params.c == 0 and not self.store.has_ik(group_id):
+        # the sealed IK instead, so it never touches the RLK.  The walks are
+        # kept only once the IK is sealed: after a failed seal the next
+        # append derives and seals it again.
+        block_id, c = self._next_block_id, self.params.c
+        group_id = block_id // c
+        if block_id % c == 0 and not self.store.has_ik(group_id):
             ik = derive_ik(self._rlk, group_id)
-            self._bk = first_block_key(ik, self._next_block_id, self.params)
-            self.store.seal_ik(ik)
+            blocks = block_walk(bytearray(ik), group_id, self.params)
+            key = next(blocks)
+            try:
+                self.store.seal_ik(group_id, ik)
+            except BaseException:
+                blocks.close()
+                raise
         else:
-            ik = self.store.load_ik(group_id)
-            self._bk = walk_block_chain(ik, self._next_block_id, self.params)
-        return self._bk
+            blocks = block_walk(self.store.load_ik(group_id), group_id, self.params)
+            key = next(islice(blocks, block_id % c, None))
+        self._blocks = blocks
+        self._walk = _block_messages(key, block_id, self.params)
+        return self._walk
 
-    def _close_walk(self) -> None:
-        if self._walk is not None:
-            self._walk.close()
-            self._walk = None
+    def _close_walks(self) -> None:
+        for walk in (self._walk, self._blocks):
+            if walk is not None:
+                walk.close()
+        self._walk = self._blocks = None
 
     # -- record/block assembly --
 
@@ -335,8 +341,7 @@ class LogWriter:
     def _append_record(self, payload: bytes, continuation: bool) -> None:
         walk, records, block_id = self._walk, self._records, self._next_block_id
         if walk is None:
-            key = bytearray(self._ensure_block_key().key_bytes())
-            walk = self._walk = message_walk(key, block_id, self.params.m, self.params)
+            walk = self._open_group()
         records.append(make_record(block_id, len(records), payload, next(walk), continuation))
         if len(records) == self.params.m:
             self._finalize_block()
@@ -352,17 +357,15 @@ class LogWriter:
         self._ram_blocks.append(block)
         self._ram_block_records += len(self._records)
         self._records = []
-        self._close_walk()
-        self._next_block_id = block_id + 1
-        if self._next_block_id % self.params.c == 0:
+        next_id = self._next_block_id = block_id + 1
+        if next_id % self.params.c == 0:
             # Group complete: retire the chain and seal the RAM window.
-            if self._bk is not None:
-                self._bk.erase()
-                self._bk = None
+            self._close_walks()
             self._seal_ram_blocks()
         else:
-            assert self._bk is not None
-            self._bk = next_block_key(self._bk, self._next_block_id, self.params)
+            # Step the block chain at once, so the signed block's key is gone.
+            self._walk.close()
+            self._walk = _block_messages(next(self._blocks), next_id, self.params)
 
     def _seal_ram_blocks(self) -> None:
         if self._ram_blocks:
@@ -386,10 +389,19 @@ class LogWriter:
         try:
             self.flush()
         finally:
-            self._close_walk()
-            if self._bk is not None:
-                self._bk.erase()
+            self._close_walks()
             self._rlk.destroy()
+
+
+def _block_messages(
+    block_key: bytearray, block_id: int, params: ChainParams
+) -> Generator[bytearray, None, None]:
+    """The writer's message walk of one block: ``message_walk`` over a copy
+    of the block walk's buffer, taken at the first step.  Until then the
+    walk holds no key of its own, only the block walk's buffer, which that
+    walk zeroes; a block that never gets a record leaves nothing to erase.
+    """
+    yield from message_walk(bytearray(block_key), block_id, params.m, params)
 
 
 def ingest(

@@ -17,14 +17,6 @@ class KeyUnavailable(SealogError):
     """Key material was destroyed, erased, or never provisioned."""
 
 
-class KeyMisuse(SealogError):
-    """A key was presented for a coordinate it does not belong to."""
-
-
-class BlockFull(SealogError):
-    """The message-key chain reached the block length limit."""
-
-
 class AuthFailure(SealogError):
     """Authenticated decryption, certificate, or handshake check failed."""
 

@@ -10,13 +10,22 @@ The key matrix has four levels, all derived with HKDF-SHA256:
 Intermediate keys are addressed directly by group index so a verifier can
 re-derive group g without touching groups 0..g-1, and so leaking one IK
 exposes at most the c blocks it serves.  Block and message keys are chained:
-each derivation consumes its predecessor, whose buffer is zeroed, making
-earlier keys computationally unreachable from later ones.
+each derivation consumes its predecessor, making earlier keys
+computationally unreachable from later ones.
 
-One message walk, ``message_walk``, serves both sides: the writer steps it
-from a copy of its live block key as it tags records, and the verifier
-(``walk_message_chain``) from a block key re-derived from the RLK.  Each
-step overwrites the walk's one key buffer in place.
+Chain keys are plain 32-byte ``bytearray``s; ``RootLoggingKey`` is the one
+key class.  Each chain level has one walk, shared by the writer and the
+verifier, that owns one buffer and overwrites it in place with each step's
+key, so a key lives only until the next step, and zeroes it when it ends,
+fails or is closed:
+
+- ``block_walk`` steps a group's c block keys from its IK.  The writer
+  holds one per open group, over a copy of the IK it seals; the verifier
+  (``block_key_at``) steps a fresh one from the RLK to the block it checks.
+- ``message_walk`` steps a block's message keys from its block key.  The
+  writer holds one per open block, over a copy of the block walk's key;
+  the verifier (``walk_message_chain``) runs one over ``block_key_at``'s
+  copy.
 
 All context labels, the fixed salt, and the index encodings below are
 normative: changing any of them changes every derived key.
@@ -42,7 +51,9 @@ import hashlib
 import hmac
 import os
 import struct
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from typing import Generator
 
 from .errors import InvalidParameter, KeyUnavailable
@@ -74,8 +85,8 @@ def _be32(value: int) -> bytes:
 
 
 # KDF info of the two chain steps: LABEL_BLOCK_NEXT || BE32 block_id, and
-# LABEL_MESSAGE || BE32 block_id || BE32 msg_id.  A walk checks its largest
-# index once, before its first step.
+# LABEL_MESSAGE || BE32 block_id || BE32 msg_id.  Each walk range-checks its
+# indices with ``_check_u32``: an InvalidParameter, never a struct.error.
 _BLOCK_INFO = struct.Struct(">2sI")
 _MESSAGE_INFO = struct.Struct(">2sII")
 
@@ -201,110 +212,47 @@ class RootLoggingKey:
         return f"<RootLoggingKey {state}>"
 
 
-class _ChainKey:
-    """A 32-byte key of the matrix, held in a buffer ``erase`` zeroes in
-    place.  Subclasses add the key's coordinates as their slots."""
-
-    __slots__ = ("key", "erased")
-
-    def key_bytes(self) -> bytes:
-        if self.erased:
-            raise KeyUnavailable(f"{self._where()} was erased")
-        return bytes(self.key)
-
-    def erase(self) -> None:
-        _erase_buffer(self.key)
-        self.erased = True
-
-    def _where(self) -> str:
-        coords = " ".join(f"{name}={getattr(self, name)}" for name in self.__slots__)
-        return f"{type(self).__name__} {coords}"
-
-    def __repr__(self) -> str:  # never expose material
-        return f"<{self._where()} {'erased' if self.erased else 'live'}>"
-
-
-class IntermediateKey(_ChainKey):
-    """Per-group key; serves exactly blocks [group_id*c, (group_id+1)*c - 1]."""
-
-    __slots__ = ("group_id",)
-
-    def __init__(self, group_id: int, key: bytearray) -> None:
-        self.group_id, self.key, self.erased = group_id, key, False
-
-
-class BlockKey(_ChainKey):
-    __slots__ = ("block_id",)
-
-    def __init__(self, block_id: int, key: bytearray) -> None:
-        self.block_id, self.key, self.erased = block_id, key, False
-
-
-class MessageKey(_ChainKey):
-    __slots__ = ("block_id", "msg_id")
-
-    def __init__(self, block_id: int, msg_id: int, key: bytearray) -> None:
-        self.block_id, self.msg_id, self.key, self.erased = block_id, msg_id, key, False
-
-
-def derive_ik(rlk: RootLoggingKey, group_id: int) -> IntermediateKey:
+def derive_ik(rlk: RootLoggingKey, group_id: int) -> bytearray:
     """Derive the intermediate key for one block group directly from the RLK."""
     info = LABEL_IK + _be32(group_id)
-    okm = hkdf(rlk.key_bytes(), SCHEME_SALT, info, KEY_LEN)
-    return IntermediateKey(group_id=group_id, key=bytearray(okm))
+    return bytearray(hkdf(rlk.key_bytes(), SCHEME_SALT, info, KEY_LEN))
 
 
-def first_block_key(ik: IntermediateKey, block_id: int, params: ChainParams) -> BlockKey:
-    """Derive the first block key of a group from its intermediate key."""
-    if block_id != params.first_block_of(ik.group_id):
-        raise InvalidParameter(
-            f"block {block_id} is not the first block of group {ik.group_id}"
-        )
-    info = LABEL_BLOCK_FIRST + _be32(block_id)
-    okm = hkdf(ik.key_bytes(), SCHEME_SALT, info, KEY_LEN)
-    return BlockKey(block_id=block_id, key=bytearray(okm))
+def block_walk(
+    ik: bytearray, group_id: int, params: ChainParams
+) -> Generator[bytearray, None, None]:
+    """Step the block keys of one group from its intermediate key.
 
-
-def next_block_key(prev: BlockKey, block_id: int, params: ChainParams) -> BlockKey:
-    """Advance the block-key chain; the predecessor buffer is zeroed.
-
-    Group boundaries are rejected: the first block of each group derives
-    from a fresh intermediate key, not from the previous group's chain.
+    The walk owns ``ik``, the IK's buffer: for j = first … first+c−1 it
+    derives block key j (key 0 from the IK with ``LABEL_BLOCK_FIRST``, key
+    j from key j−1 with ``LABEL_BLOCK_NEXT``) into that same buffer and
+    yields it, so a key lives until the next step.  The buffer is zeroed
+    when the walk ends, fails or is closed after its first step.  An
+    all-zero (erased) IK raises ``KeyUnavailable`` on the first step, and a
+    block id past 2**32 − 1 raises ``InvalidParameter`` on its step.
     """
-    if block_id != prev.block_id + 1:
-        raise InvalidParameter(
-            f"block key chain must advance by one: {prev.block_id} -> {block_id}"
-        )
-    if block_id % params.c == 0:
-        raise InvalidParameter(
-            f"block {block_id} starts a new group; derive from its intermediate key"
-        )
-    info = LABEL_BLOCK_NEXT + _be32(block_id)
-    okm = hkdf(prev.key_bytes(), SCHEME_SALT, info, KEY_LEN)
-    prev.erase()
-    return BlockKey(block_id=block_id, key=bytearray(okm))
+    try:
+        if not any(ik):
+            raise KeyUnavailable(f"intermediate key of group {group_id} was erased")
+        first = params.first_block_of(group_id)
+        ik[:] = hkdf(ik, SCHEME_SALT, LABEL_BLOCK_FIRST + _be32(first), KEY_LEN)
+        yield ik
+        pack, label = _BLOCK_INFO.pack, LABEL_BLOCK_NEXT
+        for block_id in range(first + 1, min(first + params.c, 2**32)):
+            ik[:] = hkdf(ik, SCHEME_SALT, pack(label, block_id), KEY_LEN)
+            yield ik
+        _check_u32(first + params.c - 1)  # the step past block 2**32 - 1
+    finally:
+        _erase_buffer(ik)
 
 
-def walk_block_chain(ik: IntermediateKey, block_id: int, params: ChainParams) -> BlockKey:
-    """Derive the key of a block in ik's group by walking the group's block
-    chain from its first block; the IK is erased, and each step overwrites
-    its predecessor in the one key buffer."""
-    first = params.first_block_of(ik.group_id)
-    if not first <= block_id < first + params.c:
-        raise InvalidParameter(f"block {block_id} is not in group {ik.group_id}")
-    bk = first_block_key(ik, first, params)
-    ik.erase()
-    _check_u32(block_id)
-    key, pack, label = bk.key, _BLOCK_INFO.pack, LABEL_BLOCK_NEXT
-    for bid in range(first + 1, block_id + 1):
-        key[:] = hkdf(key, SCHEME_SALT, pack(label, bid), KEY_LEN)
-    bk.block_id = block_id
-    return bk
-
-
-def block_key_at(rlk: RootLoggingKey, block_id: int, params: ChainParams) -> BlockKey:
-    """Re-derive the key of an arbitrary block from the RLK (verifier path)."""
-    return walk_block_chain(derive_ik(rlk, params.group_of(block_id)), block_id, params)
+def block_key_at(rlk: RootLoggingKey, block_id: int, params: ChainParams) -> bytearray:
+    """Re-derive the key of an arbitrary block from the RLK (verifier path):
+    the group's IK, then its block walk stepped to the block.  Returns a
+    copy; the walk's own buffer is zeroed."""
+    group_id = params.group_of(block_id)
+    with closing(block_walk(derive_ik(rlk, group_id), group_id, params)) as walk:
+        return bytearray(next(islice(walk, block_id - params.first_block_of(group_id), None)))
 
 
 def message_walk(
@@ -338,13 +286,5 @@ def walk_message_chain(
     """Re-derive the first ``count`` message keys of a block from the RLK:
     the block key from ``block_key_at``, derived at the call, then
     ``message_walk`` over its buffer."""
-    return message_walk(block_key_at(rlk, block_id, params).key, block_id, count, params)
+    return message_walk(block_key_at(rlk, block_id, params), block_id, count, params)
 
-
-def message_keys_for_block(
-    rlk: RootLoggingKey, block_id: int, count: int, params: ChainParams
-) -> list[MessageKey]:
-    """Re-derive the first ``count`` message keys of a block from the RLK,
-    each as a live copy of the walk's buffer."""
-    walk = walk_message_chain(rlk, block_id, count, params)
-    return [MessageKey(block_id, msg_id, bytearray(key)) for msg_id, key in enumerate(walk)]

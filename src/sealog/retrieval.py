@@ -657,9 +657,6 @@ class FetchResult:
     alarms: list[dict] = field(default_factory=list)
     request: RetrievalRequest | None = None
 
-    def block_hashes(self) -> list[str]:
-        return [hashlib.sha256(b.serialize()).hexdigest() for b in self.blocks]
-
 
 def receive_transfer(session: SecureSession, request: RetrievalRequest) -> FetchResult:
     """Send the request and collect block/summary/alarm messages."""

@@ -52,7 +52,6 @@ from .keyschedule import (
     LABEL_STORAGE,
     SCHEME_SALT,
     ChainParams,
-    IntermediateKey,
     RootLoggingKey,
     hkdf,
 )
@@ -322,10 +321,6 @@ class SealedStore:
 
     def ik_path(self, group_id: int) -> Path:
         return self.directory / _ik_file(group_id)
-
-    @property
-    def state_path(self) -> Path:
-        return self.directory / STATE_FILE
 
     # -- lifecycle --
 
@@ -630,21 +625,25 @@ class SealedStore:
 
     # -- intermediate keys --
 
-    def seal_ik(self, ik: IntermediateKey) -> None:
-        """Persist a group's intermediate key exactly once, then erase it."""
-        if self.has_ik(ik.group_id):
-            raise AlreadyExists(f"intermediate key for group {ik.group_id} already sealed")
-        self._write_sealed(
-            _ik_file(ik.group_id), ik.key_bytes(), OBJECT_IK, ik.group_id, step=f"ik{ik.group_id}"
-        )
-        ik.erase()
+    def seal_ik(self, group_id: int, ik: bytearray) -> None:
+        """Persist a group's intermediate key exactly once, then zero ``ik``.
+
+        The buffer is zeroed also when the seal fails: the writer keeps no
+        key of a group whose IK is not sealed, and derives it again on its
+        next append.
+        """
+        try:
+            if self.has_ik(group_id):
+                raise AlreadyExists(f"intermediate key for group {group_id} already sealed")
+            self._write_sealed(_ik_file(group_id), ik, OBJECT_IK, group_id, step=f"ik{group_id}")
+        finally:
+            ik[:] = bytes(KEY_LEN)
 
     def has_ik(self, group_id: int) -> bool:
         return self.ik_path(group_id).exists()
 
-    def load_ik(self, group_id: int) -> IntermediateKey:
-        key = self._read_sealed(_ik_file(group_id), OBJECT_IK, group_id)
-        return IntermediateKey(group_id=group_id, key=bytearray(key))
+    def load_ik(self, group_id: int) -> bytearray:
+        return bytearray(self._read_sealed(_ik_file(group_id), OBJECT_IK, group_id))
 
     # -- recovery --
 

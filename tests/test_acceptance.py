@@ -33,7 +33,7 @@ from sealog.keyschedule import (
     RootLoggingKey,
     block_key_at,
     hkdf,
-    message_keys_for_block,
+    walk_message_chain,
 )
 from sealog.logchain import (
     FINDING_MISSING_STATE,
@@ -141,10 +141,13 @@ def test_criterion_02_deterministic_matrix(tmp_path):
                     ).digest()
                     assert expected_tag == record.tag
                     # production verifier path derives the same key bytes
-                keys = message_keys_for_block(
-                    store.root_logging_key(), block.block_id, len(block.records), params
-                )
-                assert keys[-1].key_bytes() == mk
+                keys = [
+                    bytes(k)
+                    for k in walk_message_chain(
+                        store.root_logging_key(), block.block_id, len(block.records), params
+                    )
+                ]
+                assert keys[-1] == mk
                 # and the production full verification agrees
                 outcome = verify_block_full(
                     block, store.root_logging_key(), params, store.identity().public_key
@@ -336,12 +339,15 @@ def test_criterion_06_compromise_confinement():
             return Block(block_id, tuple(records), b"\x00" * 64)
 
         def hmac_only_ok(block: Block, rlk_seed: bytes, params: ChainParams) -> bool:
-            keys = message_keys_for_block(
-                RootLoggingKey(rlk_seed), block.block_id, len(block.records), params
-            )
+            keys = [
+                bytes(k)
+                for k in walk_message_chain(
+                    RootLoggingKey(rlk_seed), block.block_id, len(block.records), params
+                )
+            ]
             return all(
                 hmac_mod.new(
-                    keys[i].key_bytes(),
+                    keys[i],
                     struct.pack(">II", block.block_id, i) + block.records[i].text_field,
                     "sha256",
                 ).digest()
@@ -358,7 +364,7 @@ def test_criterion_06_compromise_confinement():
             offset = rng.randrange(c)
             leak_block = group * c + offset
             group_end = (group + 1) * c - 1
-            leaked = block_key_at(RootLoggingKey(rlk_seed), leak_block, params).key_bytes()
+            leaked = bytes(block_key_at(RootLoggingKey(rlk_seed), leak_block, params))
 
             # positive direction: every block from the leak to group end
             bk = leaked
@@ -529,7 +535,9 @@ def test_criterion_10_retrieval_end_to_end(tmp_path):
         proxy_listener.close()
 
         # received blocks byte-identical to committed blocks
-        assert result.block_hashes() == committed_hashes
+        assert [
+            hashlib.sha256(block.serialize()).hexdigest() for block in result.blocks
+        ] == committed_hashes
         report = audit(result, device_identity.certificate, rlk=store.root_logging_key())
         assert report.verdict == "ok"
 

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
+import sealog
 from sealog import retrieval
 from sealog.cli import main
 from sealog.identity import DeviceIdentity
@@ -208,3 +211,26 @@ def test_config_rejects_unknown_keys(tmp_path):
     # The seal payload cap is a format constant, not a setting.
     config.write_text(json.dumps({"max_payload_bytes": 1024}))
     assert main(["--config", str(config), "init", "--store", str(tmp_path / "s")]) == 2
+
+
+def test_public_surface_resolves_and_every_error_is_raised():
+    for name in sealog.__all__:
+        assert hasattr(sealog, name), name
+    # An error class that no ``raise`` in the package names is dead API.
+    raised = set()
+    for path in Path(sealog.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    errors = {
+        name
+        for name, obj in vars(sealog.errors).items()
+        if isinstance(obj, type)
+        and issubclass(obj, sealog.SealogError)
+        and obj is not sealog.SealogError
+    }
+    assert errors and errors <= raised, errors - raised

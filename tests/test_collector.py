@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ROOT_SECRET, build_store, fill_store
+from sealog import collector
 from sealog.collector import (
     MAX_LINE_LEN,
     IngestPolicy,
@@ -237,10 +239,24 @@ def test_writer_rejects_sub_second_epoch_before_copying_the_root_key(tmp_path, m
         LogWriter(store, epoch_seconds=0.5)
 
 
-def test_close_erases_keys_when_the_last_commit_fails(tmp_path):
+def test_close_erases_keys_when_the_last_commit_fails(tmp_path, monkeypatch):
+    # Record every walk the writer starts, with the buffer it owns.
+    walks = []
+
+    def recording(start_walk):
+        def start(key, *args):
+            walk = start_walk(key, *args)
+            walks.append((key, walk))
+            return walk
+
+        return start
+
+    monkeypatch.setattr(collector, "block_walk", recording(collector.block_walk))
+    monkeypatch.setattr(collector, "message_walk", recording(collector.message_walk))
     store = build_store(tmp_path / "s", c=3, m=4)
     writer = LogWriter(store)
-    writer.append_entry(RawEntry("generic", b"pending"))
+    for i in range(5):  # block 0 signed, block 1 open with one record
+        writer.append_entry(RawEntry("generic", b"pending %d" % i))
 
     def failing_commit(blocks):
         raise StorageError("disk full")
@@ -249,7 +265,41 @@ def test_close_erases_keys_when_the_last_commit_fails(tmp_path):
     with pytest.raises(StorageError):
         writer.close()
     assert writer._rlk.destroyed
-    assert writer._bk.erased
+    assert writer._blocks is None and writer._walk is None
+    # The group's block walk and the message walks of blocks 0 and 1.
+    assert len(walks) == 3
+    for key, walk in walks:
+        assert inspect.getgeneratorstate(walk) == inspect.GEN_CLOSED
+        assert key == bytes(32)
+
+
+def test_a_failed_ik_seal_is_retried_by_the_next_append(tmp_path):
+    store = build_store(tmp_path / "s", c=3, m=2)
+    writer = LogWriter(store)
+
+    def fail_once(step):
+        if step == "ik0:start":
+            store.crash_hook = None
+            raise StorageError("injected")
+
+    store.crash_hook = fail_once
+    with pytest.raises(StorageError):
+        writer.append_entry(RawEntry("generic", b"lost"))
+    assert writer._blocks is None and writer._walk is None
+    for i in range(4):  # blocks 0 and 1
+        writer.append_entry(RawEntry("generic", b"entry %d" % i))
+    writer.flush()
+    assert store.has_ik(0)
+
+    # A writer reopened mid-group resumes from the sealed IK.
+    resumed = LogWriter(SealedStore.open(tmp_path / "s", ROOT_SECRET))
+    for i in range(4, 6):  # block 2 ends group 0
+        resumed.append_entry(RawEntry("generic", b"entry %d" % i))
+    resumed.close()
+    final = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    assert final.state.latest_block_id == 2
+    report = verify_store(final, full=True)
+    assert report.verdict == "ok", report.findings
 
 
 def test_parsed_timestamp_is_read_lazily_with_the_same_value():

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_store
+from sealog.collector import LogWriter, RawEntry
 from sealog.errors import InvalidParameter, KeyUnavailable
 from sealog.keyschedule import (
     LABEL_BLOCK_FIRST,
@@ -20,21 +22,18 @@ from sealog.keyschedule import (
     LABEL_STORAGE,
     SCHEME_SALT,
     ChainParams,
-    IntermediateKey,
     RootLoggingKey,
     block_key_at,
+    block_walk,
     derive_ik,
-    first_block_key,
     hkdf,
     hkdf_expand,
     hkdf_extract,
     hmac_sha256,
-    message_keys_for_block,
     message_walk,
-    next_block_key,
-    walk_block_chain,
     walk_message_chain,
 )
+from sealog.sealstore import StorageKey
 
 # RFC 5869 Appendix A test vectors (published OKM values; cross-checked
 # against an independent implementation below before being trusted here).
@@ -231,25 +230,25 @@ def test_derive_ik_domain_separation():
     rlk = RootLoggingKey(b"\x11" * 32)
     ik0 = derive_ik(rlk, 0)
     ik1 = derive_ik(rlk, 1)
-    assert len(ik0.key_bytes()) == 32
-    assert ik0.key_bytes() != ik1.key_bytes()
+    assert isinstance(ik0, bytearray) and len(ik0) == 32
+    assert ik0 != ik1
 
 
 def test_derive_ik_deterministic_across_devices():
     k = b"\x77" * 32
     device_side = derive_ik(RootLoggingKey(k), 5)
     verifier_side = derive_ik(RootLoggingKey(k), 5)
-    assert device_side.key_bytes() == verifier_side.key_bytes()
+    assert device_side == verifier_side
 
 
 def test_ik_position_addressed_not_chained():
     rlk = RootLoggingKey(b"\x42" * 32)
-    one_by_one = [derive_ik(rlk, g).key_bytes() for g in range(1000)]
+    one_by_one = [bytes(derive_ik(rlk, g)) for g in range(1000)]
     direct = derive_ik(rlk, 999)
-    assert direct.key_bytes() == one_by_one[999]
+    assert direct == one_by_one[999]
     # and matches a from-scratch recomputation
     oracle = oracle_hkdf(b"\x42" * 32, SCHEME_SALT, LABEL_IK + struct.pack(">I", 999), 32, "sha256")
-    assert direct.key_bytes() == oracle
+    assert direct == oracle
 
 
 def test_destroyed_rlk_unusable():
@@ -263,50 +262,56 @@ def test_destroyed_rlk_unusable():
 # Block keys ------------------------------------------------------------------
 
 
-def test_first_block_key_group_precondition():
+def _oracle_block_keys(ik: bytes, first: int, count: int) -> list[bytes]:
+    keys = [oracle_hkdf(ik, SCHEME_SALT, LABEL_BLOCK_FIRST + struct.pack(">I", first), 32, "sha256")]
+    for bid in range(first + 1, first + count):
+        info = LABEL_BLOCK_NEXT + struct.pack(">I", bid)
+        keys.append(oracle_hkdf(keys[-1], SCHEME_SALT, info, 32, "sha256"))
+    return keys
+
+
+def test_block_walk_starts_at_the_groups_first_block():
+    # Group 2 of c=10 serves blocks 20..29: its first key is BK0 || 20 over
+    # the IK, the key block_key_at re-derives for block 20 and no other.
     params = ChainParams(c=10, m=5)
     rlk = RootLoggingKey(b"\x01" * 32)
-    ik2 = derive_ik(rlk, 2)
-    assert first_block_key(ik2, 20, params).block_id == 20
-    with pytest.raises(InvalidParameter):
-        first_block_key(derive_ik(rlk, 2), 21, params)
+    ik = derive_ik(rlk, 2)
+    oracle = oracle_hkdf(bytes(ik), SCHEME_SALT, LABEL_BLOCK_FIRST + struct.pack(">I", 20), 32, "sha256")
+    walk = block_walk(ik, 2, params)
+    first = bytes(next(walk))
+    walk.close()
+    assert first == oracle == block_key_at(rlk, 20, params)
+    assert first != block_key_at(rlk, 21, params)
 
 
 def test_block_chain_matches_full_rederivation():
     params = ChainParams(c=10, m=5)
     rlk = RootLoggingKey(b"\x05" * 32)
-    ik = derive_ik(rlk, 0)
-    bk = first_block_key(ik, 0, params)
-    bk = next_block_key(bk, 1, params)
-    bk = next_block_key(bk, 2, params)
-    fresh = block_key_at(RootLoggingKey(b"\x05" * 32), 2, params)
-    assert bk.key_bytes() == fresh.key_bytes()
-
-
-def test_walk_block_chain_rejects_a_block_outside_the_ik_group():
+    walk = block_walk(derive_ik(rlk, 0), 0, params)
+    stepped = [bytes(next(walk)) for _ in range(3)]
+    walk.close()
+    fresh = RootLoggingKey(b"\x05" * 32)
+    assert stepped == [block_key_at(fresh, bid, params) for bid in range(3)]
+    # The same holds in any group: block 7 of group 1 at c=4.
     params = ChainParams(c=4, m=2)
-    rlk = RootLoggingKey(b"\x07" * 32)
-    for block_id in (3, 8, 100):  # group 1 serves blocks 4..7
-        with pytest.raises(InvalidParameter):
-            walk_block_chain(derive_ik(rlk, 1), block_id, params)
-    walked = walk_block_chain(derive_ik(rlk, 1), 7, params)
-    assert walked.block_id == 7
-    assert walked.key_bytes() == block_key_at(rlk, 7, params).key_bytes()
+    walked = [bytes(k) for k in block_walk(derive_ik(rlk, 1), 1, params)]
+    assert walked[3] == block_key_at(rlk, 7, params)
 
 
-def test_next_block_key_rejects_group_boundary():
-    params = ChainParams(c=10, m=5)
-    rlk = RootLoggingKey(b"\x05" * 32)
-    bk9 = block_key_at(rlk, 9, params)
-    with pytest.raises(InvalidParameter):
-        next_block_key(bk9, 10, params)
-
-
-def test_next_block_key_rejects_nonconsecutive():
-    params = ChainParams(c=10, m=5)
-    bk = block_key_at(RootLoggingKey(b"\x05" * 32), 3, params)
-    with pytest.raises(InvalidParameter):
-        next_block_key(bk, 5, params)
+def test_block_walk_yields_exactly_c_oracle_keys_then_ends():
+    # The walk stops at its group's last block: the next group's first
+    # block derives from its own IK, never from this chain.
+    params = ChainParams(c=4, m=3)
+    seed = b"\x3c" * 32
+    ik = derive_ik(RootLoggingKey(seed), 1)
+    oracle = _oracle_block_keys(bytes(ik), 4, 4)
+    walk = block_walk(ik, 1, params)
+    assert [bytes(k) for k in walk] == oracle
+    with pytest.raises(StopIteration):
+        next(walk)
+    assert block_key_at(RootLoggingKey(seed), 8, params) == _oracle_block_keys(
+        bytes(derive_ik(RootLoggingKey(seed), 2)), 8, 1
+    )[0]
 
 
 def test_block_chain_oracle_recomputation():
@@ -318,7 +323,24 @@ def test_block_chain_oracle_recomputation():
     bk = oracle_hkdf(ik, SCHEME_SALT, LABEL_BLOCK_FIRST + struct.pack(">I", 4), 32, "sha256")
     for bid in (5, 6):
         bk = oracle_hkdf(bk, SCHEME_SALT, LABEL_BLOCK_NEXT + struct.pack(">I", bid), 32, "sha256")
-    assert got.key_bytes() == bk
+    assert isinstance(got, bytearray)
+    assert got == bk
+
+
+def test_block_ids_outside_32_bits_are_invalid_parameters():
+    with pytest.raises(InvalidParameter):
+        block_key_at(RootLoggingKey(b"\x05" * 32), 2**32, ChainParams(c=10, m=5))
+    # Group 1431655765 of c=3 starts at block 2**32 - 1: the walk yields
+    # that key, then refuses block 2**32 and zeroes its buffer.
+    params = ChainParams(c=3, m=1)
+    group_id = (2**32 - 1) // 3
+    ik = derive_ik(RootLoggingKey(b"\x05" * 32), group_id)
+    oracle = _oracle_block_keys(bytes(ik), 2**32 - 1, 1)
+    walk = block_walk(ik, group_id, params)
+    assert bytes(next(walk)) == oracle[0]
+    with pytest.raises(InvalidParameter):
+        next(walk)
+    assert ik == bytes(32)
 
 
 # Message keys ----------------------------------------------------------------
@@ -333,9 +355,13 @@ def _oracle_message_keys(block_key: bytes, block_id: int, count: int) -> list[by
     return keys
 
 
+def _message_keys(rlk: RootLoggingKey, block_id: int, count: int, params: ChainParams) -> list[bytes]:
+    return [bytes(k) for k in walk_message_chain(rlk, block_id, count, params)]
+
+
 def test_message_chain_single_message_block():
     params = ChainParams(c=1, m=1)
-    bk = block_key_at(RootLoggingKey(b"\x09" * 32), 0, params).key_bytes()
+    bk = bytes(block_key_at(RootLoggingKey(b"\x09" * 32), 0, params))
     keys = [bytes(k) for k in message_walk(bytearray(bk), 0, 1, params)]
     assert keys == _oracle_message_keys(bk, 0, 1)
     # A block holds at most m keys: a walk past m fails on its first step,
@@ -358,17 +384,16 @@ def test_message_chain_rederivation_matches_device_side():
     params = ChainParams(c=2, m=100)
     seed = b"\x5a" * 32
     # Device side: the writer's walk, over a copy of its live block key.
-    bk = block_key_at(RootLoggingKey(seed), 3, params)
-    device = [bytes(k) for k in message_walk(bytearray(bk.key_bytes()), 3, 100, params)]
-    assert device == _oracle_message_keys(bk.key_bytes(), 3, 100)
-    verifier = message_keys_for_block(RootLoggingKey(seed), 3, 100, params)
-    assert [k.key_bytes() for k in verifier] == device
+    bk = bytes(block_key_at(RootLoggingKey(seed), 3, params))
+    device = [bytes(k) for k in message_walk(bytearray(bk), 3, 100, params)]
+    assert device == _oracle_message_keys(bk, 3, 100)
+    assert _message_keys(RootLoggingKey(seed), 3, 100, params) == device
 
 
 def test_message_key_oracle_recomputation():
     params = ChainParams(c=3, m=8)
     seed = b"\x66" * 32
-    keys = message_keys_for_block(RootLoggingKey(seed), 4, 6, params)
+    keys = _message_keys(RootLoggingKey(seed), 4, 6, params)
     ik = oracle_hkdf(seed, SCHEME_SALT, LABEL_IK + struct.pack(">I", 1), 32, "sha256")
     bk = oracle_hkdf(ik, SCHEME_SALT, LABEL_BLOCK_FIRST + struct.pack(">I", 3), 32, "sha256")
     bk = oracle_hkdf(bk, SCHEME_SALT, LABEL_BLOCK_NEXT + struct.pack(">I", 4), 32, "sha256")
@@ -377,15 +402,15 @@ def test_message_key_oracle_recomputation():
     for i in range(1, 6):
         mk = oracle_hkdf(mk, SCHEME_SALT, LABEL_MESSAGE + struct.pack(">II", 4, i), 32, "sha256")
         expected.append(mk)
-    assert [k.key_bytes() for k in keys] == expected
+    assert keys == expected
 
 
 def test_message_keys_encode_both_coordinates():
     params = ChainParams(c=100, m=100)
     rlk = RootLoggingKey(b"\x13" * 32)
-    k35 = message_keys_for_block(rlk, 3, 6, params)[5]
-    k53 = message_keys_for_block(rlk, 5, 4, params)[3]
-    assert k35.key_bytes() != k53.key_bytes()
+    k35 = _message_keys(rlk, 3, 6, params)[5]
+    k53 = _message_keys(rlk, 5, 4, params)[3]
+    assert k35 != k53
 
 
 # Group confinement ------------------------------------------------------------
@@ -396,45 +421,38 @@ def test_group_keys_derivable_from_ik_alone():
     seed = b"\x2b" * 32
     rlk = RootLoggingKey(seed)
     ik = derive_ik(rlk, 2)  # serves blocks 6, 7, 8
-    ik_bytes = ik.key_bytes()
+    ik_bytes = bytes(ik)
 
     from_ik = {}
-    bk = first_block_key(ik, 6, params)
-    for bid in (6, 7, 8):
-        if bid > 6:
-            bk = next_block_key(bk, bid, params)
-        walk = message_walk(bytearray(bk.key_bytes()), bid, params.m, params)
+    for bid, bk in zip((6, 7, 8), block_walk(ik, 2, params)):
+        walk = message_walk(bytearray(bk), bid, params.m, params)
         from_ik[bid] = [bytes(k) for k in walk]
 
-    info = LABEL_BLOCK_FIRST + struct.pack(">I", 6)
-    oracle_bk = oracle_hkdf(ik_bytes, SCHEME_SALT, info, 32, "sha256")
-    for bid in (6, 7, 8):
-        if bid > 6:
-            oracle_bk = oracle_hkdf(
-                oracle_bk, SCHEME_SALT, LABEL_BLOCK_NEXT + struct.pack(">I", bid), 32, "sha256"
-            )
+    for bid, oracle_bk in zip((6, 7, 8), _oracle_block_keys(ik_bytes, 6, 3)):
         assert from_ik[bid] == _oracle_message_keys(oracle_bk, bid, params.m)
-        via_rlk = message_keys_for_block(RootLoggingKey(seed), bid, params.m, params)
-        assert [k.key_bytes() for k in via_rlk] == from_ik[bid]
+        assert _message_keys(RootLoggingKey(seed), bid, params.m, params) == from_ik[bid]
 
 
 # Erasure -----------------------------------------------------------------------
 
 
 def test_next_block_key_erases_predecessor():
+    # Each step of the block walk overwrites its one buffer: block key j
+    # replaces key j-1 (the IK for j = 0), and closing zeroes it.
     params = ChainParams(c=10, m=2)
-    bk0 = block_key_at(RootLoggingKey(b"\x01" * 32), 0, params)
-    buf = bk0.key
-    next_block_key(bk0, 1, params)
-    assert bytes(buf) == b"\x00" * 32
-    assert bk0.erased
-    with pytest.raises(KeyUnavailable):
-        bk0.key_bytes()
+    ik = derive_ik(RootLoggingKey(b"\x01" * 32), 0)
+    oracle = _oracle_block_keys(bytes(ik), 0, 4)
+    walk = block_walk(ik, 0, params)
+    for j in range(4):
+        assert next(walk) is ik
+        assert ik == oracle[j]
+    walk.close()
+    assert ik == bytes(32)
 
 
 def test_message_walk_erases_each_predecessor():
     params = ChainParams(c=1, m=4)
-    bk = block_key_at(RootLoggingKey(b"\x01" * 32), 0, params).key_bytes()
+    bk = bytes(block_key_at(RootLoggingKey(b"\x01" * 32), 0, params))
     oracle = _oracle_message_keys(bk, 0, 4)
     buf = bytearray(bk)
     walk = message_walk(buf, 0, 4, params)
@@ -469,33 +487,56 @@ def test_rlk_destroy_zeroes_buffer():
 
 def test_erased_ik_unusable():
     params = ChainParams(c=2, m=2)
-    ik = IntermediateKey(group_id=0, key=bytearray(b"\x01" * 32))
-    ik.erase()
+    ik = bytearray(32)  # what sealing or a finished walk leaves behind
     with pytest.raises(KeyUnavailable):
-        first_block_key(ik, 0, params)
-
-
-def _one_key_of_each_type():
-    params = ChainParams(c=2, m=2)
-    ik = derive_ik(RootLoggingKey(b"\x31" * 32), 0)
-    bk = first_block_key(ik, 0, params)
-    return [ik, bk, message_keys_for_block(RootLoggingKey(b"\x31" * 32), 0, 1, params)[0]]
+        next(block_walk(ik, 0, params))
+    assert ik == bytes(32)
 
 
 def test_erase_zeroes_the_same_buffer_in_place():
-    for key in _one_key_of_each_type():
-        buf = key.key
-        key.erase()
-        assert key.key is buf
-        assert bytes(buf) == bytes(32)
-        with pytest.raises(KeyUnavailable):
-            key.key_bytes()
+    # Every walk zeroes the one buffer it was given, whether it ends,
+    # is closed, or fails; a finished walk cannot be stepped again.
+    params = ChainParams(c=2, m=2)
+    rlk = RootLoggingKey(b"\x31" * 32)
+    ends = {
+        "done": lambda walk: list(walk),
+        "closed": lambda walk: (next(walk), walk.close()),
+    }
+    for end in ends.values():
+        for buf, walk in (
+            (ik := derive_ik(rlk, 0), block_walk(ik, 0, params)),
+            (bk := block_key_at(rlk, 0, params), message_walk(bk, 0, 2, params)),
+        ):
+            end(walk)
+            assert buf == bytes(32)
+            with pytest.raises(StopIteration):
+                next(walk)
 
 
-def test_key_repr_never_shows_material():
-    for key in _one_key_of_each_type():
-        material = key.key_bytes()
-        for text in (repr(key), str(key)):
+def _assert_no_material(texts: list[str], materials: list[bytes]) -> None:
+    for text in texts:
+        for material in materials:
             assert material.hex() not in text
             assert repr(material) not in text
-            assert repr(key.key) not in text
+
+
+def test_key_repr_never_shows_material(tmp_path):
+    rlk = RootLoggingKey(b"\x31" * 32)
+    sk = StorageKey(b"\x32" * 32)
+    _assert_no_material([repr(rlk), str(rlk)], [b"\x31" * 32])
+    _assert_no_material([repr(sk), str(sk)], [b"\x32" * 32])
+
+    # A writer in the middle of block 1 of group 0: none of its attributes
+    # shows the group's IK, the open block's key or the last message key.
+    store = build_store(tmp_path / "s", c=3, m=4)
+    writer = LogWriter(store)
+    for i in range(6):
+        writer.append_entry(RawEntry("generic", b"entry %d" % i))
+    root, params = store.root_logging_key(), store.params
+    live = [
+        bytes(derive_ik(root, 0)),
+        bytes(block_key_at(root, 1, params)),
+        _message_keys(root, 1, 2, params)[1],
+    ]
+    _assert_no_material([repr(v) for v in vars(writer).values()], live)
+    writer.close()

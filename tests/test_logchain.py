@@ -17,7 +17,7 @@ from sealog.keyschedule import (
     ChainParams,
     RootLoggingKey,
     hkdf,
-    message_keys_for_block,
+    walk_message_chain,
 )
 from sealog.logchain import (
     MAX_TEXT_LEN,
@@ -42,13 +42,13 @@ PARAMS = ChainParams(c=2, m=8)
 SEED = b"\x21" * 32
 
 
-def _keys(block_id: int, count: int):
-    return message_keys_for_block(RootLoggingKey(SEED), block_id, count, PARAMS)
+def _keys(block_id: int, count: int) -> list[bytes]:
+    return [bytes(k) for k in walk_message_chain(RootLoggingKey(SEED), block_id, count, PARAMS)]
 
 
 def _build_block(block_id: int, texts: list[bytes], identity: DeviceIdentity) -> Block:
     keys = _keys(block_id, len(texts))
-    records = [make_record(block_id, i, text, keys[i].key) for i, text in enumerate(texts)]
+    records = [make_record(block_id, i, text, keys[i]) for i, text in enumerate(texts)]
     return sign_block(block_id, records, identity)
 
 
@@ -62,34 +62,34 @@ def identity():
 
 def test_record_serialized_size_is_292():
     key = _keys(0, 1)[0]
-    record = make_record(0, 0, b"hello", key.key)
+    record = make_record(0, 0, b"hello", key)
     assert len(record.serialize()) == RECORD_LEN == 292
 
 
 def test_empty_text_record_valid():
     key = _keys(0, 1)[0]
-    record = make_record(0, 0, b"", key.key)
+    record = make_record(0, 0, b"", key)
     assert record.text == b""
     assert len(record.serialize()) == 292
 
 
 def test_text_boundary_254_ok_255_rejected():
     key = _keys(0, 1)[0]
-    record = make_record(0, 0, b"x" * 254, key.key)
+    record = make_record(0, 0, b"x" * 254, key)
     assert record.text == b"x" * 254
     key2 = _keys(0, 1)[0]
     with pytest.raises(InvalidParameter):
-        make_record(0, 0, b"x" * 255, key2.key)
+        make_record(0, 0, b"x" * 255, key2)
 
 
 def test_record_identical_across_machines():
     # Same coordinate, text, and root key on two "machines": byte-identical
     # serialization, cross-checked against a direct HMAC computation.
-    a = make_record(1, 3, b"payload", _keys(1, 4)[3].key)
-    b = make_record(1, 3, b"payload", _keys(1, 4)[3].key)
+    a = make_record(1, 3, b"payload", _keys(1, 4)[3])
+    b = make_record(1, 3, b"payload", _keys(1, 4)[3])
     assert a.serialize() == b.serialize()
 
-    key_bytes = _keys(1, 4)[3].key_bytes()
+    key_bytes = _keys(1, 4)[3]
     field = pack_text_field(b"payload")
     expected_tag = hmac_mod.new(
         key_bytes, struct.pack(">II", 1, 3) + field, "sha256"
@@ -436,15 +436,18 @@ def test_leaked_block_key_forges_only_forward_in_group(identity):
     params = ChainParams(c=4, m=3)
     rlk_seed = b"\x47" * 32
     leak_block = 5  # group 1 spans blocks 4..7
-    leaked = block_key_at(RootLoggingKey(rlk_seed), leak_block, params).key_bytes()
+    leaked = bytes(block_key_at(RootLoggingKey(rlk_seed), leak_block, params))
 
     def hmac_only_ok(block: Block) -> bool:
-        keys = message_keys_for_block(
-            RootLoggingKey(rlk_seed), block.block_id, len(block.records), params
-        )
+        keys = [
+            bytes(k)
+            for k in walk_message_chain(
+                RootLoggingKey(rlk_seed), block.block_id, len(block.records), params
+            )
+        ]
         return all(
             hmac_mod.new(
-                keys[i].key_bytes(),
+                keys[i],
                 struct.pack(">II", block.block_id, i) + block.records[i].text_field,
                 "sha256",
             ).digest()

@@ -306,7 +306,9 @@ def test_end_to_end_blocks_hash_identical(tmp_path, endpoints):
         )
     finally:
         server.close()
-    assert result.block_hashes() == committed_hashes
+    assert [
+        hashlib.sha256(block.serialize()).hexdigest() for block in result.blocks
+    ] == committed_hashes
     report = audit(result, store.identity().certificate, rlk=store.root_logging_key())
     assert report.verdict == "ok"
 

@@ -21,7 +21,7 @@ from sealog.errors import (
     InvalidParameter,
     StorageError,
 )
-from sealog.keyschedule import ChainParams, IntermediateKey, derive_ik
+from sealog.keyschedule import ChainParams, derive_ik
 from sealog.logchain import (
     FINDING_MISSING_STATE,
     FINDING_TRUNCATION,
@@ -33,6 +33,7 @@ from sealog.sealstore import (
     DEFAULT_MAX_PAYLOAD,
     OBJECT_BLOCK,
     OBJECT_IK,
+    STATE_FILE,
     ChainState,
     SealedObject,
     SealedStore,
@@ -196,12 +197,12 @@ def test_commit_counter_strictly_increases(tmp_path):
 def test_seal_ik_once_then_already_exists(tmp_path):
     store = build_store(tmp_path / "s", c=2, m=2)
     ik = derive_ik(store.root_logging_key(), 0)
-    key_bytes = ik.key_bytes()
-    store.seal_ik(ik)
-    assert ik.erased
-    assert store.load_ik(0).key_bytes() == key_bytes
+    key_bytes = bytes(ik)
+    store.seal_ik(0, ik)
+    assert ik == bytes(32)
+    assert store.load_ik(0) == key_bytes
     with pytest.raises(AlreadyExists):
-        store.seal_ik(IntermediateKey(group_id=0, key=bytearray(32)))
+        store.seal_ik(0, bytearray(32))
 
 
 def test_restart_resumes_group_from_sealed_ik_without_rlk(tmp_path):
@@ -248,7 +249,7 @@ def test_truncation_detected_for_every_suffix(tmp_path):
 def test_missing_state_is_a_finding(tmp_path):
     store = build_store(tmp_path / "s", c=2, m=2)
     fill_store(store, 8)
-    store.state_path.unlink()
+    (store.directory / STATE_FILE).unlink()
     reopened = SealedStore.open(tmp_path / "s", ROOT_SECRET)
     assert reopened.state is None
     report = verify_store(reopened, full=True)
@@ -318,7 +319,7 @@ def test_unreadable_last_block_keeps_block_order(tmp_path):
 def test_unreadable_block_without_state_is_seal_failure(tmp_path):
     store = build_store(tmp_path / "s", c=2, m=2)
     fill_store(store, 8)  # 4 blocks
-    store.state_path.unlink()
+    (store.directory / STATE_FILE).unlink()
     store.block_path(1).unlink()
     store.block_path(1).mkdir()
     report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=True)
