@@ -371,7 +371,7 @@ def verify_sequence(
     state,
     rlk: RootLoggingKey | None,
     public_key: ec.EllipticCurvePublicKey,
-    params: ChainParams,
+    params: ChainParams | None = None,
     report: VerificationReport | None = None,
     expected_end: int | None = None,
     unreadable: dict[int, str] | None = None,
@@ -379,8 +379,9 @@ def verify_sequence(
     """Audit an ordered run of blocks against the committed chain state.
 
     ``state`` is a ChainState (or None for a missing state record, which is
-    itself a finding).  With an RLK the full hash matrix is recomputed; with
-    rlk=None only signatures and structure are checked (public mode).  The
+    itself a finding).  With an RLK the full hash matrix is recomputed under
+    the chain ``params``; with rlk=None only signatures and structure are
+    checked (public mode), and ``params`` is not needed.  The
     run must reach ``expected_end`` (a requested last block) or, when that
     is None or beyond the state, the newest committed block.  A run that
     starts past the newest committed block has nothing due.

@@ -36,7 +36,6 @@ import socket
 import struct
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -242,31 +241,36 @@ class ChannelHello:
 
 
 class HelloReplayCache:
-    """Remembers recent hello nonces so a recorded handshake cannot rerun."""
+    """Remembers recent hello nonces so a recorded handshake cannot rerun.
+
+    Holds the newest ``_CAPACITY`` nonces it accepted, in the order it
+    accepted them; accepting one more forgets the oldest.
+    """
 
     _CAPACITY = 4096
 
     def __init__(self) -> None:
-        self._seen: set[bytes] = set()
-        self._order: deque[bytes] = deque()
+        self._seen: dict[bytes, None] = {}
         self._lock = threading.Lock()
 
     def check_and_add(self, nonce: bytes) -> bool:
         with self._lock:
             if nonce in self._seen:
                 return False
-            self._seen.add(nonce)
-            self._order.append(nonce)
-            if len(self._order) > self._CAPACITY:
-                self._seen.discard(self._order.popleft())
+            self._seen[nonce] = None
+            if len(self._seen) > self._CAPACITY:
+                del self._seen[next(iter(self._seen))]
             return True
 
 
 class SecureSession:
     """AEAD-protected message channel after a completed handshake.
 
-    ``blocks_sent`` and ``block_bytes_sent`` count the block messages sent
-    and their payload (``EMLB``) bytes.
+    ``role`` is this end's role (``ROLE_DEVICE`` or ``ROLE_VERIFIER``): its
+    frames carry that role in their associated data, and the frames it
+    accepts carry the other role.  ``peer_device_id`` is the device id the
+    peer's certificate binds.  ``blocks_sent`` and ``block_bytes_sent``
+    count the block messages sent and their payload (``EMLB``) bytes.
     """
 
     def __init__(
@@ -274,22 +278,17 @@ class SecureSession:
         transport: FrameTransport,
         send_key: bytes,
         recv_key: bytes,
-        send_direction: int,
-        recv_direction: int,
+        role: int,
         peer_device_id: bytes,
-        peer_certificate: x509.Certificate,
-        peer_evidence: bytes,
     ):
         self._transport = transport
         self._send = AESGCM(send_key)
         self._recv = AESGCM(recv_key)
-        self._send_dir = send_direction
-        self._recv_dir = recv_direction
+        self._send_dir = role
+        self._recv_dir = ROLE_DEVICE if role == ROLE_VERIFIER else ROLE_VERIFIER
         self._send_seq = 0
         self._recv_seq = 0
         self.peer_device_id = peer_device_id
-        self.peer_certificate = peer_certificate
-        self.peer_evidence = peer_evidence
         self.blocks_sent = 0
         self.block_bytes_sent = 0
 
@@ -414,6 +413,18 @@ def _expect_frame(transport: FrameTransport, wanted: int) -> bytes:
     return payload
 
 
+def _check_transcript(
+    transport: FrameTransport, peer_cert: x509.Certificate, peer_role: int, th: bytes
+) -> None:
+    """Receive the peer's AUTH frame; it must sign the transcript as ``peer_role``."""
+    signature = _expect_frame(transport, FRAME_AUTH)
+    if len(signature) != SIGNATURE_LEN or not verify_raw(
+        peer_cert.public_key(), _transcript_preimage(peer_role, th), signature
+    ):
+        _abort(transport, ABORT_AUTH, "transcript signature invalid")
+        raise AuthFailure("peer transcript signature invalid")
+
+
 def client_handshake(
     identity: DeviceIdentity,
     anchors: list[x509.Certificate],
@@ -434,39 +445,29 @@ def client_handshake(
 
     th = _transcript_hash(hello_bytes, server_hello_bytes)
     transport.send_frame(FRAME_AUTH, identity.sign(_transcript_preimage(ROLE_VERIFIER, th)))
-
-    server_auth = _expect_frame(transport, FRAME_AUTH)
-    if len(server_auth) != SIGNATURE_LEN or not verify_raw(
-        server_cert.public_key(), _transcript_preimage(ROLE_DEVICE, th), server_auth
-    ):
-        _abort(transport, ABORT_AUTH, "transcript signature invalid")
-        raise AuthFailure("server transcript signature invalid")
+    _check_transcript(transport, server_cert, ROLE_DEVICE, th)
 
     send_key, recv_key = _session_keys(eph, server_hello.ephemeral_pub, th)
-    return SecureSession(
-        transport,
-        send_key=send_key,
-        recv_key=recv_key,
-        send_direction=ROLE_VERIFIER,
-        recv_direction=ROLE_DEVICE,
-        peer_device_id=server_hello.device_id,
-        peer_certificate=server_cert,
-        peer_evidence=server_hello.evidence,
-    )
+    return SecureSession(transport, send_key, recv_key, ROLE_VERIFIER, server_hello.device_id)
 
 
 def server_handshake(
     identity: DeviceIdentity,
     anchors: list[x509.Certificate],
     transport: FrameTransport,
+    replay_cache: HelloReplayCache,
     evidence: bytes = b"",
     attestation_policy: AttestationPolicy | None = None,
-    replay_cache: HelloReplayCache | None = None,
 ) -> SecureSession:
-    """Device-side handshake; mirror image of client_handshake."""
+    """Device-side handshake; mirror image of client_handshake.
+
+    A client hello whose nonce ``replay_cache`` has already seen is aborted
+    with ``ABORT_REPLAY`` and raises ``ReplayDetected`` before any other
+    check, so a recorded handshake cannot be run again.
+    """
     client_hello_bytes = _expect_frame(transport, FRAME_HELLO)
     client_hello = ChannelHello.unpack(client_hello_bytes)
-    if replay_cache is not None and not replay_cache.check_and_add(client_hello.nonce):
+    if not replay_cache.check_and_add(client_hello.nonce):
         _abort(transport, ABORT_REPLAY, "hello nonce already seen")
         raise ReplayDetected("client hello replayed")
     client_cert = _validate_hello(
@@ -478,26 +479,11 @@ def server_handshake(
     transport.send_frame(FRAME_HELLO, hello_bytes)
 
     th = _transcript_hash(client_hello_bytes, hello_bytes)
-    client_auth = _expect_frame(transport, FRAME_AUTH)
-    if len(client_auth) != SIGNATURE_LEN or not verify_raw(
-        client_cert.public_key(), _transcript_preimage(ROLE_VERIFIER, th), client_auth
-    ):
-        _abort(transport, ABORT_AUTH, "transcript signature invalid")
-        raise AuthFailure("client transcript signature invalid")
-
+    _check_transcript(transport, client_cert, ROLE_VERIFIER, th)
     transport.send_frame(FRAME_AUTH, identity.sign(_transcript_preimage(ROLE_DEVICE, th)))
 
     recv_key, send_key = _session_keys(eph, client_hello.ephemeral_pub, th)
-    return SecureSession(
-        transport,
-        send_key=send_key,
-        recv_key=recv_key,
-        send_direction=ROLE_DEVICE,
-        recv_direction=ROLE_VERIFIER,
-        peer_device_id=client_hello.device_id,
-        peer_certificate=client_cert,
-        peer_evidence=client_hello.evidence,
-    )
+    return SecureSession(transport, send_key, recv_key, ROLE_DEVICE, client_hello.device_id)
 
 
 # Request / response messages ----------------------------------------------
@@ -718,8 +704,8 @@ class LogExportServer:
         id once the handshake has it, the outcome (``ok`` or the exception
         type), the blocks and block payload bytes sent, and the duration.
         """
-        self._listener.settimeout(timeout)
         try:
+            self._listener.settimeout(timeout)
             conn, peer = self._listener.accept()
         except socket.timeout:
             return False
@@ -735,9 +721,9 @@ class LogExportServer:
                 self.identity,
                 self.anchors,
                 transport,
+                self.replay_cache,
                 evidence=self.evidence,
                 attestation_policy=self.attestation_policy,
-                replay_cache=self.replay_cache,
             )
             msg_type, body = session.recv_message()
             if msg_type != MSG_REQUEST:
@@ -864,10 +850,8 @@ def audit(
             report.notes.append(summary.notice)
     else:
         report.notes.append("transfer ended without a summary")
-    if params is None:
-        if rlk is not None:
-            raise InvalidParameter("full audit needs chain parameters")
-        params = ChainParams(1, 1)  # never consulted on the public path
+    if params is None and rlk is not None:
+        raise InvalidParameter("full audit needs chain parameters")
 
     for alarm in result.alarms:
         report.findings.append(

@@ -6,6 +6,13 @@ associated data, a random 96-bit nonce, then ciphertext+tag.  The storage
 key is derived per application identity from a device root storage key, so
 no other application identity can unseal or forge objects.
 
+Random 96-bit nonces bound the use of one key: at most 2**32 seals per
+storage key (NIST SP 800-38D, section 8.3).  Nothing counts them.  A store
+seals ``c + 2`` objects per whole group (its ``c`` blocks, the group's IK
+and the chain state) plus one per export poll that advances the delivered
+watermark; with no polls, the limit comes after about 2**32 / (c + 2)
+groups.  To re-key, create a new store under a new root storage key.
+
 The store keeps one file per object (``blk_<id>.seal``, ``ik_<gid>.seal``,
 ``state.seal``, ``manifest.seal``).  Commits are crash-safe:
 
@@ -32,7 +39,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -68,7 +75,6 @@ OBJECT_STATE = 3
 OBJECT_MANIFEST = 4
 
 DEFAULT_MAX_PAYLOAD = 16 * 1024 * 1024
-MAX_WRITES_PER_KEY = 2**32  # random 96-bit nonce budget guard
 
 # Default application identity for the log-writer role.
 LOG_WRITER_APP_ID = b"log-writer-v1"
@@ -115,42 +121,19 @@ class SealedObject:
         )
 
 
-class StorageKey:
-    """Application-bound sealing key with a nonce-budget write counter.
+def derive_storage_key(root_storage_key: bytes, app_id: bytes) -> AESGCM:
+    """The AES-GCM context that seals for one application identity.
 
-    ``aead`` is the key's one AES-GCM context, shared by every seal and
-    unseal under it.
+    Its ``repr`` shows no key material.
     """
-
-    __slots__ = ("_key", "aead", "writes")
-
-    def __init__(self, key: bytes) -> None:
-        if len(key) != KEY_LEN:
-            raise InvalidParameter(f"storage key must be {KEY_LEN} bytes")
-        self._key = key
-        self.aead = AESGCM(key)
-        self.writes = 0
-
-    def key_bytes(self) -> bytes:
-        return self._key
-
-    def __repr__(self) -> str:
-        return f"<StorageKey writes={self.writes}>"
-
-
-def derive_storage_key(root_storage_key: bytes, app_id: bytes) -> StorageKey:
-    """Derive the sealing key for one application identity."""
     if len(root_storage_key) != KEY_LEN:
         raise InvalidParameter(f"root storage key must be {KEY_LEN} bytes")
-    return StorageKey(hkdf(root_storage_key, SCHEME_SALT, LABEL_STORAGE + app_id, KEY_LEN))
+    return AESGCM(hkdf(root_storage_key, SCHEME_SALT, LABEL_STORAGE + app_id, KEY_LEN))
 
 
-def seal(payload: bytes, sk: StorageKey, object_type: int, object_id: int) -> SealedObject:
+def seal(payload: bytes, sk: AESGCM, object_type: int, object_id: int) -> SealedObject:
     if len(payload) > DEFAULT_MAX_PAYLOAD:
         raise InvalidParameter(f"payload of {len(payload)} bytes exceeds {DEFAULT_MAX_PAYLOAD}")
-    if sk.writes >= MAX_WRITES_PER_KEY:
-        raise StorageError("storage key write budget exhausted; re-key the store")
-    sk.writes += 1
     nonce = os.urandom(NONCE_LEN)
     obj = SealedObject(
         version=SEAL_VERSION,
@@ -159,17 +142,17 @@ def seal(payload: bytes, sk: StorageKey, object_type: int, object_id: int) -> Se
         nonce=nonce,
         ciphertext=b"",
     )
-    ct = sk.aead.encrypt(nonce, payload, obj.header())
+    ct = sk.encrypt(nonce, payload, obj.header())
     return SealedObject(SEAL_VERSION, object_type, object_id, nonce, ct)
 
 
-def unseal(obj: SealedObject, sk: StorageKey) -> bytes:
+def unseal(obj: SealedObject, sk: AESGCM) -> bytes:
     """Open a sealed object; any header or body mutation raises AuthFailure.
 
     A wrong key is indistinguishable from tampering and reports the same.
     """
     try:
-        return sk.aead.decrypt(obj.nonce, obj.ciphertext, obj.header())
+        return sk.decrypt(obj.nonce, obj.ciphertext, obj.header())
     except InvalidTag as exc:
         raise AuthFailure(
             f"unseal failed for object type={obj.object_type} id={obj.object_id}"
@@ -303,7 +286,7 @@ class SealedStore:
     raise to simulate the crash.
     """
 
-    def __init__(self, directory: str | Path, sk: StorageKey, manifest: StoreManifest):
+    def __init__(self, directory: str | Path, sk: AESGCM, manifest: StoreManifest):
         self.directory = Path(directory)
         # Sealed objects are read and written by plain string paths.
         self._prefix = os.path.join(self.directory, "")
@@ -332,13 +315,12 @@ class SealedStore:
         params: ChainParams,
         identity: DeviceIdentity,
         rlk: RootLoggingKey,
-        app_id: bytes = LOG_WRITER_APP_ID,
     ) -> "SealedStore":
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         if any(directory.iterdir()):
             raise AlreadyExists(f"store directory {directory} is not empty")
-        sk = derive_storage_key(root_storage_key, app_id)
+        sk = derive_storage_key(root_storage_key, LOG_WRITER_APP_ID)
         manifest = StoreManifest(
             params=params,
             device_id=identity.device_id,
@@ -354,16 +336,11 @@ class SealedStore:
         return store
 
     @classmethod
-    def open(
-        cls,
-        directory: str | Path,
-        root_storage_key: bytes,
-        app_id: bytes = LOG_WRITER_APP_ID,
-    ) -> "SealedStore":
+    def open(cls, directory: str | Path, root_storage_key: bytes) -> "SealedStore":
         directory = Path(directory)
         if not directory.is_dir():
             raise StorageError(f"store directory {directory} does not exist")
-        sk = derive_storage_key(root_storage_key, app_id)
+        sk = derive_storage_key(root_storage_key, LOG_WRITER_APP_ID)
         placeholder = StoreManifest(ChainParams(1, 1), b"\x00" * 16, b"\x00" * 32, b"", b"")
         store = cls(directory, sk, placeholder)
         store.manifest = StoreManifest.unpack(
@@ -511,18 +488,12 @@ class SealedStore:
         return state, identity.sign(state.sign_preimage())
 
     def mark_delivered(self, block_id: int) -> None:
-        self._require_state()
-        if self.state.delivered_mark != NO_WATERMARK and block_id <= self.state.delivered_mark:
+        state = self._require_state()
+        if state.delivered_mark != NO_WATERMARK and block_id <= state.delivered_mark:
             return
-        new_state = ChainState(
-            group_id=self.state.group_id,
-            block_id=self.state.block_id,
-            msg_count=self.state.msg_count,
-            sealed_blocks=self.state.sealed_blocks,
-            commit_counter=self.state.commit_counter + 1,
-            delivered_mark=block_id,
+        self._commit_state(
+            replace(state, commit_counter=state.commit_counter + 1, delivered_mark=block_id)
         )
-        self._commit_state(new_state)
 
     # -- blocks --
 
@@ -564,13 +535,13 @@ class SealedStore:
         finally:
             os.close(dir_fd)
         last = blocks[-1]
-        new_state = ChainState(
+        new_state = replace(
+            self.state,
             group_id=self.params.group_of(last.block_id),
             block_id=last.block_id,
             msg_count=len(last.records),
             sealed_blocks=self.state.sealed_blocks + len(blocks),
             commit_counter=self.state.commit_counter + 1,
-            delivered_mark=self.state.delivered_mark,
         )
         self._commit_state(new_state)
         return new_state

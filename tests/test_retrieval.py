@@ -76,6 +76,7 @@ def _handshake_pair(
     a, b = _pair()
     sock_a = TapSocket(a, tap) if tap is not None else a
     results = {}
+    server_kwargs.setdefault("replay_cache", HelloReplayCache())
 
     def run_server():
         try:
@@ -132,7 +133,9 @@ def test_handshake_version_mismatch(endpoints):
 
     def run_server():
         try:
-            server_handshake(device, [verifier.certificate], FrameTransport(a))
+            server_handshake(
+                device, [verifier.certificate], FrameTransport(a), HelloReplayCache()
+            )
         except Exception as exc:
             errors.append(exc)
 
@@ -198,6 +201,18 @@ def test_hello_replay_detected(endpoints):
     b.sendall(hello_frame)
     thread.join()
     assert errors and isinstance(errors[0], ReplayDetected)
+
+
+def test_hello_replay_cache_forgets_only_its_oldest_nonce():
+    capacity = HelloReplayCache._CAPACITY
+    nonces = [i.to_bytes(16, "big") for i in range(capacity + 1)]
+    cache = HelloReplayCache()
+    assert all(cache.check_and_add(nonce) for nonce in nonces[:capacity])
+    assert not cache.check_and_add(nonces[0])  # a full cache still holds the first
+    assert cache.check_and_add(nonces[capacity])
+    # Every nonce but the oldest is still refused; the oldest runs again.
+    assert not any(cache.check_and_add(nonce) for nonce in nonces[1:])
+    assert cache.check_and_add(nonces[0])
 
 
 def test_session_frame_replay_detected(endpoints):
@@ -615,6 +630,13 @@ def test_inverted_range_request_does_not_kill_the_server(tmp_path, endpoints):
         server.close()
     assert [b.block_id for b in result.blocks] == list(range(10))
     assert audit(result, device_cert).verdict == "ok"
+
+
+def test_handle_one_after_close_stops_instead_of_raising(tmp_path, endpoints):
+    _device, verifier = endpoints
+    server = LogExportServer(_serving_store(tmp_path), [verifier.certificate], port=0)
+    server.close()
+    assert server.handle_one(timeout=0.1) is False
 
 
 def test_peer_reset_during_transfer_does_not_kill_the_server(tmp_path, endpoints, caplog):
