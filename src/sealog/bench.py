@@ -193,7 +193,10 @@ def _run_ingest(
     )
     writer = LogWriter(store)
     entries = (RawEntry(source="generic", body=line) for line in lines)
-    stats = ingest(entries, IngestPolicy(params=params), writer)
+    try:
+        stats = ingest(entries, IngestPolicy(params=params), writer)
+    finally:
+        writer.close()
     peak_key = f"c={params.c},m={params.m}"
     report.memory_peaks[peak_key] = max(
         report.memory_peaks.get(peak_key, 0), writer.peak_ram_bytes
@@ -262,7 +265,10 @@ def _bench_overhead(config: BenchConfig, lines: list[bytes], report: BenchReport
         )
         writer = LogWriter(store)
         entries = (RawEntry(source="generic", body=line) for line in lines)
-        ingest(entries, IngestPolicy(params=params), writer)
+        try:
+            ingest(entries, IngestPolicy(params=params), writer)
+        finally:
+            writer.close()
         raw_bytes = sum(len(line) + 1 for line in lines)
         sealed_bytes = sum(
             p.stat().st_size for p in store_dir.glob("*.seal") if p.name != "manifest.seal"

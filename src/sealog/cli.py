@@ -24,7 +24,12 @@ from .errors import (
     SealogError,
     StorageError,
 )
-from .identity import DeviceIdentity, device_id_from_certificate, load_trust_anchors
+from .identity import (
+    DeviceIdentity,
+    device_id_from_certificate,
+    load_trust_anchors,
+    write_private_file,
+)
 from .keyschedule import ChainParams, RootLoggingKey
 
 EXIT_OK = 0
@@ -87,21 +92,29 @@ def _cmd_init(args, config) -> int:
     device_id = bytes.fromhex(args.device_id) if args.device_id else None
     identity = DeviceIdentity.generate(device_id)
     rlk = RootLoggingKey.generate()
-    secret_path = _secret_path(args.store, args, config)
-    if secret_path.exists():
-        secret = _read_secret(secret_path)
-    else:
-        secret = os.urandom(32)
-    sealstore.SealedStore.create(args.store, secret, params, identity, rlk)
-    if not secret_path.exists():
-        secret_path.write_text(secret.hex() + "\n")
-        secret_path.chmod(0o600)
-    if args.rlk_out:
-        # Verifier provisioning: the pre-shared root key for full audits.
-        out = Path(args.rlk_out)
-        out.write_text(rlk.key_bytes().hex() + "\n")
-        out.chmod(0o600)
-    rlk.destroy()
+    # The files a store needs are written before the store, so a failed
+    # write leaves no store that nothing can open; a failed store removes
+    # the files written for it.
+    created: list[Path] = []
+    try:
+        secret_path = _secret_path(args.store, args, config)
+        if secret_path.exists():
+            secret = _read_secret(secret_path)
+        else:
+            secret = os.urandom(32)
+            write_private_file(secret_path, secret.hex().encode("ascii") + b"\n")
+            created.append(secret_path)
+        if args.rlk_out:
+            # Verifier provisioning: the pre-shared root key for full audits.
+            write_private_file(args.rlk_out, rlk.key_bytes().hex().encode("ascii") + b"\n")
+            created.append(Path(args.rlk_out))
+        sealstore.SealedStore.create(args.store, secret, params, identity, rlk)
+    except BaseException:
+        for path in created:
+            path.unlink(missing_ok=True)
+        raise
+    finally:
+        rlk.destroy()
     print(f"store initialized at {args.store} (c={params.c}, m={params.m})")
     print(f"device id: {identity.device_id.hex()}")
     print(identity.certificate_pem().decode("ascii"), end="")
@@ -110,15 +123,18 @@ def _cmd_init(args, config) -> int:
 
 def _cmd_ingest(args, config) -> int:
     store = _open_store(args, config)
-    writer = collector.LogWriter(store, epoch_seconds=_cfg(args, config, "epoch_seconds"))
     policy = collector.IngestPolicy(params=store.params)
     if args.input and args.input != "-":
         fh = open(args.input, "rb")
     else:
         fh = sys.stdin.buffer
     try:
-        entries = collector.read_entries(fh, args.source)
-        stats = collector.ingest(entries, policy, writer)
+        writer = collector.LogWriter(store, epoch_seconds=_cfg(args, config, "epoch_seconds"))
+        try:
+            # The entries accepted before a failing line are still committed.
+            stats = collector.ingest(collector.read_entries(fh, args.source), policy, writer)
+        finally:
+            writer.close()
     finally:
         if fh is not sys.stdin.buffer:
             fh.close()

@@ -30,6 +30,44 @@ DEVICE_ID_LEN = 16
 SIGNATURE_LEN = 64
 _CURVE = ec.SECP256R1()
 _CERT_LIFETIME_DAYS = 3650
+# The one signature algorithm object; it holds no state, so every sign and
+# verify shares it.
+_ECDSA_SHA256 = ec.ECDSA(hashes.SHA256())
+
+
+# A file that is only ever created: never truncated, written through an
+# existing entry, or reached through a symlink.
+CREATE_ONCE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
+
+
+def fsync_dir(path: str | Path) -> None:
+    """Fsync a directory, making the entries created or renamed in it durable."""
+    fd = os.open(path, os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def write_private_file(path: str | Path, data: bytes) -> None:
+    """Create ``path`` as a new file readable by its owner only, write
+    ``data`` and fsync it and its directory.
+
+    The file is 0600 from its creation on, never through a later chmod.  An
+    existing file or symlink at ``path`` is refused (``FileExistsError``);
+    a file left part-written by a failed write is removed.
+    """
+    path = Path(path)
+    fd = os.open(path, CREATE_ONCE, 0o600)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+    fsync_dir(path.parent)
 
 
 def raw_signature_from_der(der: bytes) -> bytes:
@@ -47,14 +85,14 @@ def der_signature_from_raw(raw: bytes) -> bytes:
 
 def sign_raw(private_key: ec.EllipticCurvePrivateKey, message: bytes) -> bytes:
     """Sign and return the fixed 64-byte r||s encoding."""
-    return raw_signature_from_der(private_key.sign(message, ec.ECDSA(hashes.SHA256())))
+    return raw_signature_from_der(private_key.sign(message, _ECDSA_SHA256))
 
 
 def verify_raw(public_key: ec.EllipticCurvePublicKey, message: bytes, signature: bytes) -> bool:
     """Verify a 64-byte r||s signature; malformed length raises ParseError."""
     der = der_signature_from_raw(signature)
     try:
-        public_key.verify(der, message, ec.ECDSA(hashes.SHA256()))
+        public_key.verify(der, message, _ECDSA_SHA256)
         return True
     except InvalidSignature:
         return False
@@ -150,11 +188,11 @@ class DeviceIdentity:
     def save(self, directory: str | Path) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / "cert.pem").write_bytes(self.certificate_pem())
+        # The key first: refusing an existing key.der changes nothing, so
+        # cert.pem never sits beside a key that is not its own.
         if self.private_key is not None:
-            key_path = directory / "key.der"
-            key_path.write_bytes(self.private_key_der())
-            key_path.chmod(0o600)
+            write_private_file(directory / "key.der", self.private_key_der())
+        (directory / "cert.pem").write_bytes(self.certificate_pem())
 
     @classmethod
     def load(cls, directory: str | Path) -> "DeviceIdentity":

@@ -19,9 +19,10 @@ signed header fields are bytes 5 to 12 of that encoding, so a serialized
 block carries its own signature preimage.
 
 A ``Block`` read from bytes (disk or wire) keeps those bytes: deserializing
-checks only the header and the length, the signature check reads the tags
-straight out of the body, and records are decoded on the first read of
-``block.records``, which only the full audit and entry reassembly make.
+checks only the header and the length, and both audits read the records
+straight out of the body, the signature check its tags and the full audit
+every field.  Records are decoded on the first read of ``block.records``,
+which only entry reassembly makes.
 """
 
 from __future__ import annotations
@@ -286,26 +287,34 @@ def verify_block_full(
     params: ChainParams,
     public_key: ec.EllipticCurvePublicKey,
 ) -> BlockVerification:
-    """Recompute every message key and tag from the RLK, plus the signature."""
+    """Recompute every message key and tag from the RLK, plus the signature.
+
+    The records are checked in one pass over the block's bytes; none is
+    decoded into a ``LogRecord``.
+    """
     if rlk.destroyed:
         raise KeyUnavailable("root logging key unavailable for full verification")
     try:
         signature_ok = verify_block_public(block, public_key) == STATUS_OK
     except ParseError:
         signature_ok = False
-    result = BlockVerification(block_id=block.block_id, signature_ok=signature_ok)
-    result.checked_records = len(block.records)
+    data, block_id = block.serialize(), block.block_id
+    body = memoryview(data)[_BLOCK_HEADER.size : len(data) - len(block.signature)]
+    count = len(body) // RECORD_LEN
+    result = BlockVerification(block_id, signature_ok, checked_records=count)
 
     # Keys are derived for the declared positions, each overwriting its
     # predecessor; records whose claimed msg_id disagrees with their
-    # position fail their tag check below.
-    records = block.records
-    keys = walk_message_chain(rlk, block.block_id, len(records), params)
-    for position, key in enumerate(keys):
-        record = records[position]
-        expected = hmac_sha256(key, record_preimage(block.block_id, position, record.text_field))
-        if record.msg_id != position or not hmac_mod.compare_digest(expected, record.tag):
-            result.bad_records.append(position)
+    # position fail their tag check below.  The walk is drawn first, so it
+    # runs to its end, and zeroes its buffer, before the records do.
+    bad, compare = result.bad_records, hmac_mod.compare_digest
+    keys = walk_message_chain(rlk, block_id, count, params)
+    for position, (key, (msg_id, tag, text_field)) in enumerate(
+        zip(keys, _RECORD.iter_unpack(body))
+    ):
+        expected = hmac_sha256(key, record_preimage(block_id, position, text_field))
+        if msg_id != position or not compare(expected, tag):
+            bad.append(position)
     return result
 
 

@@ -53,7 +53,7 @@ from .errors import (
     ParseError,
     StorageError,
 )
-from .identity import DeviceIdentity
+from .identity import CREATE_ONCE, DeviceIdentity, fsync_dir
 from .keyschedule import (
     KEY_LEN,
     LABEL_STORAGE,
@@ -255,24 +255,12 @@ def _ik_file(group_id: int) -> str:
     return f"ik_{group_id:08d}.seal"
 
 
-def _fsync_dir(path: Path) -> None:
-    fd = os.open(path, os.O_DIRECTORY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def _write_all(fd: int, data: bytes) -> None:
     """Write all of ``data`` to the open file ``fd``."""
     view = memoryview(data)
     while view:
         view = view[os.write(fd, view) :]
 
-
-# A block file is only ever created: never truncated, written through an
-# existing entry, or reached through a symlink.
-_CREATE_ONCE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
 
 # Most block files a commit holds open at once, written but not yet fsynced.
 _WINDOW = 32
@@ -329,6 +317,7 @@ class SealedStore:
             certificate_pem=identity.certificate_pem(),
         )
         store = cls(directory, sk, manifest)
+        store._identity = identity
         store._write_sealed(MANIFEST_FILE, manifest.pack(), OBJECT_MANIFEST, 0, MANIFEST_FILE)
         store._commit_state(store.state)
         # Exportable copy of the public certificate for verifiers.
@@ -356,12 +345,21 @@ class SealedStore:
         return store
 
     def identity(self) -> DeviceIdentity:
-        """The device identity, parsed from the manifest once per handle."""
+        """The device identity with its signing key: on a handle from
+        ``create``, the object it was given; on one from ``open``, parsed
+        from the manifest on first use."""
         if self._identity is None:
             self._identity = DeviceIdentity.from_material(
                 self.manifest.certificate_pem, self.manifest.signing_key_der
             )
         return self._identity
+
+    def public_key(self):
+        """The device's public key: from the identity this handle holds, or
+        else from the manifest's certificate alone, without parsing the
+        signing key."""
+        identity = self._identity or DeviceIdentity.from_material(self.manifest.certificate_pem, None)
+        return identity.public_key
 
     def root_logging_key(self) -> RootLoggingKey:
         return RootLoggingKey(self.manifest.rlk)
@@ -402,7 +400,7 @@ class SealedStore:
                 Path(tmp_name).unlink(missing_ok=True)
                 raise
             self._hook(f"{step}:renamed")
-            _fsync_dir(self.directory)
+            fsync_dir(self.directory)
         except OSError as exc:
             raise StorageError(f"failed writing {name}: {exc}") from exc
         self._hook(f"{step}:durable")
@@ -425,11 +423,11 @@ class SealedStore:
                 data = seal(block.serialize(), self.sk, OBJECT_BLOCK, block.block_id).serialize()
                 self._hook(f"block{block.block_id}:start")
                 try:
-                    fds.append(os.open(name, _CREATE_ONCE, 0o600, dir_fd=dir_fd))
+                    fds.append(os.open(name, CREATE_ONCE, 0o600, dir_fd=dir_fd))
                 except FileExistsError:
                     # A crashed commit's leftover: this id is beyond the state.
                     os.unlink(name, dir_fd=dir_fd)
-                    fds.append(os.open(name, _CREATE_ONCE, 0o600, dir_fd=dir_fd))
+                    fds.append(os.open(name, CREATE_ONCE, 0o600, dir_fd=dir_fd))
                 self._hook(f"block{block.block_id}:created")
                 _write_all(fds[-1], data)
             for block in blocks:
@@ -645,9 +643,8 @@ def verify_store(store: SealedStore, full: bool = True):
     a ``gap``; one that cannot be read, unsealed or parsed is a
     ``seal-failure`` entry, and the audit goes on.  A missing or
     unreadable state record becomes a ``missing-state`` finding rather than
-    an error.  The public audit decodes no record.
+    an error.  Neither audit decodes a record or parses the signing key.
     """
-    identity = store.identity()
     rlk = store.root_logging_key() if full else None
 
     blocks = []
@@ -667,5 +664,5 @@ def verify_store(store: SealedStore, full: bool = True):
                 unreadable[block_id] = str(exc)
 
     return verify_sequence(
-        blocks, 0, store.state, rlk, identity.public_key, store.params, unreadable=unreadable
+        blocks, 0, store.state, rlk, store.public_key(), store.params, unreadable=unreadable
     )

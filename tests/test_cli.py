@@ -3,6 +3,8 @@ from __future__ import annotations
 import ast
 import importlib
 import json
+import os
+import stat
 import threading
 from pathlib import Path
 
@@ -234,3 +236,58 @@ def test_public_surface_resolves_and_every_error_is_raised():
         and obj is not sealog.SealogError
     }
     assert errors and errors <= raised, errors - raised
+
+
+def test_ingest_commits_the_entries_it_accepted_before_a_failing_line(tmp_path, capsys):
+    store = _init(tmp_path, capsys, c=10, m=100)
+    logfile = tmp_path / "logs.txt"
+    _write_lines(logfile, 250)
+    with open(logfile, "ab") as fh:
+        fh.write(b"x" * 70_000 + b"\n")
+    assert main(["ingest", "--store", str(store), str(logfile)]) == 2
+    assert "line of 70001 bytes exceeds 65536" in capsys.readouterr().err
+    assert main(["verify", "--store", str(store), "--full"]) == 0
+
+    from sealog.collector import reassemble_entries
+    from sealog.sealstore import SealedStore
+
+    opened = SealedStore.open(store, bytes.fromhex((tmp_path / "store.secret").read_text()))
+    blocks = [block for _, block, _ in opened.iter_committed_blocks()]
+    assert opened.state.sealed_blocks == 3
+    assert reassemble_entries(blocks) == [b"test log line number %d" % i for i in range(250)]
+
+
+def test_init_writes_no_store_when_its_secret_cannot_be_written(tmp_path, capsys):
+    store = tmp_path / "st"
+    argv = ["init", "--store", str(store), "--secret", str(tmp_path / "nodir" / "x.secret")]
+    assert main(argv) == 3
+    assert not store.exists()
+    # So a second init, with a secret it can write, makes a store it can open.
+    (tmp_path / "nodir").mkdir()
+    assert main(argv) == 0
+    assert main(["flush", "--store", str(store), "--secret", argv[-1]]) == 0
+
+
+def test_init_removes_the_files_it_wrote_for_a_store_it_could_not_create(tmp_path, capsys):
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "unrelated").write_text("not a store")
+    rlk_out = tmp_path / "rlk.hex"
+    assert main(["init", "--store", str(store), "--rlk-out", str(rlk_out)]) == 3
+    assert "is not empty" in capsys.readouterr().err
+    assert not (tmp_path / "store.secret").exists() and not rlk_out.exists()
+
+
+def test_secret_files_are_owner_only_from_creation(tmp_path, capsys, monkeypatch):
+    # With no chmod at all, each file must be created 0600.
+    monkeypatch.setattr(Path, "chmod", lambda *args, **kwargs: None)
+    monkeypatch.setattr(os, "chmod", lambda *args, **kwargs: None)
+    old_umask = os.umask(0o022)
+    try:
+        _init(tmp_path, capsys, rlk_out=True)
+        DeviceIdentity.generate().save(tmp_path / "verifier-id")
+    finally:
+        os.umask(old_umask)
+    secrets = ("store.secret", "rlk.hex", "verifier-id/key.der")
+    for path in (tmp_path / name for name in secrets):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600, path

@@ -44,6 +44,16 @@ def test_save_load_roundtrip(tmp_path):
     assert identity.verify(b"still signs", sig)
 
 
+def test_save_refuses_an_existing_key_before_writing_the_certificate(tmp_path):
+    directory = tmp_path / "id"
+    directory.mkdir()
+    (directory / "key.der").write_bytes(b"an earlier key")
+    with pytest.raises(FileExistsError):
+        DeviceIdentity.generate().save(directory)
+    assert (directory / "key.der").read_bytes() == b"an earlier key"
+    assert not (directory / "cert.pem").exists()
+
+
 def test_public_only_identity_cannot_sign(tmp_path):
     identity = DeviceIdentity.generate()
     public_only = DeviceIdentity.from_material(identity.certificate_pem(), None)

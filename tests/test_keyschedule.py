@@ -173,6 +173,26 @@ def test_one_shot_hkdf_matches_extract_expand(label, ikm, suffix):
         assert hkdf(ikm, SCHEME_SALT, info, out_len) == hkdf_expand(prk, info, out_len)
 
 
+@pytest.mark.parametrize(
+    "label", [LABEL_IK, LABEL_BLOCK_FIRST, LABEL_BLOCK_NEXT, LABEL_MESSAGE, LABEL_STORAGE, LABEL_CHANNEL]
+)
+@settings(max_examples=25, deadline=None)
+@given(
+    ikm=st.one_of(st.binary(min_size=32, max_size=32), st.binary(max_size=80)),
+    suffix=st.binary(max_size=12),
+    out_len=st.integers(min_value=1, max_value=32),
+)
+def test_hkdf_equals_hkdf_composed_from_hmac_digest(label, ikm, suffix, out_len):
+    # SCHEME_SALT keys from its cached pad states; a salt equal to it but not
+    # the same object is padded afresh.
+    info = label + suffix
+    for key in (ikm, bytearray(ikm)):
+        prk = hmac_mod.digest(SCHEME_SALT, key, "sha256")
+        okm = hmac_mod.digest(prk, info + b"\x01", "sha256")[:out_len]
+        assert hkdf(key, SCHEME_SALT, info, out_len) == okm
+        assert hkdf(key, bytearray(SCHEME_SALT), info, out_len) == okm
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     key=st.one_of(st.just(SCHEME_SALT), st.binary(max_size=100)),

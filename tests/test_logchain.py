@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sealog import keyschedule
+from sealog import keyschedule, logchain
 from sealog.errors import InvalidParameter, ParseError
 from sealog.identity import DeviceIdentity
 from sealog.keyschedule import (
@@ -26,6 +26,7 @@ from sealog.logchain import (
     STATUS_BAD_SIGNATURE,
     STATUS_OK,
     Block,
+    BlockVerification,
     LogRecord,
     block_sign_preimage,
     make_record,
@@ -286,6 +287,137 @@ def test_public_full_consistency(identity):
         full = verify_block_full(block, RootLoggingKey(SEED), PARAMS, identity.public_key)
         assert full.ok
         assert verify_block_public(block, identity.public_key) == STATUS_OK
+
+
+def _reference_verify_full(block, rlk, params, public_key):
+    """``verify_block_full`` as it was before it read records from the
+    bytes: a loop over the decoded ``block.records``."""
+    try:
+        signature_ok = verify_block_public(block, public_key) == STATUS_OK
+    except ParseError:
+        signature_ok = False
+    result = BlockVerification(block_id=block.block_id, signature_ok=signature_ok)
+    result.checked_records = len(block.records)
+    records = block.records
+    for position, key in enumerate(walk_message_chain(rlk, block.block_id, len(records), params)):
+        record = records[position]
+        expected = hmac_mod.new(
+            bytes(key), struct.pack(">II", block.block_id, position) + record.text_field, "sha256"
+        ).digest()
+        if record.msg_id != position or not hmac_mod.compare_digest(expected, record.tag):
+            result.bad_records.append(position)
+    return result
+
+
+_RECORD_FIELDS = {"msg_id": (0, 4), "tag": (4, 32), "text": (36, 256)}
+_EDITS = ("flip", "swap", "duplicate", "empty", "overlong", "signature")
+
+
+@pytest.fixture(scope="module")
+def signed_blocks(identity) -> dict[tuple[int, int], bytes]:
+    """Signed blocks 0-3 of every length, by (block_id, record count)."""
+    blocks = {}
+    for block_id in range(4):
+        for count in range(1, PARAMS.m + 1):
+            texts = [b"entry %d of block %d" % (i, block_id) * (i + 1) for i in range(count)]
+            blocks[block_id, count] = _build_block(block_id, texts, identity).serialize()
+    return blocks
+
+
+def _tampered_block(data, signed_blocks) -> bytes:
+    """A signed block, then up to three edits of its records or signature."""
+    draw = data.draw
+    block_id = draw(st.integers(min_value=0, max_value=3))
+    raw = signed_blocks[block_id, draw(st.integers(1, PARAMS.m))]
+    body, signature = raw[13:-64], raw[-64:]
+    signed = [body[i : i + RECORD_LEN] for i in range(0, len(body), RECORD_LEN)]
+    records = list(signed)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        edit = draw(st.sampled_from(_EDITS))
+        if edit == "empty":
+            records = []
+        elif edit == "overlong":
+            records += [signed[0]] * (PARAMS.m + 1 - len(records))
+        elif edit == "signature":
+            at = draw(st.integers(0, 63))
+            signature = signature[:at] + bytes([signature[at] ^ 0x01]) + signature[at + 1 :]
+        elif not records:
+            continue
+        elif edit == "flip":
+            i = draw(st.integers(0, len(records) - 1))
+            start, size = _RECORD_FIELDS[draw(st.sampled_from(sorted(_RECORD_FIELDS)))]
+            at = start + draw(st.integers(0, size - 1))
+            mask = draw(st.integers(1, 255))
+            records[i] = records[i][:at] + bytes([records[i][at] ^ mask]) + records[i][at + 1 :]
+        elif edit == "swap":
+            i, j = (draw(st.integers(0, len(records) - 1)) for _ in range(2))
+            records[i], records[j] = records[j], records[i]
+        else:  # duplicate
+            i = draw(st.integers(0, len(records) - 1))
+            records.insert(draw(st.integers(0, len(records))), records[i])
+    head = struct.pack(">4sBII", b"EMLB", 1, block_id, len(records))
+    return head + b"".join(records) + signature
+
+
+def _full_audit_outcome(verify, raw: bytes, public_key) -> tuple[tuple, list[bytes]]:
+    """What ``verify`` says of a freshly read block, and the info of every
+    ``keyschedule.hkdf`` call it made."""
+    calls = []
+    real_hkdf = keyschedule.hkdf
+
+    def counting_hkdf(*args, **kwargs):
+        calls.append(args[2])
+        return real_hkdf(*args, **kwargs)
+
+    keyschedule.hkdf = counting_hkdf
+    try:
+        outcome = verify(Block.deserialize(raw), RootLoggingKey(SEED), PARAMS, public_key)
+        said = (outcome.signature_ok, outcome.bad_records, outcome.checked_records)
+    except InvalidParameter as exc:
+        said = ("InvalidParameter", str(exc))
+    finally:
+        keyschedule.hkdf = real_hkdf
+    return said, calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_full_audit_from_bytes_matches_the_decoding_reference(identity, signed_blocks, data):
+    raw = _tampered_block(data, signed_blocks)
+    got = _full_audit_outcome(verify_block_full, raw, identity.public_key)
+    want = _full_audit_outcome(_reference_verify_full, raw, identity.public_key)
+    assert got == want
+    assert got[1], "every full audit derives at least the block's key"
+
+
+def test_full_audit_runs_the_message_walk_to_its_end(identity, monkeypatch):
+    texts = [b"zero", b"one", b"two", b"three"]
+    raw = bytearray(_build_block(1, texts, identity).serialize())
+    raw[13 + RECORD_LEN + 40] ^= 0x04  # a text byte of record 1
+    walks, keys = [], []
+    real_walk = logchain.walk_message_chain
+
+    def watched_walk(*args):
+        walk = real_walk(*args)
+        walks.append(walk)
+
+        def steps():
+            for key in walk:
+                keys.append(key)
+                yield key
+
+        return steps()
+
+    monkeypatch.setattr(logchain, "walk_message_chain", watched_walk)
+    outcome = verify_block_full(
+        Block.deserialize(bytes(raw)), RootLoggingKey(SEED), PARAMS, identity.public_key
+    )
+    assert outcome.bad_records == [1] and outcome.checked_records == 4
+    # One walk, run to its end: its one buffer is zeroed by the time the
+    # audit returns.
+    assert len(walks) == 1 and walks[0].gi_frame is None
+    assert len(keys) == 4 and all(key is keys[0] for key in keys)
+    assert keys[0] == bytearray(32)
 
 
 # Serialization -------------------------------------------------------------------

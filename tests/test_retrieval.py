@@ -10,6 +10,7 @@ import time
 import pytest
 
 from conftest import ROOT_SECRET, build_store, fill_store
+from sealog.collector import reassemble_entries
 from sealog.errors import (
     AuthFailure,
     ChannelClosed,
@@ -787,8 +788,12 @@ def test_public_audit_paths_build_no_records(tmp_path, endpoints, monkeypatch):
     assert report.verdict == "ok" and len(report.entries) == 10
     assert poll.verdict == "ok" and [b.block_id for b in result.blocks] == [3]
     assert built == []
-    # The counters do see decoding: a full audit reads every record.
-    verify_store(SealedStore.open(store.directory, ROOT_SECRET), full=True)
+    # Nor does a full audit: it checks every record from the block's bytes.
+    opened = SealedStore.open(store.directory, ROOT_SECRET)
+    assert verify_store(opened, full=True).verdict == "ok"
+    assert built == []
+    # The counters do see decoding: entry reassembly reads every record.
+    reassemble_entries(opened.load_block(block_id) for block_id in range(10))
     assert len(built) == 40
 
 
