@@ -241,8 +241,7 @@ def _bench_storage(
             make_record(0, i, lines[i % len(lines)][:254], key) for i, key in enumerate(keys)
         ]
         block = sign_block(0, records, identity)
-        sealed = seal(block.serialize(), sk, OBJECT_BLOCK, 0)
-        report.sealed_bytes_per_block[m] = len(sealed.serialize())
+        report.sealed_bytes_per_block[m] = len(seal(block.serialize(), sk, OBJECT_BLOCK, 0))
 
     xs = list(report.sealed_bytes_per_block.keys())
     ys = [float(report.sealed_bytes_per_block[m]) for m in xs]

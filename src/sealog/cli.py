@@ -65,13 +65,21 @@ def _secret_path(store: str, args, config: dict) -> Path:
     return Path(explicit) if explicit else Path(str(store).rstrip("/") + ".secret")
 
 
+def _hex(text: str, what: str) -> bytes:
+    """``text`` (a flag or a file's content) decoded from hex; anything
+    else is a usage error naming ``what``, never its content."""
+    try:
+        return bytes.fromhex(text.strip())
+    except ValueError as exc:
+        raise InvalidParameter(f"{what} is not hex") from exc
+
+
 def _read_secret(path: Path) -> bytes:
     try:
-        secret = bytes.fromhex(path.read_text().strip())
+        text = path.read_text()
     except OSError as exc:
         raise StorageError(f"cannot read device secret {path}: {exc}") from exc
-    except ValueError as exc:
-        raise InvalidParameter(f"device secret {path} is not hex") from exc
+    secret = _hex(text, f"device secret {path}")
     if len(secret) != 32:
         raise InvalidParameter("device secret must be 32 bytes of hex")
     return secret
@@ -89,7 +97,7 @@ def _cmd_init(args, config) -> int:
     import os
 
     params = ChainParams(c=_cfg(args, config, "c", 10), m=_cfg(args, config, "m", 100))
-    device_id = bytes.fromhex(args.device_id) if args.device_id else None
+    device_id = _hex(args.device_id, "--device-id") if args.device_id else None
     identity = DeviceIdentity.generate(device_id)
     rlk = RootLoggingKey.generate()
     # The files a store needs are written before the store, so a failed
@@ -181,12 +189,12 @@ def _print_report(report, as_json: bool) -> None:
 
 def _cmd_verify(args, config) -> int:
     if args.archive:
-        result, cert = retrieval.load_archive(args.archive)
         rlk = None
         if args.mode == "full":
             if not args.rlk:
                 raise InvalidParameter("full archive verification needs --rlk")
-            rlk = RootLoggingKey(bytes.fromhex(Path(args.rlk).read_text().strip()))
+            rlk = RootLoggingKey(_hex(Path(args.rlk).read_text(), f"root logging key {args.rlk}"))
+        result, cert = retrieval.load_archive(args.archive)
         report = retrieval.audit(result, cert, rlk=rlk)
     else:
         if not args.store:
@@ -198,6 +206,7 @@ def _cmd_verify(args, config) -> int:
 
 
 def _cmd_serve(args, config) -> int:
+    evidence = _hex(args.evidence, "--evidence") if args.evidence else b""
     store = _open_store(args, config)
     anchors_dir = _cfg(args, config, "anchors")
     if not anchors_dir:
@@ -208,7 +217,7 @@ def _cmd_serve(args, config) -> int:
         anchors,
         host=_cfg(args, config, "host", "127.0.0.1"),
         port=_cfg(args, config, "port", 7060),
-        evidence=bytes.fromhex(args.evidence) if args.evidence else b"",
+        evidence=evidence,
     )
     host, port = server.address[0], server.address[1]
     print(f"serving {store.manifest.device_id.hex()} on {host}:{port}")
@@ -225,6 +234,7 @@ def _cmd_serve(args, config) -> int:
 
 
 def _cmd_fetch(args, config) -> int:
+    device_id = _hex(args.device_id, "--device-id") if args.device_id else None
     anchors_dir = _cfg(args, config, "anchors")
     if not anchors_dir:
         raise InvalidParameter("fetch needs --anchors (trusted device certificates)")
@@ -239,12 +249,10 @@ def _cmd_fetch(args, config) -> int:
         print(f"generated verifier identity in {identity_dir}; anchor this certificate device-side:")
         print(identity.certificate_pem().decode("ascii"), end="")
 
-    if args.device_id:
-        device_id = bytes.fromhex(args.device_id)
-    elif len(anchors) == 1:
+    if device_id is None:
+        if len(anchors) != 1:
+            raise InvalidParameter("--device-id required when several anchors are loaded")
         device_id = device_id_from_certificate(anchors[0])
-    else:
-        raise InvalidParameter("--device-id required when several anchors are loaded")
 
     request = retrieval.RetrievalRequest(
         device_id=device_id, start=args.start, end=args.end, mode=args.mode

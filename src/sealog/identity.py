@@ -207,10 +207,16 @@ class DeviceIdentity:
 
 
 def load_trust_anchors(directory: str | Path) -> list[x509.Certificate]:
-    """Load every ``*.pem`` certificate in a directory as a trust anchor."""
+    """Load every ``*.pem`` certificate in a directory as a trust anchor.
+
+    A file that is not a PEM certificate raises ``InvalidParameter`` naming it.
+    """
     anchors = []
     for path in sorted(Path(directory).glob("*.pem")):
-        anchors.append(x509.load_pem_x509_certificate(path.read_bytes()))
+        try:
+            anchors.append(x509.load_pem_x509_certificate(path.read_bytes()))
+        except ValueError as exc:
+            raise InvalidParameter(f"trust anchor {path} is not a PEM certificate") from exc
     return anchors
 
 

@@ -18,11 +18,14 @@ BE32 record_count, the records, then the 64-byte raw r||s signature.  The
 signed header fields are bytes 5 to 12 of that encoding, so a serialized
 block carries its own signature preimage.
 
-A ``Block`` read from bytes (disk or wire) keeps those bytes: deserializing
-checks only the header and the length, and both audits read the records
+A ``Block`` is its bytes.  One built from records is encoded when it is
+built; one read from bytes (disk or wire) keeps them, and deserializing
+checks only the header and the length.  Both audits read the records
 straight out of the body, the signature check its tags and the full audit
-every field.  Records are decoded on the first read of ``block.records``,
-which only entry reassembly makes.
+every field.  The signer reads the signature preimage from the encoded
+block with the same code the verifier uses.  Records read from bytes are
+decoded on the first read of ``block.records``, which only entry
+reassembly makes.
 """
 
 from __future__ import annotations
@@ -137,15 +140,6 @@ class LogRecord(_RecordFields):
     def continuation(self) -> bool:
         return unpack_text_field(self.text_field)[1]
 
-    def serialize(self) -> bytes:
-        return _RECORD.pack(*self)
-
-    @classmethod
-    def deserialize(cls, data: bytes) -> "LogRecord":
-        if len(data) != RECORD_LEN:
-            raise ParseError(f"record must be {RECORD_LEN} bytes, got {len(data)}")
-        return _record_from_fields(_RECORD.unpack(data))
-
 
 # ``LogRecord._make`` minus its field-count check, as one C call.
 _record_from_fields = partial(tuple.__new__, LogRecord)
@@ -165,16 +159,29 @@ def make_record(
     return _record_from_fields((msg_id, tag, text_field))
 
 
-class Block:
-    """A finalized, signed run of records.
+def _sign_preimage(data: bytes, end: int) -> bytes:
+    """What a block's signature covers, read from its encoding ``data``
+    whose records end at ``end``: BE32 block_id || BE32 record_count, then
+    each record's tag.  The signer and the verifier both read it here."""
+    tags = map(itemgetter(0), _RECORD_TAG.iter_unpack(memoryview(data)[_BLOCK_HEADER.size : end]))
+    return data[_SIGNED_HEADER] + b"".join(tags)
 
-    A block holds its records, its serialized bytes, or both, and derives
-    the missing one once, on first use: a block built from records encodes
-    on its first ``serialize()``, and a block read by ``deserialize`` keeps
-    the bytes it was given, so ``serialize()`` returns exactly them and
-    ``records`` decodes them on first read.  ``sign_preimage()`` reads the
-    tags from the bytes and never decodes a record.  Blocks are compared by
-    their bytes and are not changed after construction.
+
+def _encode_unsigned(block_id: int, records: tuple[LogRecord, ...]) -> bytes:
+    """A block's encoding up to its signature: the header, then the records."""
+    head = _BLOCK_HEADER.pack(BLOCK_MAGIC, FORMAT_VERSION, block_id, len(records))
+    return b"".join((head, *starmap(_RECORD.pack, records)))
+
+
+class Block:
+    """A finalized, signed run of records, held as its ``EMLB`` bytes.
+
+    A block built from records encodes them at construction and keeps
+    them.  A block read by ``deserialize`` keeps the bytes it was given and
+    decodes its records on the first read of ``records``.  ``serialize()``
+    returns the bytes, and ``sign_preimage()`` reads the tags from them
+    without decoding a record.  Blocks are compared by their bytes and are
+    not changed after construction.
     """
 
     __slots__ = ("block_id", "signature", "_records", "_data")
@@ -183,7 +190,7 @@ class Block:
         self.block_id = block_id
         self.signature = signature
         self._records: tuple[LogRecord, ...] | None = tuple(records)
-        self._data: bytes | None = None
+        self._data = _encode_unsigned(block_id, self._records) + signature
 
     @property
     def records(self) -> tuple[LogRecord, ...]:
@@ -193,29 +200,32 @@ class Block:
         return self._records
 
     def serialize(self) -> bytes:
-        if self._data is None:
-            records = self._records
-            head = _BLOCK_HEADER.pack(BLOCK_MAGIC, FORMAT_VERSION, self.block_id, len(records))
-            self._data = b"".join((head, *starmap(_RECORD.pack, records), self.signature))
         return self._data
 
     def sign_preimage(self) -> bytes:
-        """``block_sign_preimage(block_id, tags)``, taken from the bytes."""
-        data = self.serialize()
-        body = memoryview(data)[_BLOCK_HEADER.size : len(data) - len(self.signature)]
-        tags = map(itemgetter(0), _RECORD_TAG.iter_unpack(body))
-        return data[_SIGNED_HEADER] + b"".join(tags)
+        return _sign_preimage(self._data, len(self._data) - len(self.signature))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Block):
             return NotImplemented
-        return self.serialize() == other.serialize()
+        return self._data == other._data
 
     def __hash__(self) -> int:
-        return hash(self.serialize())
+        return hash(self._data)
 
     def __repr__(self) -> str:
-        return f"Block(block_id={self.block_id}, {len(self.serialize())} bytes)"
+        return f"Block(block_id={self.block_id}, {len(self._data)} bytes)"
+
+    @classmethod
+    def _of(cls, data: bytes, records: tuple[LogRecord, ...] | None) -> "Block":
+        """The block whose checked encoding is ``data``; ``records`` are
+        its records, or None to decode them from ``data`` when read."""
+        block = cls.__new__(cls)
+        block.block_id = _BLOCK_HEADER.unpack_from(data)[2]
+        block.signature = data[-SIGNATURE_LEN:]
+        block._records = records
+        block._data = data
+        return block
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Block":
@@ -230,24 +240,18 @@ class Block:
         expected = BLOCK_ENVELOPE_LEN + count * RECORD_LEN
         if len(data) != expected:
             raise ParseError(f"block length {len(data)} does not match declared count {count}")
-        block = cls.__new__(cls)
-        block.block_id = block_id
-        block.signature = data[-SIGNATURE_LEN:]
-        block._records = None
-        block._data = data
-        return block
-
-
-def block_sign_preimage(block_id: int, tags: list[bytes]) -> bytes:
-    return struct.pack(">II", block_id, len(tags)) + b"".join(tags)
+        return cls._of(data, None)
 
 
 def sign_block(block_id: int, records: list[LogRecord], identity: DeviceIdentity) -> Block:
-    """Finalize a block: sign the tag concatenation with the device key."""
+    """Finalize a block: encode it, then sign the preimage read from its
+    bytes with the device key."""
     if not records:
         raise InvalidParameter("cannot sign an empty block")
-    preimage = block_sign_preimage(block_id, [r.tag for r in records])
-    return Block(block_id=block_id, records=tuple(records), signature=identity.sign(preimage))
+    records = tuple(records)
+    unsigned = _encode_unsigned(block_id, records)
+    signature = identity.sign(_sign_preimage(unsigned, len(unsigned)))
+    return Block._of(unsigned + signature, records)
 
 
 def verify_block_public(block: Block, public_key: ec.EllipticCurvePublicKey) -> str:

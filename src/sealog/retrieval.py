@@ -53,6 +53,7 @@ from .errors import (
     NegotiationFailure,
     ParseError,
     ReplayDetected,
+    SealogError,
 )
 from .identity import (
     DEVICE_ID_LEN,
@@ -638,10 +639,10 @@ def serve_range(
 
 @dataclass
 class FetchResult:
+    request: RetrievalRequest
     blocks: list[Block] = field(default_factory=list)
     summary: TransferSummary | None = None
     alarms: list[dict] = field(default_factory=list)
-    request: RetrievalRequest | None = None
 
 
 def receive_transfer(session: SecureSession, request: RetrievalRequest) -> FetchResult:
@@ -735,17 +736,10 @@ class LogExportServer:
             transport.deadline = None
             conn.settimeout(SESSION_TIMEOUT)
             serve_range(session, self.store, request)
-        except (
-            AuthFailure,
-            NegotiationFailure,
-            ReplayDetected,
-            ParseError,
-            ChannelClosed,
-            InvalidParameter,
-            OSError,
-        ) as exc:
+        except (SealogError, OSError) as exc:
             # Aborted on the wire where possible; one session's failure,
-            # a peer reset or a timeout included, must not end the service.
+            # a peer reset, a timeout or a store error included, must not
+            # end the service.
             error = exc
         finally:
             transport.close()
@@ -799,8 +793,12 @@ def fetch(
     evidence: bytes = b"",
     attestation_policy: AttestationPolicy | None = None,
 ) -> FetchResult:
-    """Connect, authenticate mutually, and retrieve the requested range."""
-    with socket.create_connection((host, port)) as sock:
+    """Connect, authenticate mutually, and retrieve the requested range.
+
+    Connecting, and then each send and receive, gives up with
+    ``TimeoutError`` after ``SESSION_TIMEOUT`` seconds.
+    """
+    with socket.create_connection((host, port), timeout=SESSION_TIMEOUT) as sock:
         transport = FrameTransport(sock)
         session = client_handshake(
             identity,
@@ -827,10 +825,9 @@ def audit(
     additionally recomputes the whole hash matrix, which requires the chain
     parameters (taken from the summary when not supplied).
     """
-    expected_start = result.request.start if result.request else 0
-    summary = result.summary
+    request, summary = result.request, result.summary
     state = None
-    report = VerificationReport(mode="full" if rlk else "public", expected_start=expected_start)
+    report = VerificationReport(mode="full" if rlk else "public", expected_start=request.start)
 
     public_key = device_certificate.public_key()
     if summary is not None:
@@ -840,7 +837,7 @@ def audit(
             report.findings.append("state-signature-invalid")
         else:
             state = summary.state
-        if result.request is not None and summary.device_id != result.request.device_id:
+        if summary.device_id != request.device_id:
             report.findings.append("summary names a different device")
         if summary.count != len(result.blocks):
             report.findings.append(
@@ -858,9 +855,8 @@ def audit(
             f"{FINDING_INTEGRITY_ALARM}: block {alarm.get('block_id')} ({alarm.get('reason')})"
         )
 
-    expected_end = result.request.end if result.request else None
     return verify_sequence(
-        result.blocks, expected_start, state, rlk, public_key, params, report, expected_end
+        result.blocks, request.start, state, rlk, public_key, params, report, request.end
     )
 
 
@@ -873,10 +869,10 @@ def save_archive(path: str | Path, result: FetchResult, certificate_pem: bytes) 
         "version": 1,
         "certificate_pem": certificate_pem.decode("ascii"),
         "request": {
-            "device_id": result.request.device_id.hex() if result.request else None,
-            "start": result.request.start if result.request else 0,
-            "end": result.request.end if result.request else None,
-            "mode": result.request.mode if result.request else "public",
+            "device_id": result.request.device_id.hex(),
+            "start": result.request.start,
+            "end": result.request.end,
+            "mode": result.request.mode,
         },
         "summary": json.loads(result.summary.to_json()) if result.summary else None,
         "alarms": result.alarms,
@@ -889,14 +885,12 @@ def load_archive(path: str | Path) -> tuple[FetchResult, x509.Certificate]:
     try:
         doc = json.loads(Path(path).read_text())
         cert = x509.load_pem_x509_certificate(doc["certificate_pem"].encode("ascii"))
-        request = None
-        if doc["request"]["device_id"] is not None:
-            request = RetrievalRequest(
-                device_id=bytes.fromhex(doc["request"]["device_id"]),
-                start=doc["request"]["start"],
-                end=doc["request"]["end"],
-                mode=doc["request"]["mode"],
-            )
+        request = RetrievalRequest(
+            device_id=bytes.fromhex(doc["request"]["device_id"]),
+            start=doc["request"]["start"],
+            end=doc["request"]["end"],
+            mode=doc["request"]["mode"],
+        )
         summary = None
         if doc["summary"] is not None:
             summary = TransferSummary.from_json(json.dumps(doc["summary"]).encode("utf-8"))

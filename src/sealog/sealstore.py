@@ -4,7 +4,9 @@ Every persisted object is an AES-256-GCM envelope: a 14-byte header
 (magic "EMLS", version, object type, BE64 object id) authenticated as
 associated data, a random 96-bit nonce, then ciphertext+tag.  The storage
 key is derived per application identity from a device root storage key, so
-no other application identity can unseal or forge objects.
+no other application identity can unseal or forge objects.  The envelope
+has one codec, over bytes: ``seal`` writes it and ``unseal`` reads it,
+checking that its header names the object the caller expects.
 
 Random 96-bit nonces bound the use of one key: at most 2**32 seals per
 storage key (NIST SP 800-38D, section 8.3).  Nothing counts them.  A store
@@ -80,6 +82,8 @@ DEFAULT_MAX_PAYLOAD = 16 * 1024 * 1024
 LOG_WRITER_APP_ID = b"log-writer-v1"
 
 _HEADER = struct.Struct(">4sBBQ")
+# Where the ciphertext starts: after the header and the nonce.
+_BODY = _HEADER.size + NONCE_LEN
 _STATE_PAYLOAD = struct.Struct(">IIIQQI")
 
 # Sentinel for "no blocks delivered yet" in the delivered watermark.
@@ -87,38 +91,6 @@ NO_WATERMARK = 0xFFFFFFFF
 
 # Signature context for chain-state snapshots exported off-device.
 STATE_SIGN_MAGIC = b"EMST"
-
-
-@dataclass(frozen=True)
-class SealedObject:
-    version: int
-    object_type: int
-    object_id: int
-    nonce: bytes
-    ciphertext: bytes  # includes the GCM tag
-
-    def header(self) -> bytes:
-        return _HEADER.pack(SEAL_MAGIC, self.version, self.object_type, self.object_id)
-
-    def serialize(self) -> bytes:
-        return self.header() + self.nonce + self.ciphertext
-
-    @classmethod
-    def deserialize(cls, data: bytes) -> "SealedObject":
-        if len(data) < _HEADER.size + NONCE_LEN + GCM_TAG_LEN:
-            raise ParseError("sealed object too short")
-        magic, version, object_type, object_id = _HEADER.unpack_from(data)
-        if magic != SEAL_MAGIC:
-            raise ParseError(f"bad seal magic {magic!r}")
-        if version != SEAL_VERSION:
-            raise ParseError(f"unsupported seal version {version}")
-        return cls(
-            version=version,
-            object_type=object_type,
-            object_id=object_id,
-            nonce=data[_HEADER.size : _HEADER.size + NONCE_LEN],
-            ciphertext=data[_HEADER.size + NONCE_LEN :],
-        )
 
 
 def derive_storage_key(root_storage_key: bytes, app_id: bytes) -> AESGCM:
@@ -131,32 +103,39 @@ def derive_storage_key(root_storage_key: bytes, app_id: bytes) -> AESGCM:
     return AESGCM(hkdf(root_storage_key, SCHEME_SALT, LABEL_STORAGE + app_id, KEY_LEN))
 
 
-def seal(payload: bytes, sk: AESGCM, object_type: int, object_id: int) -> SealedObject:
+def seal(payload: bytes, sk: AESGCM, object_type: int, object_id: int) -> bytes:
+    """The ``EMLS`` envelope of ``payload`` as the object ``(object_type, object_id)``."""
     if len(payload) > DEFAULT_MAX_PAYLOAD:
         raise InvalidParameter(f"payload of {len(payload)} bytes exceeds {DEFAULT_MAX_PAYLOAD}")
+    header = _HEADER.pack(SEAL_MAGIC, SEAL_VERSION, object_type, object_id)
     nonce = os.urandom(NONCE_LEN)
-    obj = SealedObject(
-        version=SEAL_VERSION,
-        object_type=object_type,
-        object_id=object_id,
-        nonce=nonce,
-        ciphertext=b"",
-    )
-    ct = sk.encrypt(nonce, payload, obj.header())
-    return SealedObject(SEAL_VERSION, object_type, object_id, nonce, ct)
+    return header + nonce + sk.encrypt(nonce, payload, header)
 
 
-def unseal(obj: SealedObject, sk: AESGCM) -> bytes:
-    """Open a sealed object; any header or body mutation raises AuthFailure.
+def unseal(data: bytes, sk: AESGCM, object_type: int, object_id: int) -> bytes:
+    """The payload of the ``EMLS`` envelope ``data`` of object ``(object_type, object_id)``.
 
-    A wrong key is indistinguishable from tampering and reports the same.
+    A short envelope, a bad magic or an unknown version raises
+    ``ParseError``.  A header naming another object, any other header or
+    body mutation, and a wrong key raise ``AuthFailure``: a wrong key is
+    indistinguishable from tampering.
     """
-    try:
-        return sk.decrypt(obj.nonce, obj.ciphertext, obj.header())
-    except InvalidTag as exc:
+    if len(data) < _BODY + GCM_TAG_LEN:
+        raise ParseError("sealed object too short")
+    magic, version, got_type, got_id = _HEADER.unpack_from(data)
+    if magic != SEAL_MAGIC:
+        raise ParseError(f"bad seal magic {magic!r}")
+    if version != SEAL_VERSION:
+        raise ParseError(f"unsupported seal version {version}")
+    if (got_type, got_id) != (object_type, object_id):
         raise AuthFailure(
-            f"unseal failed for object type={obj.object_type} id={obj.object_id}"
-        ) from exc
+            f"sealed header claims type={got_type} id={got_id}, "
+            f"expected type={object_type} id={object_id}"
+        )
+    try:
+        return sk.decrypt(data[_HEADER.size : _BODY], data[_BODY:], data[: _HEADER.size])
+    except InvalidTag as exc:
+        raise AuthFailure(f"unseal failed for object type={object_type} id={object_id}") from exc
 
 
 # Chain state ---------------------------------------------------------------
@@ -384,7 +363,7 @@ class SealedStore:
         directory fsynced (``durable``).  An ``OSError`` becomes a
         ``StorageError``.
         """
-        data = seal(payload, self.sk, object_type, object_id).serialize()
+        data = seal(payload, self.sk, object_type, object_id)
         self._hook(f"{step}:start")
         try:
             fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=self.directory)
@@ -420,7 +399,7 @@ class SealedStore:
         try:
             for block in blocks:
                 name = _block_file(block.block_id)
-                data = seal(block.serialize(), self.sk, OBJECT_BLOCK, block.block_id).serialize()
+                data = seal(block.serialize(), self.sk, OBJECT_BLOCK, block.block_id)
                 self._hook(f"block{block.block_id}:start")
                 try:
                     fds.append(os.open(name, CREATE_ONCE, 0o600, dir_fd=dir_fd))
@@ -446,7 +425,7 @@ class SealedStore:
                 os.close(fd)
 
     def _read_sealed(self, name: str, object_type: int, object_id: int) -> bytes:
-        """One open and one read of the named object, then its unseal.
+        """One open and one read of the named object, then its ``unseal``.
 
         Any ``OSError`` becomes a ``StorageError`` whose ``__cause__`` is
         the original, so a caller can tell a missing file
@@ -457,13 +436,7 @@ class SealedStore:
                 raw = fh.read()
         except OSError as exc:
             raise StorageError(f"cannot read {name}: {exc}") from exc
-        obj = SealedObject.deserialize(raw)
-        if obj.object_type != object_type or obj.object_id != object_id:
-            raise AuthFailure(
-                f"{name} header claims type={obj.object_type} id={obj.object_id}, "
-                f"expected type={object_type} id={object_id}"
-            )
-        return unseal(obj, self.sk)
+        return unseal(raw, self.sk, object_type, object_id)
 
     # -- chain state --
 

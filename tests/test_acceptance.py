@@ -202,7 +202,7 @@ def test_criterion_03_tamper_detection(tmp_path):
 
         for bid, block in plain_blocks.items():
             sealed = seal_obj(block.serialize(), store.sk, OBJECT_BLOCK, bid)
-            store.block_path(bid).write_bytes(sealed.serialize())
+            store.block_path(bid).write_bytes(sealed)
         assert verify_store(store, full=True).verdict == "ok"
 
         # (b) plaintext block-body mutations (includes signature bytes)

@@ -291,3 +291,35 @@ def test_secret_files_are_owner_only_from_creation(tmp_path, capsys, monkeypatch
     secrets = ("store.secret", "rlk.hex", "verifier-id/key.der")
     for path in (tmp_path / name for name in secrets):
         assert stat.S_IMODE(path.stat().st_mode) == 0o600, path
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["init --device-id", "serve --evidence", "unparsable anchor", "fetch --device-id", "verify --rlk"],
+)
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, case):
+    anchors = tmp_path / "anchors"
+    anchors.mkdir()
+    (anchors / "peer.pem").write_bytes(DeviceIdentity.generate().certificate_pem())
+    fetch = ["fetch", "--anchors", str(anchors), "--identity", str(tmp_path / "id"),
+             "--out", str(tmp_path / "archive.json"), "--port", "9"]
+    if case == "init --device-id":
+        argv = ["init", "--store", str(tmp_path / "s"), "--device-id", "xyz"]
+    elif case == "serve --evidence":
+        store = _init(tmp_path, capsys)
+        argv = ["serve", "--store", str(store), "--anchors", str(anchors), "--evidence", "qq",
+                "--port", "0", "--once"]
+    elif case == "unparsable anchor":
+        (anchors / "broken.pem").write_text("not a certificate\n")
+        argv = fetch
+    elif case == "fetch --device-id":
+        argv = fetch + ["--device-id", "not-hex"]
+    else:
+        (tmp_path / "rlk.hex").write_text("zz\n")
+        argv = ["verify", "--archive", str(tmp_path / "archive.json"), "--full",
+                "--rlk", str(tmp_path / "rlk.hex")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if case == "unparsable anchor":
+        assert "broken.pem" in err

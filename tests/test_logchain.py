@@ -28,7 +28,6 @@ from sealog.logchain import (
     Block,
     BlockVerification,
     LogRecord,
-    block_sign_preimage,
     make_record,
     pack_text_field,
     sign_block,
@@ -45,6 +44,18 @@ SEED = b"\x21" * 32
 
 def _keys(block_id: int, count: int) -> list[bytes]:
     return [bytes(k) for k in walk_message_chain(RootLoggingKey(SEED), block_id, count, PARAMS)]
+
+
+def _reference_preimage(block_id: int, tags: list[bytes]) -> bytes:
+    """A block's signature preimage as the format defines it, encoded
+    apart from the code under test: BE32 block_id, BE32 record count, tags."""
+    return struct.pack(">II", block_id, len(tags)) + b"".join(tags)
+
+
+def _record_bytes(record: LogRecord) -> bytes:
+    """A record's bytes as a block encodes them: between the 13-byte block
+    header and the 64-byte signature."""
+    return Block(0, (record,), bytes(64)).serialize()[13:-64]
 
 
 def _build_block(block_id: int, texts: list[bytes], identity: DeviceIdentity) -> Block:
@@ -64,14 +75,14 @@ def identity():
 def test_record_serialized_size_is_292():
     key = _keys(0, 1)[0]
     record = make_record(0, 0, b"hello", key)
-    assert len(record.serialize()) == RECORD_LEN == 292
+    assert len(_record_bytes(record)) == RECORD_LEN == 292
 
 
 def test_empty_text_record_valid():
     key = _keys(0, 1)[0]
     record = make_record(0, 0, b"", key)
     assert record.text == b""
-    assert len(record.serialize()) == 292
+    assert len(_record_bytes(record)) == 292
 
 
 def test_text_boundary_254_ok_255_rejected():
@@ -88,7 +99,7 @@ def test_record_identical_across_machines():
     # serialization, cross-checked against a direct HMAC computation.
     a = make_record(1, 3, b"payload", _keys(1, 4)[3])
     b = make_record(1, 3, b"payload", _keys(1, 4)[3])
-    assert a.serialize() == b.serialize()
+    assert _record_bytes(a) == _record_bytes(b)
 
     key_bytes = _keys(1, 4)[3]
     field = pack_text_field(b"payload")
@@ -125,7 +136,7 @@ def test_record_value_semantics():
     assert (record.text, record.continuation) == (b"abc", True)
     with pytest.raises(AttributeError):
         record.msg_id = 8
-    assert LogRecord.deserialize(record.serialize()) == record
+    assert Block.deserialize(Block(0, (record,), bytes(64)).serialize()).records == (record,)
 
 
 # Blocks ------------------------------------------------------------------------
@@ -525,7 +536,7 @@ def test_block_deserialize_arbitrary_bytes_roundtrips_or_parse_error(data):
 def test_block_read_from_bytes_keeps_them_and_signs_its_tags(data):
     block = Block.deserialize(data)
     assert block.serialize() == data
-    assert block.sign_preimage() == block_sign_preimage(
+    assert block.sign_preimage() == _reference_preimage(
         block.block_id, [r.tag for r in block.records]
     )
     # The same block built from its decoded records encodes to the same bytes.
@@ -540,7 +551,8 @@ def test_read_block_equals_the_block_it_was_built_from(identity):
     assert read == built and hash(read) == hash(built)
     assert (read.block_id, read.signature) == (built.block_id, built.signature)
     assert read.records == built.records
-    assert read.sign_preimage() == block_sign_preimage(5, [r.tag for r in built.records])
+    assert read.sign_preimage() == _reference_preimage(5, [r.tag for r in built.records])
+    assert identity.verify(_reference_preimage(5, [r.tag for r in built.records]), built.signature)
     assert verify_block_public(read, identity.public_key) == STATUS_OK
     assert Block.deserialize(_build_block(6, [b"first"], identity).serialize()) != built
 

@@ -17,6 +17,7 @@ from sealog.errors import (
     NegotiationFailure,
     ParseError,
     ReplayDetected,
+    StorageError,
 )
 from sealog.identity import DeviceIdentity
 from sealog.keyschedule import RootLoggingKey
@@ -702,6 +703,43 @@ def test_store_without_state_does_not_kill_the_server(tmp_path, endpoints, caplo
     assert refused.summary is None and refused.blocks == []
     assert [b.block_id for b in result.blocks] == list(range(10))
     assert any("InvalidParameter" in r.getMessage() for r in caplog.records)
+
+
+def test_storage_error_does_not_kill_the_server(tmp_path, endpoints, caplog, monkeypatch):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)  # 10 blocks
+    device_cert = store.identity().certificate
+    server = LogExportServer(store, [verifier.certificate], port=0)
+    thread = server.start()
+    request = RetrievalRequest(store.manifest.device_id, start=0)
+
+    def disk_full(block_id):
+        raise StorageError("failed writing state.seal: [Errno 28] No space left on device")
+
+    try:
+        with caplog.at_level(logging.WARNING, logger="sealog.retrieval"):
+            monkeypatch.setattr(store, "mark_delivered", disk_full)
+            failed = fetch("127.0.0.1", server.address[1], verifier, [device_cert], request)
+            monkeypatch.undo()
+            result = fetch("127.0.0.1", server.address[1], verifier, [device_cert], request)
+        assert thread.is_alive()
+    finally:
+        server.close()
+    assert failed.summary is None
+    assert [b.block_id for b in result.blocks] == list(range(10))
+    assert audit(result, device_cert).verdict == "ok"
+    assert any("StorageError" in r.getMessage() for r in caplog.records)
+
+
+def test_fetch_from_a_listener_that_never_accepts_times_out(endpoints, monkeypatch):
+    monkeypatch.setattr(retrieval, "SESSION_TIMEOUT", 0.3)
+    device, verifier = endpoints
+    request = RetrievalRequest(device.device_id, start=0)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            fetch("127.0.0.1", listener.getsockname()[1], verifier, [device.certificate], request)
+    assert time.monotonic() - start < 5
 
 
 def _drip(sock, stop):

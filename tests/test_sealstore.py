@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import os
 import resource
 import subprocess
@@ -19,16 +20,20 @@ from sealog.errors import (
     AlreadyExists,
     AuthFailure,
     InvalidParameter,
+    ParseError,
     SealogError,
     StorageError,
 )
-from sealog.keyschedule import ChainParams, derive_ik
+from sealog.keyschedule import ChainParams, RootLoggingKey, derive_ik
 from sealog.logchain import (
     FINDING_MISSING_STATE,
     FINDING_TRUNCATION,
     STATUS_GAP,
     STATUS_OK,
     STATUS_SEAL_FAILURE,
+    Block,
+    LogRecord,
+    pack_text_field,
 )
 from sealog.sealstore import (
     DEFAULT_MAX_PAYLOAD,
@@ -36,7 +41,6 @@ from sealog.sealstore import (
     OBJECT_IK,
     STATE_FILE,
     ChainState,
-    SealedObject,
     SealedStore,
     derive_storage_key,
     seal,
@@ -50,24 +54,46 @@ from sealog.sealstore import (
 
 def test_seal_roundtrip_zero_byte_payload():
     sk = derive_storage_key(b"\x01" * 32, b"app-a")
-    obj = seal(b"", sk, OBJECT_BLOCK, 7)
-    assert unseal(obj, sk) == b""
+    assert unseal(seal(b"", sk, OBJECT_BLOCK, 7), sk, OBJECT_BLOCK, 7) == b""
 
 
 def test_seal_roundtrip_serialization():
     sk = derive_storage_key(b"\x01" * 32, b"app-a")
-    obj = seal(b"payload bytes", sk, OBJECT_IK, 3)
-    again = SealedObject.deserialize(obj.serialize())
-    assert again == obj
-    assert unseal(again, sk) == b"payload bytes"
+    data = seal(b"payload bytes", sk, OBJECT_IK, 3)
+    assert data[:14] == b"EMLS\x01\x02" + (3).to_bytes(8, "big")
+    assert len(data) == 14 + 12 + len(b"payload bytes") + 16
+    assert unseal(data, sk, OBJECT_IK, 3) == b"payload bytes"
+
+
+@pytest.mark.parametrize("object_type, object_id", [(OBJECT_IK, 4), (OBJECT_BLOCK, 3)])
+def test_unseal_as_another_object_fails(object_type, object_id):
+    sk = derive_storage_key(b"\x01" * 32, b"app-a")
+    data = seal(b"payload bytes", sk, OBJECT_IK, 3)
+    with pytest.raises(AuthFailure, match="claims type=2 id=3"):
+        unseal(data, sk, object_type, object_id)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda data: data[: 14 + 12 + 15], "too short"),
+        (lambda data: b"EMLX" + data[4:], "magic"),
+        (lambda data: data[:4] + b"\x02" + data[5:], "version"),
+    ],
+)
+def test_unseal_rejects_a_malformed_envelope(damage, message):
+    sk = derive_storage_key(b"\x01" * 32, b"app-a")
+    data = seal(b"", sk, OBJECT_IK, 3)
+    with pytest.raises(ParseError, match=message):
+        unseal(damage(data), sk, OBJECT_IK, 3)
 
 
 def test_unseal_with_wrong_key_fails():
     sk_a = derive_storage_key(b"\x01" * 32, b"app-a")
     sk_b = derive_storage_key(b"\x01" * 32, b"app-b")
-    obj = seal(b"secret", sk_a, OBJECT_BLOCK, 0)
+    data = seal(b"secret", sk_a, OBJECT_BLOCK, 0)
     with pytest.raises(AuthFailure):
-        unseal(obj, sk_b)
+        unseal(data, sk_b, OBJECT_BLOCK, 0)
 
 
 def test_app_id_one_byte_apart_cross_unseal_matrix():
@@ -75,19 +101,19 @@ def test_app_id_one_byte_apart_cross_unseal_matrix():
     app_ids = [b"logger-a", b"logger-b", b"logger-" + bytes([ord("a") ^ 1])]
     keys = [derive_storage_key(root, app) for app in app_ids]
     sealed = [seal(b"x" * 33, k, OBJECT_BLOCK, 1) for k in keys]
-    for i, obj in enumerate(sealed):
+    for i, data in enumerate(sealed):
         for j, key in enumerate(keys):
             if i == j:
-                assert unseal(obj, key) == b"x" * 33
+                assert unseal(data, key, OBJECT_BLOCK, 1) == b"x" * 33
             else:
                 with pytest.raises(AuthFailure):
-                    unseal(obj, key)
+                    unseal(data, key, OBJECT_BLOCK, 1)
 
 
 def test_storage_key_derivation_deterministic():
     a = derive_storage_key(b"\x09" * 32, b"ta-1")
     b = derive_storage_key(b"\x09" * 32, b"ta-1")
-    assert unseal(seal(b"same key", a, OBJECT_IK, 5), b) == b"same key"
+    assert unseal(seal(b"same key", a, OBJECT_IK, 5), b, OBJECT_IK, 5) == b"same key"
 
 
 def test_seal_payload_cap():
@@ -98,23 +124,63 @@ def test_seal_payload_cap():
 
 def test_exhaustive_byte_flip_always_detected():
     sk = derive_storage_key(b"\x01" * 32, b"a")
-    obj = seal(b"forty-two bytes of very sensitive logs!!!", sk, OBJECT_BLOCK, 9)
-    raw = obj.serialize()
+    raw = seal(b"forty-two bytes of very sensitive logs!!!", sk, OBJECT_BLOCK, 9)
     for position in range(len(raw)):
         for mask in (0x01, 0x80):
             mutated = bytearray(raw)
             mutated[position] ^= mask
-            with pytest.raises((AuthFailure, Exception)):
-                candidate = SealedObject.deserialize(bytes(mutated))
-                unseal(candidate, sk)
+            with pytest.raises((AuthFailure, ParseError)):
+                unseal(bytes(mutated), sk, OBJECT_BLOCK, 9)
+
+
+class _FixedIdentity:
+    """Just what ``SealedStore.create`` reads of a device identity, with
+    fixed bytes: a generated key or certificate would change every run."""
+
+    device_id = bytes(range(16))
+
+    def private_key_der(self) -> bytes:
+        return b"\x30fixed-signing-key"
+
+    def certificate_pem(self) -> bytes:
+        return b"-----BEGIN CERTIFICATE-----\nZml4ZWQ=\n-----END CERTIFICATE-----\n"
+
+
+def test_sealed_envelopes_match_golden_digests(tmp_path, monkeypatch):
+    # Pins the EMLS bytes of one object of each type, sealed under a fixed
+    # root storage key with every nonce fixed, and checks each unseals.
+    monkeypatch.setattr(os, "urandom", lambda n: b"\x5a" * n)
+    store = SealedStore.create(
+        tmp_path / "s", b"\x07" * 32, ChainParams(c=2, m=3), _FixedIdentity(),
+        RootLoggingKey(b"\x11" * 32),
+    )
+    record = LogRecord(0, b"\x22" * 32, pack_text_field(b"golden entry"))
+    block = Block(block_id=0, records=(record,), signature=b"\x33" * 64)
+    store.commit_blocks([block])
+    store.seal_ik(0, bytearray(b"\x44" * 32))
+    digests = {
+        name: hashlib.sha256((tmp_path / "s" / name).read_bytes()).hexdigest()
+        for name in ("manifest.seal", "state.seal", "blk_00000000.seal", "ik_00000000.seal")
+    }
+    assert digests == {
+        "manifest.seal": "13b7783ba7fb6de0b15c03edb69e47d8e83b334674b12bb7c46c7435d0eb2c85",
+        "state.seal": "860d44c093e136e43a5037d4ba2cabd89f9a824ab6c17f85f7139f81f7d397b7",
+        "blk_00000000.seal": "ae85bd214e6e818ac1b253cbf51a225e56a1b4c63c5bb98f626ada22bd75f9f1",
+        "ik_00000000.seal": "7a40e543795ea6d61c3a0bfe4af9b170019e9ae913be16e6ef471981e9e19a14",
+    }
+    reopened = SealedStore.open(tmp_path / "s", b"\x07" * 32)
+    assert reopened.manifest == store.manifest
+    assert reopened.state == ChainState(block_id=0, msg_count=1, sealed_blocks=1, commit_counter=1)
+    assert reopened.load_block(0) == block
+    assert reopened.load_ik(0) == b"\x44" * 32
 
 
 @settings(max_examples=30, deadline=None)
 @given(payload=st.binary(max_size=4096), object_id=st.integers(min_value=0, max_value=2**64 - 1))
 def test_seal_roundtrip_property(payload, object_id):
     sk = derive_storage_key(b"\x0d" * 32, b"prop")
-    obj = seal(payload, sk, OBJECT_BLOCK, object_id)
-    assert unseal(SealedObject.deserialize(obj.serialize()), sk) == payload
+    data = seal(payload, sk, OBJECT_BLOCK, object_id)
+    assert unseal(data, sk, OBJECT_BLOCK, object_id) == payload
 
 
 # chain state -----------------------------------------------------------------
@@ -211,8 +277,10 @@ def test_stale_handle_cannot_roll_the_chain_state_back(tmp_path):
         stale.mark_delivered(1)
     except SealogError:
         return  # refused
-    report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=True)
-    assert report.verdict != "ok" or report.findings
+    # Accepted: then the committed state must not have gone back.
+    fresh = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    assert fresh.state.block_id == 3 and fresh.state.commit_counter >= 2
+    assert verify_store(fresh, full=True).verdict == "ok"
 
 
 # intermediate key sealing ---------------------------------------------------------
