@@ -17,13 +17,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import collector, keyschedule, logchain, retrieval, sealstore
-from .errors import (
-    AuthFailure,
-    InvalidParameter,
-    ParseError,
-    SealogError,
-    StorageError,
-)
+from .errors import InvalidParameter, SealogError, StorageError
 from .identity import (
     DeviceIdentity,
     device_id_from_certificate,
@@ -275,11 +269,12 @@ def _cmd_fetch(args, config) -> int:
         f"fetched {len(result.blocks)} blocks from {device_id.hex()}"
         + (f" (notice: {summary.notice})" if summary and summary.notice else "")
     )
-    if result.alarms:
-        for alarm in result.alarms:
-            print(f"integrity alarm: block {alarm.get('block_id')}: {alarm.get('reason')}")
-        return EXIT_IO
-    return EXIT_OK
+    for alarm in result.alarms:
+        print(f"integrity alarm: block {alarm.get('block_id')}: {alarm.get('reason')}")
+    if summary is None:
+        # The archive stays: what did arrive is evidence.
+        print("error: transfer ended without a summary", file=sys.stderr)
+    return EXIT_IO if result.alarms or summary is None else EXIT_OK
 
 
 def _cmd_bench(args, config) -> int:
@@ -355,6 +350,7 @@ def _cmd_export_formats(args, config) -> int:
                 "ik": sealstore.OBJECT_IK,
                 "state": sealstore.OBJECT_STATE,
                 "manifest": sealstore.OBJECT_MANIFEST,
+                "delivered": sealstore.OBJECT_DELIVERED,
             },
             "max_payload_bytes": sealstore.DEFAULT_MAX_PAYLOAD,
         },
@@ -478,10 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidParameter as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (StorageError, AuthFailure, ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except SealogError as exc:
+    except (SealogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -1,8 +1,10 @@
-"""Log ingestion: format parsers, entry chunking, and chain assembly.
+"""Log ingestion: source shape checks, entry chunking, and chain assembly.
 
 Entries arrive as newline-delimited lines in one of the supported source
-formats (Apache access, Snort fast alerts, dmesg, or generic).  Malformed
-lines are never dropped: they are downgraded to generic entries and
+formats (Apache access, Snort fast alerts, dmesg, or generic).  Each line
+is committed verbatim; parsing only checks that a structured line has its
+source's shape, and reads no field out of it.  Malformed lines are never
+dropped: they are downgraded to generic entries with a warning and
 counted, because an audit pipeline must not discard evidence on a parse
 failure.
 
@@ -25,9 +27,8 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from itertools import islice
-from typing import Generator, Iterable, Iterator
+from typing import Generator, Iterable, Iterator, NamedTuple
 
 from .errors import InvalidParameter
 from .keyschedule import ChainParams, block_walk, derive_ik, message_walk
@@ -51,8 +52,8 @@ SOURCE_GENERIC = "generic"
 SOURCES = (SOURCE_APACHE, SOURCE_SNORT, SOURCE_DMESG, SOURCE_GENERIC)
 
 # Shape checks for the structured sources.  These validate the envelope,
-# not the full grammar: host token + bracketed timestamp + quoted request
-# for Apache; timestamp prefix + "[**]" delimiters for Snort fast alerts;
+# not the full grammar: host token + bracketed time + quoted request for
+# Apache; date-time prefix + "[**]" delimiters for Snort fast alerts;
 # "[ seconds.micros ]" prefix for dmesg.
 _APACHE_RE = re.compile(
     rb'^(\S+) (\S+) (\S+) \[([^\]]+)\] "([^"]*)" (\d{3}) (\S+)'
@@ -61,73 +62,17 @@ _SNORT_RE = re.compile(
     rb"^(\d{2}/\d{2}(?:/\d{2,4})?-\d{2}:\d{2}:\d{2}\.\d+)\s+\[\*\*\].*\[\*\*\]"
 )
 _DMESG_RE = re.compile(rb"^\[\s*(\d+\.\d+)\]")
+_SHAPES = {SOURCE_APACHE: _APACHE_RE, SOURCE_SNORT: _SNORT_RE, SOURCE_DMESG: _DMESG_RE}
 
 
-def _parse_apache_timestamp(raw: bytes) -> float | None:
-    try:
-        return datetime.strptime(raw.decode("ascii"), "%d/%b/%Y:%H:%M:%S %z").timestamp()
-    except (ValueError, UnicodeDecodeError):
-        return None
+class RawEntry(NamedTuple):
+    """One log line as ingested: its source, its verbatim body (the line
+    without its newline) and, for a line that failed its source's shape
+    check and was kept as a generic entry, the warning saying so."""
 
-
-def _parse_snort_timestamp(raw: bytes) -> float | None:
-    text = raw.decode("ascii", errors="replace")
-    for fmt in ("%m/%d/%y-%H:%M:%S.%f", "%m/%d/%Y-%H:%M:%S.%f", "%m/%d-%H:%M:%S.%f"):
-        try:
-            return datetime.strptime(text, fmt).replace(tzinfo=timezone.utc).timestamp()
-        except ValueError:
-            continue
-    return None
-
-
-# Structured source -> (shape check, timestamp group, timestamp parser).
-_SHAPES = {
-    SOURCE_APACHE: (_APACHE_RE, 4, _parse_apache_timestamp),
-    SOURCE_SNORT: (_SNORT_RE, 1, _parse_snort_timestamp),
-    SOURCE_DMESG: (_DMESG_RE, 1, float),
-}
-
-
-class RawEntry:
-    """One parsed log line; ``body`` is the verbatim line sans newline.
-
-    ``timestamp`` is epoch seconds (dmesg: seconds since boot), or None.
-    For entries from ``parse_line`` it is parsed from the matched bytes on
-    first read: ingestion itself never reads it.
-    """
-
-    __slots__ = ("source", "body", "warning", "_timestamp", "_raw_timestamp")
-
-    def __init__(
-        self,
-        source: str,
-        body: bytes,
-        timestamp: float | None = None,
-        warning: str | None = None,
-    ) -> None:
-        self.source = source
-        self.body = body
-        self.warning = warning
-        self._timestamp = timestamp
-        self._raw_timestamp: bytes | None = None
-
-    @property
-    def timestamp(self) -> float | None:
-        if self._raw_timestamp is not None:
-            self._timestamp = _SHAPES[self.source][2](self._raw_timestamp)
-            self._raw_timestamp = None
-        return self._timestamp
-
-    def _fields(self) -> tuple:
-        return (self.source, self.body, self.timestamp, self.warning)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RawEntry) and self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return "RawEntry(source={!r}, body={!r}, timestamp={!r}, warning={!r})".format(
-            *self._fields()
-        )
+    source: str
+    body: bytes
+    warning: str | None = None
 
 
 def parse_line(source: str, line: bytes) -> RawEntry:
@@ -146,13 +91,9 @@ def parse_line(source: str, line: bytes) -> RawEntry:
 
     if source == SOURCE_GENERIC:
         return RawEntry(SOURCE_GENERIC, body)
-    pattern, group, _ = _SHAPES[source]
-    match = pattern.match(body)
-    if match is None:
-        return RawEntry(SOURCE_GENERIC, body, warning=f"line does not match {source} format")
-    entry = RawEntry(source, body)
-    entry._raw_timestamp = match.group(group)
-    return entry
+    if _SHAPES[source].match(body) is None:
+        return RawEntry(SOURCE_GENERIC, body, f"line does not match {source} format")
+    return RawEntry(source, body)
 
 
 def chunk_entry(entry: RawEntry) -> list[tuple[bytes, bool]]:

@@ -89,10 +89,12 @@ def sign_raw(private_key: ec.EllipticCurvePrivateKey, message: bytes) -> bytes:
 
 
 def verify_raw(public_key: ec.EllipticCurvePublicKey, message: bytes, signature: bytes) -> bool:
-    """Verify a 64-byte r||s signature; malformed length raises ParseError."""
-    der = der_signature_from_raw(signature)
+    """Whether ``signature`` is a valid 64-byte r||s signature of
+    ``message``; a signature of any other length is not."""
+    if len(signature) != SIGNATURE_LEN:
+        return False
     try:
-        public_key.verify(der, message, _ECDSA_SHA256)
+        public_key.verify(der_signature_from_raw(signature), message, _ECDSA_SHA256)
         return True
     except InvalidSignature:
         return False

@@ -57,7 +57,6 @@ from .errors import (
 )
 from .identity import (
     DEVICE_ID_LEN,
-    SIGNATURE_LEN,
     DeviceIdentity,
     validate_peer_certificate,
     verify_raw,
@@ -100,6 +99,7 @@ MODE_PUBLIC = 0
 MODE_FULL = 1
 
 HELLO_NONCE_LEN = 16
+ARCHIVE_VERSION = 1
 # Seconds an accepted connection gets for its handshake and request
 # together, and then for each send of the transfer, before the export
 # server drops it for the next peer.
@@ -419,9 +419,7 @@ def _check_transcript(
 ) -> None:
     """Receive the peer's AUTH frame; it must sign the transcript as ``peer_role``."""
     signature = _expect_frame(transport, FRAME_AUTH)
-    if len(signature) != SIGNATURE_LEN or not verify_raw(
-        peer_cert.public_key(), _transcript_preimage(peer_role, th), signature
-    ):
+    if not verify_raw(peer_cert.public_key(), _transcript_preimage(peer_role, th), signature):
         _abort(transport, ABORT_AUTH, "transcript signature invalid")
         raise AuthFailure("peer transcript signature invalid")
 
@@ -584,10 +582,13 @@ def serve_range(
     that cannot be read or unsealed raises the integrity alarm to the peer
     and aborts the transfer; blocks already sent remain usable.  Returns
     the number of blocks sent.
+
+    The chain state is loaded from disk for each request, so blocks a
+    writer committed after the server opened the store are served too.  It
+    is never kept in ``store``, whose own state belongs to any writer that
+    shares the handle.
     """
-    state = store.state
-    if state is None:
-        raise InvalidParameter("store has no chain state to serve")
+    state = store.load_state()
     latest = state.latest_block_id
     requested_end = request.end
     notice = None
@@ -621,7 +622,7 @@ def serve_range(
 
     if sent:
         store.mark_delivered(last)
-    state, state_sig = store.signed_state_snapshot()
+    state, state_sig = store.signed_state_snapshot(state)
     summary = TransferSummary(
         device_id=store.manifest.device_id,
         params=store.params,
@@ -866,7 +867,7 @@ def audit(
 def save_archive(path: str | Path, result: FetchResult, certificate_pem: bytes) -> None:
     """Persist a fetched corpus for offline audit."""
     doc = {
-        "version": 1,
+        "version": ARCHIVE_VERSION,
         "certificate_pem": certificate_pem.decode("ascii"),
         "request": {
             "device_id": result.request.device_id.hex(),
@@ -884,6 +885,8 @@ def save_archive(path: str | Path, result: FetchResult, certificate_pem: bytes) 
 def load_archive(path: str | Path) -> tuple[FetchResult, x509.Certificate]:
     try:
         doc = json.loads(Path(path).read_text())
+        if doc["version"] != ARCHIVE_VERSION:
+            raise ParseError(f"unsupported archive version {doc['version']!r}")
         cert = x509.load_pem_x509_certificate(doc["certificate_pem"].encode("ascii"))
         request = RetrievalRequest(
             device_id=bytes.fromhex(doc["request"]["device_id"]),

@@ -15,13 +15,26 @@ and the chain state) plus one per export poll that advances the delivered
 watermark; with no polls, the limit comes after about 2**32 / (c + 2)
 groups.  To re-key, create a new store under a new root storage key.
 
-The store keeps one file per object (``blk_<id>.seal``, ``ik_<gid>.seal``,
-``state.seal``, ``manifest.seal``).  Commits are crash-safe:
+The store keeps one file per object, and each has one writer:
 
-- ``state.seal``, ``ik_<gid>.seal`` and ``manifest.seal`` are replaced
-  atomically: the payload is written to a temp file and fsynced, renamed
-  over the name, and the directory fsynced, so a crash leaves the old or
-  the new object, never a torn one.
+- ``manifest.seal``: chain parameters and device secrets, written once by
+  ``create``;
+- ``state.seal``: the committed chain state, written by ``create`` and
+  then only by ``commit_blocks``, that is by the log writer;
+- ``blk_<id>.seal``: one signed block, written by ``commit_blocks``;
+- ``ik_<gid>.seal``: a group's intermediate key, written once by
+  ``seal_ik`` as the log writer opens the group;
+- ``delivered.seal``: the delivered watermark, the newest block handed to
+  a verifier, written by ``mark_delivered``, that is by the export server.
+
+So a handle that only serves exports never writes the chain state, and
+cannot roll back what a writer committed after it was opened.  Commits are
+crash-safe:
+
+- ``state.seal``, ``ik_<gid>.seal``, ``manifest.seal`` and
+  ``delivered.seal`` are replaced atomically: the payload is written to a
+  temp file and fsynced, renamed over the name, and the directory fsynced,
+  so a crash leaves the old or the new object, never a torn one.
 - A block file is created once, under its final name, and never replaced.
   A batch is committed in windows of up to 32 blocks: every file of a
   window is created and written first, then, in block order, each is
@@ -68,6 +81,7 @@ from .logchain import Block, verify_sequence
 
 SEAL_MAGIC = b"EMLS"
 SEAL_VERSION = 1
+MANIFEST_VERSION = 1
 NONCE_LEN = 12
 GCM_TAG_LEN = 16
 
@@ -75,6 +89,7 @@ OBJECT_BLOCK = 1
 OBJECT_IK = 2
 OBJECT_STATE = 3
 OBJECT_MANIFEST = 4
+OBJECT_DELIVERED = 5
 
 DEFAULT_MAX_PAYLOAD = 16 * 1024 * 1024
 
@@ -85,6 +100,7 @@ _HEADER = struct.Struct(">4sBBQ")
 # Where the ciphertext starts: after the header and the nonce.
 _BODY = _HEADER.size + NONCE_LEN
 _STATE_PAYLOAD = struct.Struct(">IIIQQI")
+_DELIVERED_PAYLOAD = struct.Struct(">I")
 
 # Sentinel for "no blocks delivered yet" in the delivered watermark.
 NO_WATERMARK = 0xFFFFFFFF
@@ -147,8 +163,9 @@ class ChainState:
 
     ``sealed_blocks == 0`` means nothing is committed yet and the position
     fields are meaningless.  The commit counter strictly increases with
-    every state write; the delivered watermark tracks the newest block
-    already handed to a verifier (NO_WATERMARK when none).
+    every state write.  ``delivered_mark`` is kept only for the payload
+    bytes: nothing reads or changes it, and the delivered watermark lives
+    in its own object (``SealedStore.delivered_mark``).
     """
 
     group_id: int = 0
@@ -195,7 +212,7 @@ class StoreManifest:
     def pack(self) -> bytes:
         return json.dumps(
             {
-                "version": 1,
+                "version": MANIFEST_VERSION,
                 "c": self.params.c,
                 "m": self.params.m,
                 "device_id": self.device_id.hex(),
@@ -209,6 +226,8 @@ class StoreManifest:
     def unpack(cls, payload: bytes) -> "StoreManifest":
         try:
             doc = json.loads(payload.decode("utf-8"))
+            if doc["version"] != MANIFEST_VERSION:
+                raise ParseError(f"unsupported store manifest version {doc['version']!r}")
             return cls(
                 params=ChainParams(c=doc["c"], m=doc["m"]),
                 device_id=bytes.fromhex(doc["device_id"]),
@@ -224,6 +243,7 @@ class StoreManifest:
 
 STATE_FILE = "state.seal"
 MANIFEST_FILE = "manifest.seal"
+DELIVERED_FILE = "delivered.seal"
 
 
 def _block_file(block_id: int) -> str:
@@ -262,6 +282,7 @@ class SealedStore:
         self._identity: DeviceIdentity | None = None
         self.state: ChainState | None = ChainState()
         self.state_error: str | None = None
+        self._delivered: int | None = None  # the watermark last read or written
         self.crash_hook: Callable[[str], None] | None = None
 
     # -- paths --
@@ -452,19 +473,37 @@ class SealedStore:
             raise StorageError(f"chain state unavailable: {self.state_error}")
         return self.state
 
-    def signed_state_snapshot(self) -> tuple[ChainState, bytes]:
-        """State plus a device signature so off-device copies stay auditable."""
-        state = self._require_state()
-        identity = self.identity()
-        return state, identity.sign(state.sign_preimage())
+    def signed_state_snapshot(self, state: ChainState) -> tuple[ChainState, bytes]:
+        """``state`` plus a device signature, so off-device copies stay auditable."""
+        return state, self.identity().sign(state.sign_preimage())
+
+    # -- delivered watermark --
+
+    def delivered_mark(self) -> int:
+        """The newest block handed to a verifier, or NO_WATERMARK: read
+        from ``delivered.seal`` once, then the value this handle last read
+        or wrote."""
+        if self._delivered is None:
+            try:
+                payload = self._read_sealed(DELIVERED_FILE, OBJECT_DELIVERED, 0)
+            except StorageError as exc:
+                if not isinstance(exc.__cause__, FileNotFoundError):
+                    raise
+                payload = _DELIVERED_PAYLOAD.pack(NO_WATERMARK)
+            if len(payload) != _DELIVERED_PAYLOAD.size:
+                raise ParseError(f"delivered watermark must be {_DELIVERED_PAYLOAD.size} bytes")
+            (self._delivered,) = _DELIVERED_PAYLOAD.unpack(payload)
+        return self._delivered
 
     def mark_delivered(self, block_id: int) -> None:
-        state = self._require_state()
-        if state.delivered_mark != NO_WATERMARK and block_id <= state.delivered_mark:
+        """Advance the delivered watermark to ``block_id``: one durable
+        replace of ``delivered.seal``, and none when it is not newer."""
+        mark = self.delivered_mark()
+        if mark != NO_WATERMARK and block_id <= mark:
             return
-        self._commit_state(
-            replace(state, commit_counter=state.commit_counter + 1, delivered_mark=block_id)
-        )
+        payload = _DELIVERED_PAYLOAD.pack(block_id)
+        self._write_sealed(DELIVERED_FILE, payload, OBJECT_DELIVERED, 0, step="delivered")
+        self._delivered = block_id
 
     # -- blocks --
 

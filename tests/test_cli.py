@@ -13,8 +13,10 @@ import pytest
 import sealog
 from sealog import retrieval
 from sealog.cli import main
+from sealog.errors import StorageError
 from sealog.identity import DeviceIdentity
 from sealog.keyschedule import RootLoggingKey
+from sealog.sealstore import SealedStore
 
 
 def _init(tmp_path, capsys, c=2, m=5, rlk_out=False):
@@ -135,7 +137,10 @@ def test_export_formats_json(capsys):
         assert importlib.import_module(module).__doc__
 
 
-def test_serve_fetch_verify_archive_roundtrip(tmp_path, capsys):
+def _serve_and_fetch(tmp_path, capsys, prepare=lambda store: None):
+    """Init a c=2/m=5 store of 100 lines, serve it through a handle opened
+    as `sealog serve` opens it (after ``prepare(handle)``), and run
+    `sealog fetch` against it.  Returns fetch's exit code and its archive."""
     store = _init(tmp_path, capsys, c=2, m=5, rlk_out=True)
     logfile = tmp_path / "logs.txt"
     _write_lines(logfile, 100)
@@ -145,21 +150,13 @@ def test_serve_fetch_verify_archive_roundtrip(tmp_path, capsys):
     verifier = DeviceIdentity.generate()
     verifier_dir = tmp_path / "verifier-id"
     verifier.save(verifier_dir)
-    device_anchors = tmp_path / "device-anchors"
-    device_anchors.mkdir()
-    (device_anchors / "verifier.pem").write_bytes(verifier.certificate_pem())
     verifier_anchors = tmp_path / "verifier-anchors"
     verifier_anchors.mkdir()
     (verifier_anchors / "device.pem").write_bytes((store / "cert.pem").read_bytes())
 
-    from sealog.sealstore import SealedStore
-
     opened = SealedStore.open(store, bytes.fromhex((tmp_path / "store.secret").read_text().strip()))
-    server = retrieval.LogExportServer(
-        opened,
-        anchors=[verifier.certificate],
-        port=0,
-    )
+    prepare(opened)
+    server = retrieval.LogExportServer(opened, anchors=[verifier.certificate], port=0)
     server.start()
     archive = tmp_path / "corpus.archive"
     try:
@@ -180,6 +177,11 @@ def test_serve_fetch_verify_archive_roundtrip(tmp_path, capsys):
         )
     finally:
         server.close()
+    return rc, archive
+
+
+def test_serve_fetch_verify_archive_roundtrip(tmp_path, capsys):
+    rc, archive = _serve_and_fetch(tmp_path, capsys)
     assert rc == 0
     capsys.readouterr()
     assert main(["verify", "--archive", str(archive), "--public"]) == 0
@@ -196,6 +198,32 @@ def test_serve_fetch_verify_archive_roundtrip(tmp_path, capsys):
         )
         == 0
     )
+
+
+def test_fetch_cut_before_its_summary_exits_three_and_keeps_the_archive(tmp_path, capsys):
+    def disk_full(block_id):
+        raise StorageError("failed writing delivered.seal: [Errno 28] No space left on device")
+
+    rc, archive = _serve_and_fetch(
+        tmp_path, capsys, prepare=lambda store: setattr(store, "mark_delivered", disk_full)
+    )
+    assert rc == 3
+    assert "error: transfer ended without a summary" in capsys.readouterr().err
+    result, _cert = retrieval.load_archive(archive)
+    assert result.summary is None and len(result.blocks) == 20
+
+
+@pytest.mark.parametrize("length", [63, 65])
+def test_a_state_signature_of_the_wrong_length_is_a_finding(tmp_path, capsys, length):
+    rc, archive = _serve_and_fetch(tmp_path, capsys)
+    assert rc == 0
+    doc = json.loads(archive.read_text())
+    signature = bytes.fromhex(doc["summary"]["state_signature"])
+    doc["summary"]["state_signature"] = (signature + b"\x00")[:length].hex()
+    archive.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--archive", str(archive), "--public"]) == 1
+    assert "finding: state-signature-invalid" in capsys.readouterr().out
 
 
 def test_config_file_defaults(tmp_path, capsys):

@@ -42,19 +42,16 @@ def test_parse_apache_line():
     assert entry.source == "apache_access"
     assert entry.body == APACHE_LINE
     assert entry.warning is None
-    assert entry.timestamp is not None
 
 
 def test_parse_dmesg_line():
     entry = parse_line("dmesg", DMESG_LINE)
     assert entry.source == "dmesg"
-    assert entry.timestamp == 0.0
 
 
 def test_parse_snort_line():
     entry = parse_line("snort_fast", SNORT_LINE)
     assert entry.source == "snort_fast"
-    assert entry.timestamp is not None
 
 
 def test_malformed_snort_downgrades_to_generic():
@@ -300,17 +297,6 @@ def test_a_failed_ik_seal_is_retried_by_the_next_append(tmp_path):
     assert final.state.latest_block_id == 2
     report = verify_store(final, full=True)
     assert report.verdict == "ok", report.findings
-
-
-def test_parsed_timestamp_is_read_lazily_with_the_same_value():
-    entry = parse_line("apache_access", APACHE_LINE)
-    assert entry._raw_timestamp is not None  # not parsed yet
-    assert entry.timestamp == 1467259200.0  # 2016-06-30 04:00:00 UTC
-    assert entry._raw_timestamp is None
-    assert entry == RawEntry("apache_access", APACHE_LINE, timestamp=1467259200.0)
-    snort = parse_line("snort_fast", SNORT_LINE)
-    assert isinstance(snort.timestamp, float)
-    assert parse_line("apache_access", b"garbage").timestamp is None
 
 
 def test_writer_output_matches_golden_digest(tmp_path):

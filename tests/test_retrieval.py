@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import socket
 import struct
@@ -22,7 +23,7 @@ from sealog.errors import (
 from sealog.identity import DeviceIdentity
 from sealog.keyschedule import RootLoggingKey
 from sealog.logchain import FINDING_TRUNCATION, LogRecord
-from sealog.sealstore import SealedStore, verify_store
+from sealog.sealstore import STATE_FILE, SealedStore, verify_store
 from sealog import logchain, retrieval
 from sealog.retrieval import (
     FRAME_DATA,
@@ -62,8 +63,22 @@ class TapSocket:
         self._sock.close()
 
 
+_open_pairs: list[socket.socket] = []
+
+
 def _pair():
-    return socket.socketpair()
+    pair = socket.socketpair()
+    _open_pairs.extend(pair)
+    return pair
+
+
+@pytest.fixture(autouse=True)
+def _close_pairs():
+    """Close every socket ``_pair`` made once its test is done with it: the
+    helpers hand out sessions over them, so they cannot close them earlier."""
+    yield
+    while _open_pairs:
+        _open_pairs.pop().close()
 
 
 def _handshake_pair(
@@ -384,7 +399,7 @@ def test_dishonest_server_truncation_detected(tmp_path, endpoints):
             server_session.send_message(
                 retrieval.MSG_BLOCK, store.load_block(block_id).serialize()
             )
-        state, sig = store.signed_state_snapshot()
+        state, sig = store.signed_state_snapshot(store.state)
         summary = retrieval.TransferSummary(
             device_id=store.manifest.device_id,
             params=store.params,
@@ -443,7 +458,7 @@ def test_dishonest_server_truncating_a_bounded_request_detected(tmp_path, endpoi
             server_session.send_message(
                 retrieval.MSG_BLOCK, store.load_block(block_id).serialize()
             )
-        state, sig = store.signed_state_snapshot()
+        state, sig = store.signed_state_snapshot(store.state)
         summary = retrieval.TransferSummary(
             device_id=store.manifest.device_id,
             params=store.params,
@@ -498,7 +513,7 @@ def test_dishonest_server_sending_nothing_for_due_blocks_detected(tmp_path, endp
 
     def dishonest_device():
         # blocks 8 and 9 are due; sends none of them, with the signed state
-        state, sig = store.signed_state_snapshot()
+        state, sig = store.signed_state_snapshot(store.state)
         summary = retrieval.TransferSummary(
             device_id=store.manifest.device_id,
             params=store.params,
@@ -693,16 +708,17 @@ def test_store_without_state_does_not_kill_the_server(tmp_path, endpoints, caplo
 
     try:
         with caplog.at_level(logging.WARNING, logger="sealog.retrieval"):
-            real_state, store.state = store.state, None
+            state_file = store.directory / STATE_FILE
+            state_file.rename(store.directory / "state.away")
             refused = transfer()
-            store.state = real_state
+            (store.directory / "state.away").rename(state_file)
             result = transfer()
         assert thread.is_alive()
     finally:
         server.close()
     assert refused.summary is None and refused.blocks == []
     assert [b.block_id for b in result.blocks] == list(range(10))
-    assert any("InvalidParameter" in r.getMessage() for r in caplog.records)
+    assert any("StorageError" in r.getMessage() for r in caplog.records)
 
 
 def test_storage_error_does_not_kill_the_server(tmp_path, endpoints, caplog, monkeypatch):
@@ -845,7 +861,67 @@ def test_delivered_watermark_advances(tmp_path, endpoints):
         fetch("127.0.0.1", server.address[1], verifier, [store.identity().certificate], request)
     finally:
         server.close()
-    assert store.state.delivered_mark == 4
+    assert SealedStore.open(store.directory, ROOT_SECRET).delivered_mark() == 4
+
+
+def test_blocks_committed_after_the_server_opened_the_store_are_served(tmp_path, endpoints):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)  # 10 blocks
+    device_cert = store.identity().certificate
+    served = SealedStore.open(store.directory, ROOT_SECRET)  # as `sealog serve` opens it
+    server = LogExportServer(served, [verifier.certificate], port=0)
+    server.start()
+    request = RetrievalRequest(store.manifest.device_id, start=0)
+    try:
+        fill_store(SealedStore.open(store.directory, ROOT_SECRET), 8)  # blocks 10-11
+        result = fetch("127.0.0.1", server.address[1], verifier, [device_cert], request)
+    finally:
+        server.close()
+    assert [b.block_id for b in result.blocks] == list(range(12))
+    assert result.summary.state.latest_block_id == 11
+    assert audit(result, device_cert).verdict == "ok"
+    assert served.state.latest_block_id == 9  # the serving handle keeps no state it loads
+
+
+def test_a_poll_leaves_the_chain_state_byte_identical(tmp_path, endpoints):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)  # 10 blocks
+    state_file = store.directory / STATE_FILE
+    before = state_file.read_bytes()
+    server = LogExportServer(store, [verifier.certificate], port=0)
+    server.start()
+    try:
+        request = RetrievalRequest(store.manifest.device_id, start=3, end=3)
+        fetch("127.0.0.1", server.address[1], verifier, [store.identity().certificate], request)
+    finally:
+        server.close()
+    assert store.delivered_mark() == 3
+    assert state_file.read_bytes() == before
+
+
+def test_an_archive_of_another_version_is_refused(tmp_path, endpoints):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)
+    server = LogExportServer(store, [verifier.certificate], port=0)
+    server.start()
+    try:
+        request = RetrievalRequest(store.manifest.device_id, start=0, end=1)
+        device_cert = store.identity().certificate
+        result = fetch("127.0.0.1", server.address[1], verifier, [device_cert], request)
+    finally:
+        server.close()
+    path = tmp_path / "corpus.archive"
+    save_archive(path, result, store.identity().certificate_pem())
+    assert load_archive(path)[0].summary is not None
+    doc = json.loads(path.read_text())
+    doc["version"] = 2
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="unsupported archive version 2"):
+        load_archive(path)
+    del doc["version"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        load_archive(path)
 
 
 def test_each_session_ends_in_one_structured_event(tmp_path, endpoints, caplog):

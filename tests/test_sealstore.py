@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import json
 import os
 import resource
 import subprocess
@@ -37,8 +38,11 @@ from sealog.logchain import (
 )
 from sealog.sealstore import (
     DEFAULT_MAX_PAYLOAD,
+    DELIVERED_FILE,
+    MANIFEST_FILE,
     OBJECT_BLOCK,
     OBJECT_IK,
+    OBJECT_MANIFEST,
     STATE_FILE,
     ChainState,
     SealedStore,
@@ -229,6 +233,21 @@ def test_open_with_wrong_secret_fails(tmp_path):
         SealedStore.open(tmp_path / "s", b"\x00" * 32)
 
 
+def test_a_manifest_of_another_version_is_refused(tmp_path):
+    store = build_store(tmp_path / "s")
+    doc = json.loads(store.manifest.pack())
+    doc["version"] = 2
+    sealed = seal(json.dumps(doc).encode(), store.sk, OBJECT_MANIFEST, 0)
+    (store.directory / MANIFEST_FILE).write_bytes(sealed)
+    with pytest.raises(ParseError, match="unsupported store manifest version 2"):
+        SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    del doc["version"]
+    sealed = seal(json.dumps(doc).encode(), store.sk, OBJECT_MANIFEST, 0)
+    (store.directory / MANIFEST_FILE).write_bytes(sealed)
+    with pytest.raises(ParseError):
+        SealedStore.open(tmp_path / "s", ROOT_SECRET)
+
+
 def test_commit_blocks_in_order(tmp_path, small_store):
     assert small_store.state.latest_block_id == 3
     assert small_store.state.sealed_blocks == 4
@@ -258,10 +277,6 @@ def test_commit_counter_strictly_increases(tmp_path):
     assert counters[-1] > counters[0]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: a stale handle's watermark write rolls the chain state back",
-)
 def test_stale_handle_cannot_roll_the_chain_state_back(tmp_path):
     store = build_store(tmp_path / "s", c=2, m=2)
     writer = LogWriter(store)
@@ -281,6 +296,22 @@ def test_stale_handle_cannot_roll_the_chain_state_back(tmp_path):
     fresh = SealedStore.open(tmp_path / "s", ROOT_SECRET)
     assert fresh.state.block_id == 3 and fresh.state.commit_counter >= 2
     assert verify_store(fresh, full=True).verdict == "ok"
+
+
+def test_a_delivered_watermark_swapped_with_the_state_fails_auth(tmp_path):
+    store = build_store(tmp_path / "s", c=2, m=2)
+    fill_store(store, 4)  # blocks 0..1
+    store.mark_delivered(1)
+    state, delivered = store.directory / STATE_FILE, store.directory / DELIVERED_FILE
+    swapped = delivered.read_bytes(), state.read_bytes()
+    state.write_bytes(swapped[0])
+    delivered.write_bytes(swapped[1])
+    fresh = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    assert fresh.state is None and "type=5" in fresh.state_error
+    with pytest.raises(AuthFailure):
+        fresh.load_state()
+    with pytest.raises(AuthFailure):
+        fresh.delivered_mark()
 
 
 # intermediate key sealing ---------------------------------------------------------
