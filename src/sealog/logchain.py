@@ -34,9 +34,9 @@ import hmac as hmac_mod
 import struct
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, starmap
+from itertools import starmap
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Container, Iterable, NamedTuple
 
 from cryptography.hazmat.primitives.asymmetric import ec
 
@@ -379,7 +379,7 @@ class VerificationReport:
 
 
 def verify_sequence(
-    blocks: list[Block],
+    run: Iterable[tuple[int, Block | None, str | None]],
     expected_start: int,
     state,
     rlk: RootLoggingKey | None,
@@ -387,9 +387,19 @@ def verify_sequence(
     params: ChainParams | None = None,
     report: VerificationReport | None = None,
     expected_end: int | None = None,
-    unreadable: dict[int, str] | None = None,
+    run_ids: Container[int] = (),
 ) -> VerificationReport:
-    """Audit an ordered run of blocks against the committed chain state.
+    """Audit a run of blocks against the committed chain state, in one pass.
+
+    ``run`` yields ``(block_id, block, error)`` triples in the order the
+    blocks were presented, as ``SealedStore.iter_committed_blocks`` does,
+    and none is kept.  An ``error`` of ``"missing"`` means the id has no
+    stored copy: it is skipped, so the next present id opens a ``gap``, and
+    a missing tail is left to the truncation check.  Any other ``error``
+    makes a ``seal-failure`` entry at the id's place; a ``block`` is
+    verified.  ``run_ids`` holds every id of a presented (fetched) run, so
+    an expected id that comes later makes an ``order-violation``, not a
+    ``gap``; a store run reads ids in ascending order and passes none.
 
     ``state`` is a ChainState (or None for a missing state record, which is
     itself a finding).  With an RLK the full hash matrix is recomputed under
@@ -398,76 +408,42 @@ def verify_sequence(
     run must reach ``expected_end`` (a requested last block) or, when that
     is None or beyond the state, the newest committed block.  A run that
     starts past the newest committed block has nothing due.
-
-    ``unreadable`` maps the ids of blocks whose stored copy exists but could
-    not be read to the reason; each gets a ``seal-failure`` entry at its
-    place in the run, and a ``gap`` covers only the ids with no copy.
     """
-    unreadable = unreadable or {}
     mode = "full" if rlk is not None else "public"
     if report is None:
         report = VerificationReport(mode=mode, expected_start=expected_start)
-    else:
-        report.mode = mode
+    report.mode = mode
     if rlk is None:
         report.notes.append("hmac-unverified (no RLK)")
 
-    claimed_ids = {b.block_id for b in blocks}
-    expected_id = expected_start
-    for position, block in enumerate(blocks):
-        if block.block_id != expected_id:
-            if expected_id in claimed_ids:
-                # The expected block exists elsewhere in the run: a reorder,
-                # not a deletion.
-                report.add(
-                    BlockEntry(
-                        block.block_id,
-                        STATUS_ORDER_VIOLATION,
-                        detail=f"position {position}: got block {block.block_id}, "
-                        f"expected {expected_id}",
-                    )
-                )
-                expected_id = block.block_id + 1
+    # All the fold keeps: the id due next and the highest id seen.
+    expected_id, highest = expected_start, -1
+    for position, (block_id, block, error) in enumerate(run):
+        if error == "missing":
+            continue
+        highest = max(highest, block_id)
+        if block_id != expected_id:
+            if block_id > expected_id and expected_id not in run_ids:
+                detail = f"blocks {expected_id}..{block_id - 1} missing"
+                report.add(BlockEntry(expected_id, STATUS_GAP, detail=detail))
+            else:
+                # A reorder, not a deletion: the expected block comes later
+                # in the run, or this one belongs before it.
+                if expected_id in run_ids:
+                    detail = f"position {position}: got block {block_id}, expected {expected_id}"
+                else:
+                    detail = f"position {position}: block id regressed below {expected_id}"
+                report.add(BlockEntry(block_id, STATUS_ORDER_VIOLATION, detail=detail))
+                expected_id = block_id + 1
                 continue
-            if block.block_id < expected_id:
-                report.add(
-                    BlockEntry(
-                        block.block_id,
-                        STATUS_ORDER_VIOLATION,
-                        detail=f"position {position}: block id regressed below {expected_id}",
-                    )
-                )
-                expected_id = block.block_id + 1
-                continue
-            _add_absent(report, expected_id, block.block_id - 1, unreadable)
-            expected_id = block.block_id
+        if error is not None:
+            report.add(BlockEntry(block_id, STATUS_SEAL_FAILURE, detail=error))
+        else:
+            report.add(_verify_one(block, rlk, params, public_key, report))
+        expected_id = block_id + 1
 
-        report.add(_verify_one(block, rlk, params, public_key, report))
-        expected_id = block.block_id + 1
-    trailing = [block_id for block_id in unreadable if block_id >= expected_id]
-    if trailing:
-        _add_absent(report, expected_id, max(trailing), unreadable)
-
-    _check_state_consistency(
-        report, blocks, unreadable, state, mode, expected_start, expected_end
-    )
+    _check_state_consistency(report, highest, state, expected_start, expected_end)
     return report
-
-
-def _add_absent(report, first: int, last: int, unreadable: dict[int, str]) -> None:
-    """Entries for ids first..last, which no block of the run has: a seal
-    failure for each unreadable one, a gap over each run of the others."""
-    for block_id in sorted(i for i in unreadable if first <= i <= last):
-        if first < block_id:
-            report.add(_gap(first, block_id - 1))
-        report.add(BlockEntry(block_id, STATUS_SEAL_FAILURE, detail=unreadable[block_id]))
-        first = block_id + 1
-    if first <= last:
-        report.add(_gap(first, last))
-
-
-def _gap(first: int, last: int) -> BlockEntry:
-    return BlockEntry(first, STATUS_GAP, detail=f"blocks {first}..{last} missing")
 
 
 def _verify_one(block, rlk, params, public_key, report) -> BlockEntry:
@@ -493,23 +469,27 @@ def _verify_one(block, rlk, params, public_key, report) -> BlockEntry:
     return BlockEntry(block.block_id, status)
 
 
-def _check_state_consistency(
-    report, blocks, unreadable, state, mode, expected_start, expected_end
-) -> None:
+def beyond_state_finding(block_id: int, latest: int | None) -> str:
+    """The finding for block ``block_id`` lying beyond the newest committed
+    block ``latest`` (None when nothing is committed)."""
+    if latest is None:
+        return f"{FINDING_BEYOND_STATE}: state records no commits but blocks present"
+    return f"{FINDING_BEYOND_STATE}: block {block_id} exceeds committed {latest}"
+
+
+def _check_state_consistency(report, highest, state, expected_start, expected_end) -> None:
+    """Findings on the run as a whole; ``highest`` is the highest id it
+    presented, -1 for none.  An unreadable block is present, and already
+    reported as a seal failure: it does not also end the run early."""
     if state is None:
         report.findings.append(FINDING_MISSING_STATE)
         return
     latest = state.latest_block_id
-    # An unreadable block is present, and already reported as a seal
-    # failure: it does not also end the run early.
-    highest = max(chain((b.block_id for b in blocks), unreadable), default=None)
     if latest is None:
-        if highest is not None:
-            report.findings.append(
-                f"{FINDING_BEYOND_STATE}: state records no commits but blocks present"
-            )
+        if highest >= 0:
+            report.findings.append(beyond_state_finding(highest, latest))
         return
-    if highest is None:
+    if highest < 0:
         # A run that starts past the newest committed block has nothing due.
         if expected_start <= latest:
             report.findings.append(
@@ -523,10 +503,8 @@ def _check_state_consistency(
     if highest < due:
         report.findings.append(f"{FINDING_TRUNCATION}: blocks end at {highest} but {source} {due}")
     elif highest > latest:
-        report.findings.append(
-            f"{FINDING_BEYOND_STATE}: block {highest} exceeds committed {latest}"
-        )
-    if mode == "full" and report.entries:
+        report.findings.append(beyond_state_finding(highest, latest))
+    if report.mode == "full" and report.entries:
         hmac_failures = sum(1 for e in report.entries if e.status == STATUS_BAD_HMAC)
         if hmac_failures == len(report.entries) and hmac_failures > 1:
             report.findings.append(

@@ -856,8 +856,10 @@ def audit(
             f"{FINDING_INTEGRITY_ALARM}: block {alarm.get('block_id')} ({alarm.get('reason')})"
         )
 
+    run = ((block.block_id, block, None) for block in result.blocks)
+    ids = {block.block_id for block in result.blocks}
     return verify_sequence(
-        result.blocks, request.start, state, rlk, public_key, params, report, request.end
+        run, request.start, state, rlk, public_key, params, report, request.end, run_ids=ids
     )
 
 

@@ -44,8 +44,8 @@ crash-safe:
   the later fsyncs less to commit.  A block counts only once the chain
   state, committed after every block of its batch is durable, names it.
   So a torn, unsynced or stale block file can only exist beyond the
-  committed state, where ``recover`` drops it and the next commit of that
-  id replaces it.
+  committed state, where an audit reports it, ``recover`` drops it and the
+  next commit of that id replaces it.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ from .keyschedule import (
     RootLoggingKey,
     hkdf,
 )
-from .logchain import Block, verify_sequence
+from .logchain import Block, beyond_state_finding, verify_sequence
 
 SEAL_MAGIC = b"EMLS"
 SEAL_VERSION = 1
@@ -574,27 +574,33 @@ class SealedStore:
         return block
 
     def block_ids_on_disk(self) -> list[int]:
+        """The ids of the ``blk_<id>.seal`` entries in the store, ascending."""
         ids = []
-        for path in self.directory.glob("blk_*.seal"):
-            try:
-                ids.append(int(path.stem.split("_")[1]))
-            except (IndexError, ValueError):
-                continue
+        for name in os.listdir(self.directory):
+            if name.startswith("blk_") and name.endswith(".seal"):
+                try:
+                    ids.append(int(name[: -len(".seal")].split("_")[1]))
+                except ValueError:
+                    continue
         return sorted(ids)
 
     def iter_committed_blocks(self) -> Iterator[tuple[int, Block | None, str | None]]:
         """Yield (block_id, block, error) for every committed id in order.
 
-        Each block is read once, with no existence probe.  ``block`` is None
-        when the read fails; ``error`` is then ``"missing"`` when the file
-        does not exist (an audit ``gap``), else the reason it could not be
-        read, unsealed or parsed (an audit ``seal-failure``).  A yielded
-        block has decoded none of its records.
+        With no chain state there is no committed range, and every block
+        file on disk is read instead, in id order.  Each block is read
+        once, with no existence probe.  ``block`` is None when the read
+        fails; ``error`` is then ``"missing"`` when the file does not exist
+        (an audit ``gap``), else the reason it could not be read, unsealed
+        or parsed (an audit ``seal-failure``).  A yielded block has decoded
+        none of its records.
         """
-        latest = self.state.latest_block_id if self.state is not None else None
-        if latest is None:
-            return
-        for block_id in range(latest + 1):
+        if self.state is None:
+            ids = self.block_ids_on_disk()
+        else:
+            latest = self.state.latest_block_id
+            ids = range(0 if latest is None else latest + 1)
+        for block_id in ids:
             try:
                 block, error = self.load_block(block_id), None
             except StorageError as exc:
@@ -648,33 +654,26 @@ class SealedStore:
 
 
 def verify_store(store: SealedStore, full: bool = True):
-    """Audit everything committed to a local store.
+    """Audit everything committed to a local store, in one pass.
 
-    Collects blocks, then delegates to the sequence verifier, which gives
-    each id one entry in block order.  A block file that is missing leaves
-    a ``gap``; one that cannot be read, unsealed or parsed is a
-    ``seal-failure`` entry, and the audit goes on.  A missing or
-    unreadable state record becomes a ``missing-state`` finding rather than
-    an error.  Neither audit decodes a record or parses the signing key.
+    The sequence verifier reads the blocks as ``iter_committed_blocks``
+    yields them and keeps none, so the audit holds one block at a time
+    whatever the size of the store; each id gets one entry in block order.
+    A block file that is missing leaves a ``gap``; one that cannot be read,
+    unsealed or parsed is a ``seal-failure`` entry, and the audit goes on.
+    A missing or unreadable state record becomes a ``missing-state``
+    finding rather than an error, and every block file on disk is audited.
+    A block file beyond the committed state is a ``blocks-beyond-state``
+    finding, with no entry.  Neither audit decodes a record or parses the
+    signing key.
     """
     rlk = store.root_logging_key() if full else None
-
-    blocks = []
-    unreadable: dict[int, str] = {}
-    if store.state is not None:
-        for block_id, block, error in store.iter_committed_blocks():
-            if error is None:
-                blocks.append(block)
-            elif error != "missing":
-                unreadable[block_id] = error
-    else:
-        # No trustworthy committed range: audit whatever files exist.
-        for block_id in store.block_ids_on_disk():
-            try:
-                blocks.append(store.load_block(block_id))
-            except (StorageError, AuthFailure, ParseError) as exc:
-                unreadable[block_id] = str(exc)
-
-    return verify_sequence(
-        blocks, 0, store.state, rlk, store.public_key(), store.params, unreadable=unreadable
+    report = verify_sequence(
+        store.iter_committed_blocks(), 0, store.state, rlk, store.public_key(), store.params
     )
+    if store.state is not None:
+        latest = store.state.latest_block_id
+        on_disk = store.block_ids_on_disk()
+        if on_disk and (latest is None or on_disk[-1] > latest):
+            report.findings.append(beyond_state_finding(on_disk[-1], latest))
+    return report

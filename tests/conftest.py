@@ -30,3 +30,39 @@ def small_store(tmp_path):
     store = build_store(tmp_path / "store", c=2, m=4)
     fill_store(store, 16)
     return store
+
+
+class _Crash(Exception):
+    pass
+
+
+def build_replayed_store(directory):
+    """A c=2/m=2 store whose committed blocks 2-3 are copies written before
+    a crash, put back over the blocks committed after it.
+
+    Blocks 0-1 are committed.  A writer then writes blocks 2-3 (entries
+    ``LOST-0..3``) and crashes before its state commit; their files are
+    saved.  A new writer commits blocks 2-3 with ``NEW-0..3``, and the
+    saved files are copied back over them.
+    """
+    store = build_store(directory, c=2, m=2)
+    fill_store(store, 4)
+
+    def crash_before_state(step):
+        if step == "state:start":
+            raise _Crash(step)
+
+    store.crash_hook = crash_before_state
+    writer = LogWriter(store)
+    with pytest.raises(_Crash):
+        for i in range(4):
+            writer.append_entry(RawEntry("generic", f"LOST-{i}".encode()))
+        writer.flush()
+    saved = {i: store.block_path(i).read_bytes() for i in (2, 3)}
+
+    store = SealedStore.open(directory, ROOT_SECRET)
+    fill_store(store, 4, body=lambda i: f"NEW-{i}".encode())
+    assert store.state.latest_block_id == 3
+    for block_id, data in saved.items():
+        store.block_path(block_id).write_bytes(data)
+    return SealedStore.open(directory, ROOT_SECRET)

@@ -256,7 +256,13 @@ def test_criterion_04_reorder_detection(tmp_path):
                 shuffled = list(blocks)
                 shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
                 report = verify_sequence(
-                    shuffled, 0, state, None, public_key, params
+                    [(b.block_id, b, None) for b in shuffled],
+                    0,
+                    state,
+                    None,
+                    public_key,
+                    params,
+                    run_ids={b.block_id for b in shuffled},
                 )
                 assert report.verdict == "fail", (i, j)
                 assert any(e.status == "order-violation" for e in report.entries), (i, j)

@@ -235,7 +235,7 @@ def test_swapped_records_report_one_bad_hmac_entry(identity):
     swapped = Block(block.block_id, tuple(records), block.signature)
     state = ChainState(block_id=0, msg_count=len(texts), sealed_blocks=1, commit_counter=1)
     report = verify_sequence(
-        [swapped], 0, state, RootLoggingKey(SEED), identity.public_key, PARAMS
+        [(0, swapped, None)], 0, state, RootLoggingKey(SEED), identity.public_key, PARAMS
     )
     assert report.mode == "full"
     assert [(e.block_id, e.status, e.msg_id) for e in report.entries] == [

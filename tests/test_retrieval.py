@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import ROOT_SECRET, build_store, fill_store
+from conftest import ROOT_SECRET, build_replayed_store, build_store, fill_store
 from sealog.collector import reassemble_entries
 from sealog.errors import (
     AuthFailure,
@@ -418,6 +418,33 @@ def test_dishonest_server_truncation_detected(tmp_path, endpoints):
     report = audit(result, device_identity.certificate)
     assert report.verdict == "fail"
     assert any(FINDING_TRUNCATION in f for f in report.findings)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the chain state names a position, not the bytes it commits",
+)
+def test_fetched_pre_crash_blocks_put_back_over_committed_ones_are_detected(
+    tmp_path, endpoints
+):
+    _device, verifier = endpoints
+    store = build_replayed_store(tmp_path / "store")
+    server = LogExportServer(store, [verifier.certificate], port=0)
+    server.start()
+    try:
+        request = RetrievalRequest(store.manifest.device_id, start=0)
+        result = fetch(
+            "127.0.0.1", server.address[1], verifier, [store.identity().certificate], request
+        )
+    finally:
+        server.close()
+    assert [b.block_id for b in result.blocks] == [0, 1, 2, 3]
+    certificate = store.identity().certificate
+    verdicts = {
+        audit(result, certificate).verdict,
+        audit(result, certificate, rlk=store.root_logging_key()).verdict,
+    }
+    assert verdicts == {"fail"}
 
 
 def test_single_block_poll_before_latest_audits_ok(tmp_path, endpoints):

@@ -5,9 +5,11 @@ import hashlib
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sealog
-from conftest import ROOT_SECRET, build_store, fill_store
+from conftest import ROOT_SECRET, build_replayed_store, build_store, fill_store
 from sealog.collector import LogWriter, RawEntry
 from sealog.errors import (
     AlreadyExists,
@@ -27,6 +29,7 @@ from sealog.errors import (
 )
 from sealog.keyschedule import ChainParams, RootLoggingKey, derive_ik
 from sealog.logchain import (
+    FINDING_BEYOND_STATE,
     FINDING_MISSING_STATE,
     FINDING_TRUNCATION,
     STATUS_GAP,
@@ -453,6 +456,69 @@ def test_unreadable_block_without_state_is_seal_failure(tmp_path):
         (3, STATUS_OK),
     ]
     assert FINDING_MISSING_STATE in report.findings
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full", "public"])
+def test_block_file_beyond_the_state_is_a_finding(tmp_path, full):
+    store = build_store(tmp_path / "s", c=2, m=2)
+    fill_store(store, 8)  # 4 blocks
+    entries = [e.to_dict() for e in verify_store(store, full=full).entries]
+    shutil.copy(store.block_path(1), store.block_path(7))
+    (store.directory / ".tmp-x").write_bytes(b"")
+    report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=full)
+    # The stray id is a finding, not an entry: no gap opens before it.
+    assert report.findings == [f"{FINDING_BEYOND_STATE}: block 7 exceeds committed 3"]
+    assert report.verdict == "fail"
+    assert [e.to_dict() for e in report.entries] == entries
+
+
+def test_block_file_before_any_commit_is_a_finding(tmp_path):
+    donor = build_store(tmp_path / "donor", c=2, m=2)
+    fill_store(donor, 2)
+    store = build_store(tmp_path / "s", c=2, m=2)
+    shutil.copy(donor.block_path(0), store.block_path(0))
+    report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=False)
+    assert report.findings == [
+        f"{FINDING_BEYOND_STATE}: state records no commits but blocks present"
+    ]
+    assert report.entries == [] and report.verdict == "fail"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the chain state names a position, not the bytes it commits",
+)
+def test_pre_crash_blocks_put_back_over_committed_ones_are_detected(tmp_path):
+    store = build_replayed_store(tmp_path / "s")
+    verdicts = {verify_store(store, full=full).verdict for full in (True, False)}
+    assert verdicts == {"fail"}
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full", "public"])
+def test_audit_memory_does_not_grow_with_the_store(tmp_path, full):
+    # c=10/m=100 blocks are 29 KB each, so a block list would show at once;
+    # the per-block report entry is small beside that.
+    directories = {}
+    for n_blocks in (20, 80):
+        directories[n_blocks] = tmp_path / f"s{n_blocks}"
+        store = build_store(directories[n_blocks], c=10, m=100)
+        fill_store(store, n_blocks * 100, body=lambda i: f"entry {i:08d}".encode().ljust(120, b"."))
+
+    def audit_peak(n_blocks):
+        store = SealedStore.open(directories[n_blocks], ROOT_SECRET)
+        tracemalloc.start()
+        try:
+            report = verify_store(store, full=full)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "ok" and len(report.entries) == n_blocks
+        return peak
+
+    audit_peak(20)  # first-use allocations
+    small, large = audit_peak(20), audit_peak(80)
+    assert large <= 1.10 * small, (small, large)
+    assert large < 256 * 1024, large
 
 
 def test_confidentiality_no_plaintext_in_store(tmp_path):
