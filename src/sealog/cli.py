@@ -15,6 +15,8 @@ import json
 import sys
 from pathlib import Path
 
+from cryptography.hazmat.primitives.serialization import Encoding
+
 from . import bench as bench_mod
 from . import collector, keyschedule, logchain, retrieval, sealstore
 from .errors import InvalidParameter, SealogError, StorageError
@@ -22,6 +24,7 @@ from .identity import (
     DeviceIdentity,
     device_id_from_certificate,
     load_trust_anchors,
+    validate_peer_certificate,
     write_private_file,
 )
 from .keyschedule import ChainParams, RootLoggingKey
@@ -152,19 +155,6 @@ def _cmd_ingest(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_flush(args, config) -> int:
-    store = _open_store(args, config)
-    writer = collector.LogWriter(store)
-    try:
-        writer.flush()
-    finally:
-        writer.close()
-    state = store.state
-    latest = state.latest_block_id if state else None
-    print(f"store durable; latest committed block: {latest}")
-    return EXIT_OK
-
-
 def _print_report(report, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report.to_dict()))
@@ -181,15 +171,25 @@ def _print_report(report, as_json: bool) -> None:
         print(f"  note: {note}")
 
 
+def _load_anchors(args, config, what: str) -> list:
+    anchors_dir = _cfg(args, config, "anchors")
+    if not anchors_dir:
+        raise InvalidParameter(f"{args.command} needs --anchors (trusted {what} certificates)")
+    return load_trust_anchors(anchors_dir)
+
+
 def _cmd_verify(args, config) -> int:
     if args.archive:
+        anchors = _load_anchors(args, config, "device")
         rlk = None
         if args.mode == "full":
             if not args.rlk:
                 raise InvalidParameter("full archive verification needs --rlk")
             rlk = RootLoggingKey(_hex(Path(args.rlk).read_text(), f"root logging key {args.rlk}"))
         result, cert = retrieval.load_archive(args.archive)
-        report = retrieval.audit(result, cert, rlk=rlk)
+        # The archive names its device's certificate; only an anchor vouches for it.
+        device_cert = validate_peer_certificate(cert.public_bytes(Encoding.DER), anchors)
+        report = retrieval.audit(result, device_cert, rlk=rlk)
     else:
         if not args.store:
             raise InvalidParameter("verify needs --store or --archive")
@@ -202,10 +202,7 @@ def _cmd_verify(args, config) -> int:
 def _cmd_serve(args, config) -> int:
     evidence = _hex(args.evidence, "--evidence") if args.evidence else b""
     store = _open_store(args, config)
-    anchors_dir = _cfg(args, config, "anchors")
-    if not anchors_dir:
-        raise InvalidParameter("serve needs --anchors (trusted verifier certificates)")
-    anchors = load_trust_anchors(anchors_dir)
+    anchors = _load_anchors(args, config, "verifier")
     server = retrieval.LogExportServer(
         store,
         anchors,
@@ -229,10 +226,7 @@ def _cmd_serve(args, config) -> int:
 
 def _cmd_fetch(args, config) -> int:
     device_id = _hex(args.device_id, "--device-id") if args.device_id else None
-    anchors_dir = _cfg(args, config, "anchors")
-    if not anchors_dir:
-        raise InvalidParameter("fetch needs --anchors (trusted device certificates)")
-    anchors = load_trust_anchors(anchors_dir)
+    anchors = _load_anchors(args, config, "device")
 
     identity_dir = Path(args.identity)
     if (identity_dir / "cert.pem").exists():
@@ -261,9 +255,7 @@ def _cmd_fetch(args, config) -> int:
     device_cert = next(
         (a for a in anchors if device_id_from_certificate(a) == device_id), anchors[0]
     )
-    from cryptography.hazmat.primitives import serialization as ser
-
-    retrieval.save_archive(args.out, result, device_cert.public_bytes(ser.Encoding.PEM))
+    retrieval.save_archive(args.out, result, device_cert.public_bytes(Encoding.PEM))
     summary = result.summary
     print(
         f"fetched {len(result.blocks)} blocks from {device_id.hex()}"
@@ -403,16 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", help="input file ('-' or omitted for stdin)")
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("flush", help="commit any unsealed chain data")
-    p.add_argument("--store", required=True)
-    p.add_argument("--secret")
-    p.set_defaults(func=_cmd_flush)
-
     p = sub.add_parser("verify", help="audit a local store or a fetched archive")
     p.add_argument("--store")
     p.add_argument("--secret")
     p.add_argument("--archive", help="archive file produced by fetch")
     p.add_argument("--rlk", help="root logging key hex file (full archive audits)")
+    p.add_argument(
+        "--anchors",
+        help="directory of trusted device certificates (*.pem); an archive is audited only"
+        " when its certificate is byte-identical to one of them",
+    )
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--full", dest="mode", action="store_const", const="full")
     mode.add_argument("--public", dest="mode", action="store_const", const="public")
@@ -424,7 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--secret")
     p.add_argument("--host")
     p.add_argument("--port", type=int)
-    p.add_argument("--anchors", help="directory of trusted verifier certificates (*.pem)")
+    p.add_argument(
+        "--anchors",
+        help="directory of trusted verifier certificates (*.pem); a verifier is served only"
+        " when its certificate is byte-identical to one of them",
+    )
     p.add_argument("--evidence", help="hex attestation evidence to present")
     p.add_argument("--once", action="store_true", help="serve one session then exit")
     p.set_defaults(func=_cmd_serve)
@@ -432,7 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fetch", help="retrieve blocks from a device into an archive")
     p.add_argument("--host")
     p.add_argument("--port", type=int)
-    p.add_argument("--anchors", help="directory of trusted device certificates (*.pem)")
+    p.add_argument(
+        "--anchors",
+        help="directory of trusted device certificates (*.pem); a device is trusted only"
+        " when its certificate is byte-identical to one of them",
+    )
     p.add_argument("--identity", required=True, help="verifier identity directory")
     p.add_argument("--device-id", help="target device id (hex)")
     p.add_argument("--start", type=int, default=0)

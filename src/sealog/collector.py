@@ -172,8 +172,9 @@ class LogWriter:
     signed, and is zeroed at group end or ``close()``.  The open block's
     message walk holds the last record's key: each record's key overwrites
     its predecessor's, and its buffer is zeroed at block end or
-    ``close()``.  A group's intermediate key lives only until it is sealed,
-    before the group's first record is tagged.
+    ``close()``.  A group's intermediate key lives only until it is sealed
+    and then read back into the block walk, before the group's first record
+    is tagged.
     """
 
     def __init__(self, store: SealedStore, epoch_seconds: float | None = None):
@@ -230,25 +231,17 @@ class LogWriter:
     # -- key chain --
 
     def _open_group(self) -> Generator[bytearray, None, None]:
-        # A group's first block derives and seals the group's IK.  A restart
-        # mid-group, or a replay after a crash, walks the block chain from
-        # the sealed IK instead, so it never touches the RLK.  The walks are
-        # kept only once the IK is sealed: after a failed seal the next
-        # append derives and seals it again.
+        # Every group is entered through its sealed IK.  A group's first
+        # block derives and seals it; a restart mid-group, or a replay after
+        # a crash, finds it sealed and never touches the RLK.  No walk
+        # starts before the seal, so after a failed seal the next append
+        # derives and seals it again.
         block_id, c = self._next_block_id, self.params.c
         group_id = block_id // c
         if block_id % c == 0 and not self.store.has_ik(group_id):
-            ik = derive_ik(self._rlk, group_id)
-            blocks = block_walk(bytearray(ik), group_id, self.params)
-            key = next(blocks)
-            try:
-                self.store.seal_ik(group_id, ik)
-            except BaseException:
-                blocks.close()
-                raise
-        else:
-            blocks = block_walk(self.store.load_ik(group_id), group_id, self.params)
-            key = next(islice(blocks, block_id % c, None))
+            self.store.seal_ik(group_id, derive_ik(self._rlk, group_id))
+        blocks = block_walk(self.store.load_ik(group_id), group_id, self.params)
+        key = next(islice(blocks, block_id % c, None))
         self._blocks = blocks
         self._walk = _block_messages(key, block_id, self.params)
         return self._walk

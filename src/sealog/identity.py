@@ -5,6 +5,12 @@ block serialization, signatures are a fixed 64-byte raw ``r || s`` pair
 (each coordinate 32-byte big-endian); DER is used only inside X.509
 certificates.  Certificates are self-signed at desk scale and bind the
 public key to a 16-byte device identifier carried in the subject CN.
+
+Trust is pinned: a peer is trusted only when the certificate it presents
+is byte-identical (DER) to one of its verifier's trust anchors, and then
+the anchor, loaded locally, supplies the key and the device id.  A peer's
+certificate bytes are compared, never parsed; no certificate vouches for
+another.
 """
 
 from __future__ import annotations
@@ -90,8 +96,9 @@ def sign_raw(private_key: ec.EllipticCurvePrivateKey, message: bytes) -> bytes:
 
 def verify_raw(public_key: ec.EllipticCurvePublicKey, message: bytes, signature: bytes) -> bool:
     """Whether ``signature`` is a valid 64-byte r||s signature of
-    ``message``; a signature of any other length is not."""
-    if len(signature) != SIGNATURE_LEN:
+    ``message``; a signature of any other length, or one checked against a
+    key that is not an EC key, is not."""
+    if len(signature) != SIGNATURE_LEN or not isinstance(public_key, ec.EllipticCurvePublicKey):
         return False
     try:
         public_key.verify(der_signature_from_raw(signature), message, _ECDSA_SHA256)
@@ -211,42 +218,28 @@ class DeviceIdentity:
 def load_trust_anchors(directory: str | Path) -> list[x509.Certificate]:
     """Load every ``*.pem`` certificate in a directory as a trust anchor.
 
-    A file that is not a PEM certificate raises ``InvalidParameter`` naming it.
+    A file that is not a PEM certificate of an EC P-256 key raises
+    ``InvalidParameter`` naming it.
     """
     anchors = []
     for path in sorted(Path(directory).glob("*.pem")):
         try:
-            anchors.append(x509.load_pem_x509_certificate(path.read_bytes()))
+            anchor = x509.load_pem_x509_certificate(path.read_bytes())
         except ValueError as exc:
             raise InvalidParameter(f"trust anchor {path} is not a PEM certificate") from exc
+        key = anchor.public_key()
+        if not (isinstance(key, ec.EllipticCurvePublicKey) and isinstance(key.curve, ec.SECP256R1)):
+            raise InvalidParameter(f"trust anchor {path} does not hold an EC P-256 key")
+        anchors.append(anchor)
     return anchors
 
 
 def validate_peer_certificate(
-    cert: x509.Certificate, anchors: list[x509.Certificate]
-) -> bytes:
-    """Check a peer certificate against the anchor set; returns its device id.
-
-    A certificate is accepted when it is byte-identical to an anchor, or
-    when an anchor whose subject matches the issuer verifies its signature.
-    """
-    cert_der = cert.public_bytes(serialization.Encoding.DER)
+    cert_der: bytes, anchors: list[x509.Certificate]
+) -> x509.Certificate:
+    """The anchor whose DER bytes equal ``cert_der``; ``AuthFailure`` when
+    there is none.  ``cert_der`` is compared, never parsed."""
     for anchor in anchors:
         if anchor.public_bytes(serialization.Encoding.DER) == cert_der:
-            return device_id_from_certificate(cert)
-    for anchor in anchors:
-        if anchor.subject != cert.issuer:
-            continue
-        anchor_pub = anchor.public_key()
-        if not isinstance(anchor_pub, ec.EllipticCurvePublicKey):
-            continue
-        try:
-            anchor_pub.verify(
-                cert.signature,
-                cert.tbs_certificate_bytes,
-                ec.ECDSA(cert.signature_hash_algorithm),
-            )
-            return device_id_from_certificate(cert)
-        except InvalidSignature:
-            continue
-    raise AuthFailure("peer certificate does not chain to any trust anchor")
+            return anchor
+    raise AuthFailure("peer certificate is not one of the trust anchors")

@@ -10,12 +10,14 @@ The wire format (protocol v1) is length-prefixed binary frames:
     DATA     := BE64 seq || AES-256-GCM ciphertext
     ABORT    := code(1) || utf-8 reason
 
-Both ends present certificates validated against the peer's trust anchors
-and prove key possession by signing the handshake transcript, so the
-channel is mutually authenticated before any log material moves.  Session
-keys come from an ephemeral P-256 ECDH exchange; each direction has its
-own key and sequence counter, and a frame whose sequence number runs
-backwards is rejected as a replay.  Attestation evidence is carried
+Each end trusts the other only when the certificate in its hello is
+byte-identical to one of its own trust anchors: the certificate bytes are
+compared, never parsed, and the anchor supplies the peer's key and device
+id.  Both ends prove key possession by signing the handshake transcript,
+so the channel is mutually authenticated before any log material moves.
+Session keys come from an ephemeral P-256 ECDH exchange; each direction
+has its own key and sequence counter, and a frame whose sequence number
+runs backwards is rejected as a replay.  Attestation evidence is carried
 opaquely and handed to a pluggable policy hook; validating it is out of
 scope here.
 
@@ -58,6 +60,7 @@ from .errors import (
 from .identity import (
     DEVICE_ID_LEN,
     DeviceIdentity,
+    device_id_from_certificate,
     validate_peer_certificate,
     verify_raw,
 )
@@ -88,7 +91,6 @@ MSG_ALARM = 0x23
 ABORT_AUTH = 1
 ABORT_NEGOTIATION = 2
 ABORT_REPLAY = 3
-ABORT_INTEGRITY = 4
 ABORT_INTERNAL = 5
 
 ROLE_DEVICE = 1
@@ -313,11 +315,7 @@ class SecureSession:
             self.block_bytes_sent += len(body)
 
     def recv_message(self) -> tuple[int, bytes]:
-        frame_type, payload = self._transport.recv_frame()
-        if frame_type == FRAME_ABORT:
-            _raise_abort(payload)
-        if frame_type != FRAME_DATA:
-            raise ParseError(f"unexpected frame type {frame_type} inside session")
+        payload = _expect_frame(self._transport, FRAME_DATA)
         if len(payload) < 8:
             raise ParseError("data frame too short")
         (seq,) = struct.unpack_from(">Q", payload)
@@ -336,17 +334,15 @@ class SecureSession:
             raise ParseError("empty session message")
         return plain[0], plain[1:]
 
-    def abort(self, code: int, reason: str) -> None:
-        _abort(self._transport, code, reason)
-
     def close(self) -> None:
         self._transport.close()
 
 
 def _session_keys(
-    eph_private: ec.EllipticCurvePrivateKey, peer_pub_bytes: bytes, transcript_hash: bytes
+    eph_private: ec.EllipticCurvePrivateKey,
+    peer_pub: ec.EllipticCurvePublicKey,
+    transcript_hash: bytes,
 ) -> tuple[bytes, bytes]:
-    peer_pub = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), peer_pub_bytes)
     shared = eph_private.exchange(ec.ECDH(), peer_pub)
     okm = hkdf(shared, SCHEME_SALT, LABEL_CHANNEL + transcript_hash, 64)
     return okm[:32], okm[32:]  # (verifier->device, device->verifier)
@@ -375,26 +371,34 @@ def _validate_hello(
     anchors: list[x509.Certificate],
     policy: AttestationPolicy | None,
     transport: FrameTransport,
-) -> x509.Certificate:
+) -> tuple[ec.EllipticCurvePublicKey, ec.EllipticCurvePublicKey]:
+    """Check every field of a peer's hello; returns the peer's signing key,
+    taken from the anchor its certificate matches, and its ephemeral key.
+
+    A refusal is sent to the peer, ``ABORT_NEGOTIATION`` for the version
+    and ``ABORT_AUTH`` for anything else, and raised as a ``SealogError``.
+    """
     if hello.version != PROTOCOL_VERSION:
         _abort(transport, ABORT_NEGOTIATION, f"unsupported version {hello.version}")
         raise NegotiationFailure(f"peer speaks version {hello.version}")
-    if hello.role != expected_role:
-        _abort(transport, ABORT_AUTH, "unexpected peer role")
-        raise AuthFailure(f"peer declared role {hello.role}, expected {expected_role}")
     try:
-        cert = x509.load_der_x509_certificate(hello.certificate_der)
-        cert_device_id = validate_peer_certificate(cert, anchors)
-    except (AuthFailure, ParseError) as exc:
+        if hello.role != expected_role:
+            raise AuthFailure(f"peer declared role {hello.role}, expected {expected_role}")
+        anchor = validate_peer_certificate(hello.certificate_der, anchors)
+        if device_id_from_certificate(anchor) != hello.device_id:
+            raise AuthFailure("hello device id does not match certificate")
+        try:
+            eph_pub = ec.EllipticCurvePublicKey.from_encoded_point(
+                ec.SECP256R1(), hello.ephemeral_pub
+            )
+        except ValueError as exc:
+            raise AuthFailure("ephemeral key is not a P-256 point") from exc
+        if policy is not None and not policy(hello.evidence, hello.role, hello.device_id):
+            raise AuthFailure("attestation evidence rejected by policy")
+    except SealogError as exc:
         _abort(transport, ABORT_AUTH, str(exc))
-        raise AuthFailure(f"peer certificate rejected: {exc}") from exc
-    if cert_device_id != hello.device_id:
-        _abort(transport, ABORT_AUTH, "certificate does not bind the claimed device id")
-        raise AuthFailure("hello device id does not match certificate")
-    if policy is not None and not policy(hello.evidence, hello.role, hello.device_id):
-        _abort(transport, ABORT_AUTH, "attestation evidence rejected")
-        raise AuthFailure("attestation evidence rejected by policy")
-    return cert
+        raise
+    return anchor.public_key(), eph_pub
 
 
 def _transcript_hash(client_hello: bytes, server_hello: bytes) -> bytes:
@@ -415,11 +419,11 @@ def _expect_frame(transport: FrameTransport, wanted: int) -> bytes:
 
 
 def _check_transcript(
-    transport: FrameTransport, peer_cert: x509.Certificate, peer_role: int, th: bytes
+    transport: FrameTransport, peer_key: ec.EllipticCurvePublicKey, peer_role: int, th: bytes
 ) -> None:
     """Receive the peer's AUTH frame; it must sign the transcript as ``peer_role``."""
     signature = _expect_frame(transport, FRAME_AUTH)
-    if not verify_raw(peer_cert.public_key(), _transcript_preimage(peer_role, th), signature):
+    if not verify_raw(peer_key, _transcript_preimage(peer_role, th), signature):
         _abort(transport, ABORT_AUTH, "transcript signature invalid")
         raise AuthFailure("peer transcript signature invalid")
 
@@ -438,15 +442,15 @@ def client_handshake(
 
     server_hello_bytes = _expect_frame(transport, FRAME_HELLO)
     server_hello = ChannelHello.unpack(server_hello_bytes)
-    server_cert = _validate_hello(
+    server_key, server_eph = _validate_hello(
         server_hello, ROLE_DEVICE, anchors, attestation_policy, transport
     )
 
     th = _transcript_hash(hello_bytes, server_hello_bytes)
     transport.send_frame(FRAME_AUTH, identity.sign(_transcript_preimage(ROLE_VERIFIER, th)))
-    _check_transcript(transport, server_cert, ROLE_DEVICE, th)
+    _check_transcript(transport, server_key, ROLE_DEVICE, th)
 
-    send_key, recv_key = _session_keys(eph, server_hello.ephemeral_pub, th)
+    send_key, recv_key = _session_keys(eph, server_eph, th)
     return SecureSession(transport, send_key, recv_key, ROLE_VERIFIER, server_hello.device_id)
 
 
@@ -469,7 +473,7 @@ def server_handshake(
     if not replay_cache.check_and_add(client_hello.nonce):
         _abort(transport, ABORT_REPLAY, "hello nonce already seen")
         raise ReplayDetected("client hello replayed")
-    client_cert = _validate_hello(
+    client_key, client_eph = _validate_hello(
         client_hello, ROLE_VERIFIER, anchors, attestation_policy, transport
     )
 
@@ -478,10 +482,10 @@ def server_handshake(
     transport.send_frame(FRAME_HELLO, hello_bytes)
 
     th = _transcript_hash(client_hello_bytes, hello_bytes)
-    _check_transcript(transport, client_cert, ROLE_VERIFIER, th)
+    _check_transcript(transport, client_key, ROLE_VERIFIER, th)
     transport.send_frame(FRAME_AUTH, identity.sign(_transcript_preimage(ROLE_DEVICE, th)))
 
-    recv_key, send_key = _session_keys(eph, client_hello.ephemeral_pub, th)
+    recv_key, send_key = _session_keys(eph, client_eph, th)
     return SecureSession(transport, send_key, recv_key, ROLE_DEVICE, client_hello.device_id)
 
 
@@ -658,7 +662,13 @@ def receive_transfer(session: SecureSession, request: RetrievalRequest) -> Fetch
         if msg_type == MSG_BLOCK:
             result.blocks.append(Block.deserialize(body))
         elif msg_type == MSG_ALARM:
-            result.alarms.append(json.loads(body.decode("utf-8")))
+            try:
+                alarm = json.loads(body.decode("utf-8"))
+            except ValueError as exc:
+                raise ParseError(f"malformed integrity alarm: {exc}") from exc
+            if not isinstance(alarm, dict):
+                raise ParseError("integrity alarm is not a JSON object")
+            result.alarms.append(alarm)
         elif msg_type == MSG_SUMMARY:
             result.summary = TransferSummary.from_json(body)
             break
@@ -732,7 +742,7 @@ class LogExportServer:
                 raise ParseError(f"expected request, got message {msg_type}")
             request = RetrievalRequest.unpack(body)
             if request.device_id != self.identity.device_id:
-                session.abort(ABORT_AUTH, "request names a different device")
+                _abort(transport, ABORT_AUTH, "request names a different device")
                 raise AuthFailure("request device id mismatch")
             transport.deadline = None
             conn.settimeout(SESSION_TIMEOUT)

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import datetime
+
 import pytest
+from cryptography import x509
+from cryptography.hazmat.primitives import hashes
+from cryptography.x509.oid import NameOID
 
 from sealog.collector import IngestPolicy, LogWriter, RawEntry, ingest
 from sealog.identity import DeviceIdentity
@@ -22,6 +27,25 @@ def fill_store(store, n_entries, body=lambda i: f"log entry {i}".encode()):
     entries = (RawEntry(source="generic", body=body(i)) for i in range(n_entries))
     stats = ingest(entries, IngestPolicy(params=store.params), writer)
     return stats
+
+
+def make_certificate(
+    device_id: bytes, key, issuer: DeviceIdentity | None = None
+) -> x509.Certificate:
+    """A certificate binding ``key`` to ``device_id``, signed by ``issuer``
+    or, without one, self-signed."""
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, device_id.hex())])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    return (
+        x509.CertificateBuilder()
+        .subject_name(name)
+        .issuer_name(issuer.certificate.subject if issuer else name)
+        .public_key(key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(now - datetime.timedelta(minutes=5))
+        .not_valid_after(now + datetime.timedelta(days=1))
+        .sign(issuer.private_key if issuer else key, hashes.SHA256())
+    )
 
 
 @pytest.fixture

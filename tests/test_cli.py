@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import base64
+import dataclasses
 import importlib
 import json
 import os
@@ -9,14 +11,18 @@ import threading
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec, rsa
+from cryptography.hazmat.primitives.serialization import Encoding
 
+from conftest import make_certificate
 import sealog
 from sealog import retrieval
 from sealog.cli import main
 from sealog.errors import StorageError
 from sealog.identity import DeviceIdentity
 from sealog.keyschedule import RootLoggingKey
-from sealog.sealstore import SealedStore
+from sealog.logchain import Block, sign_block
+from sealog.sealstore import ChainState, SealedStore
 
 
 def _init(tmp_path, capsys, c=2, m=5, rlk_out=False):
@@ -96,29 +102,6 @@ def test_ingest_json_stats(tmp_path, capsys):
     assert "dropped" not in stats
 
 
-def test_flush_reports_latest(tmp_path, capsys):
-    store = _init(tmp_path, capsys, c=1, m=5)
-    logfile = tmp_path / "logs.txt"
-    _write_lines(logfile, 5)
-    main(["ingest", "--store", str(store), str(logfile)])
-    assert main(["flush", "--store", str(store)]) == 0
-    assert "latest committed block: 0" in capsys.readouterr().out
-
-
-def test_flush_destroys_the_writers_root_key(tmp_path, capsys, monkeypatch):
-    store = _init(tmp_path, capsys, c=1, m=5)
-    destroyed = []
-    original = RootLoggingKey.destroy
-
-    def recording_destroy(self):
-        original(self)
-        destroyed.append(self)
-
-    monkeypatch.setattr(RootLoggingKey, "destroy", recording_destroy)
-    assert main(["flush", "--store", str(store)]) == 0
-    assert destroyed and all(rlk.destroyed for rlk in destroyed)
-
-
 def test_gen_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "a.log", tmp_path / "b.log"
     assert main(["gen", "--count", "500", "--seed", "11", "--out", str(out1)]) == 0
@@ -184,13 +167,16 @@ def test_serve_fetch_verify_archive_roundtrip(tmp_path, capsys):
     rc, archive = _serve_and_fetch(tmp_path, capsys)
     assert rc == 0
     capsys.readouterr()
-    assert main(["verify", "--archive", str(archive), "--public"]) == 0
+    anchors = str(tmp_path / "verifier-anchors")
+    assert main(["verify", "--archive", str(archive), "--anchors", anchors, "--public"]) == 0
     assert (
         main(
             [
                 "verify",
                 "--archive",
                 str(archive),
+                "--anchors",
+                anchors,
                 "--full",
                 "--rlk",
                 str(tmp_path / "rlk.hex"),
@@ -213,6 +199,42 @@ def test_fetch_cut_before_its_summary_exits_three_and_keeps_the_archive(tmp_path
     assert result.summary is None and len(result.blocks) == 20
 
 
+def test_verify_archive_trusts_the_anchors_not_the_archive(tmp_path, capsys):
+    rc, archive = _serve_and_fetch(tmp_path, capsys)  # 20 blocks, c=2/m=5
+    assert rc == 0
+    # Cut the last two blocks, re-sign the rest and a state naming block 17
+    # with a fresh identity for the same device id, and name its certificate.
+    doc = json.loads(archive.read_text())
+    impostor = DeviceIdentity.generate(bytes.fromhex(doc["request"]["device_id"]))
+    blocks = [Block.deserialize(base64.b64decode(b)) for b in doc["blocks"][:-2]]
+    doc["blocks"] = [
+        base64.b64encode(sign_block(b.block_id, list(b.records), impostor).serialize()).decode()
+        for b in blocks
+    ]
+    state = ChainState.unpack(bytes.fromhex(doc["summary"]["state"]))
+    state = dataclasses.replace(state, group_id=8, block_id=17)
+    doc["summary"].update(
+        state=state.pack().hex(),
+        state_signature=impostor.sign(state.sign_preimage()).hex(),
+        count=18,
+        range=[0, 17],
+    )
+    doc["certificate_pem"] = impostor.certificate_pem().decode("ascii")
+    archive.write_text(json.dumps(doc))
+    rlk = RootLoggingKey(bytes.fromhex((tmp_path / "rlk.hex").read_text()))
+    assert retrieval.audit(*retrieval.load_archive(archive), rlk=rlk).verdict == "ok"
+    capsys.readouterr()
+
+    assert main(["verify", "--archive", str(archive), "--public"]) == 2
+    assert "needs --anchors" in capsys.readouterr().err
+    anchors = str(tmp_path / "verifier-anchors")
+    for mode in (["--public"], ["--full", "--rlk", str(tmp_path / "rlk.hex")]):
+        assert main(["verify", "--archive", str(archive), "--anchors", anchors, *mode]) == 3
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out
+        assert captured.err == "error: peer certificate is not one of the trust anchors\n"
+
+
 @pytest.mark.parametrize("length", [63, 65])
 def test_a_state_signature_of_the_wrong_length_is_a_finding(tmp_path, capsys, length):
     rc, archive = _serve_and_fetch(tmp_path, capsys)
@@ -222,7 +244,8 @@ def test_a_state_signature_of_the_wrong_length_is_a_finding(tmp_path, capsys, le
     doc["summary"]["state_signature"] = (signature + b"\x00")[:length].hex()
     archive.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["verify", "--archive", str(archive), "--public"]) == 1
+    anchors = str(tmp_path / "verifier-anchors")
+    assert main(["verify", "--archive", str(archive), "--anchors", anchors, "--public"]) == 1
     assert "finding: state-signature-invalid" in capsys.readouterr().out
 
 
@@ -293,7 +316,7 @@ def test_init_writes_no_store_when_its_secret_cannot_be_written(tmp_path, capsys
     # So a second init, with a secret it can write, makes a store it can open.
     (tmp_path / "nodir").mkdir()
     assert main(argv) == 0
-    assert main(["flush", "--store", str(store), "--secret", argv[-1]]) == 0
+    assert main(["verify", "--store", str(store), "--secret", argv[-1]]) == 0
 
 
 def test_init_removes_the_files_it_wrote_for_a_store_it_could_not_create(tmp_path, capsys):
@@ -323,7 +346,15 @@ def test_secret_files_are_owner_only_from_creation(tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize(
     "case",
-    ["init --device-id", "serve --evidence", "unparsable anchor", "fetch --device-id", "verify --rlk"],
+    [
+        "init --device-id",
+        "serve --evidence",
+        "unparsable anchor",
+        "RSA anchor",
+        "P-384 anchor",
+        "fetch --device-id",
+        "verify --rlk",
+    ],
 )
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, case):
     anchors = tmp_path / "anchors"
@@ -340,14 +371,23 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, case):
     elif case == "unparsable anchor":
         (anchors / "broken.pem").write_text("not a certificate\n")
         argv = fetch
+    elif case in ("RSA anchor", "P-384 anchor"):
+        key = (
+            rsa.generate_private_key(public_exponent=65537, key_size=2048)
+            if case == "RSA anchor"
+            else ec.generate_private_key(ec.SECP384R1())
+        )
+        certificate = make_certificate(bytes(16), key)
+        (anchors / "broken.pem").write_bytes(certificate.public_bytes(Encoding.PEM))
+        argv = fetch
     elif case == "fetch --device-id":
         argv = fetch + ["--device-id", "not-hex"]
     else:
         (tmp_path / "rlk.hex").write_text("zz\n")
         argv = ["verify", "--archive", str(tmp_path / "archive.json"), "--full",
-                "--rlk", str(tmp_path / "rlk.hex")]
+                "--anchors", str(anchors), "--rlk", str(tmp_path / "rlk.hex")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    if case == "unparsable anchor":
+    if case.endswith("anchor"):
         assert "broken.pem" in err

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from cryptography.hazmat.primitives.serialization import Encoding
 
 from sealog.errors import AuthFailure, ParseError
 from sealog.identity import (
@@ -68,6 +69,7 @@ def test_trust_anchor_validation(tmp_path):
     anchors_dir.mkdir()
     (anchors_dir / "trusted.pem").write_bytes(trusted.certificate_pem())
     anchors = load_trust_anchors(anchors_dir)
-    assert validate_peer_certificate(trusted.certificate, anchors) == trusted.device_id
+    trusted_der = trusted.certificate.public_bytes(Encoding.DER)
+    assert validate_peer_certificate(trusted_der, anchors) is anchors[0]
     with pytest.raises(AuthFailure):
-        validate_peer_certificate(stranger.certificate, anchors)
+        validate_peer_certificate(stranger.certificate.public_bytes(Encoding.DER), anchors)

@@ -3,14 +3,23 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import socket
 import struct
 import threading
 import time
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec, rsa
+from cryptography.hazmat.primitives.serialization import Encoding
 
-from conftest import ROOT_SECRET, build_replayed_store, build_store, fill_store
+from conftest import (
+    ROOT_SECRET,
+    build_replayed_store,
+    build_store,
+    fill_store,
+    make_certificate,
+)
 from sealog.collector import reassemble_entries
 from sealog.errors import (
     AuthFailure,
@@ -1006,3 +1015,141 @@ def test_abort_to_a_gone_peer_is_logged_not_raised(caplog):
     events = [r for r in caplog.records if r.name == "sealog.retrieval"]
     assert events and all(r.levelno == logging.DEBUG for r in events)
     assert "abort frame" in events[0].getMessage()
+
+
+# Hostile peers ----------------------------------------------------------------
+
+
+def _issued_by(issuer: DeviceIdentity, device_id: bytes) -> DeviceIdentity:
+    """An identity for ``device_id`` with a fresh key, whose certificate
+    ``issuer`` signs: an anchored leaf vouching for another device."""
+    key = ec.generate_private_key(ec.SECP256R1())
+    return DeviceIdentity(device_id, make_certificate(device_id, key, issuer), key)
+
+
+def _survives_hostile_peer(tmp_path, verifier, caplog, hostile, server_anchors=()):
+    """Serve a 10-block store on a live ``LogExportServer`` that trusts
+    ``verifier`` and ``server_anchors``, and run ``hostile(server, device
+    identity, request)``, which must raise ``AuthFailure``.  The serving
+    thread must live, log the hostile session as an ``AuthFailure``, and
+    then serve an honest fetch that audits ok."""
+    store = _serving_store(tmp_path)
+    device = store.identity()
+    server = LogExportServer(store, [verifier.certificate, *server_anchors], port=0)
+    thread = server.start()
+    request = RetrievalRequest(store.manifest.device_id, start=0)
+    try:
+        with caplog.at_level(logging.WARNING, logger="sealog.retrieval"):
+            with pytest.raises(AuthFailure):
+                hostile(server, device, request)
+            result = fetch("127.0.0.1", server.address[1], verifier, [device.certificate], request)
+        assert thread.is_alive()
+    finally:
+        server.close()
+    events = [r.session for r in caplog.records if hasattr(r, "session")]
+    assert [event["outcome"] for event in events] == ["AuthFailure"]
+    assert [b.block_id for b in result.blocks] == list(range(10))
+    assert audit(result, device.certificate).verdict == "ok"
+
+
+def test_a_malformed_certificate_is_refused_and_the_server_lives(tmp_path, endpoints, caplog):
+    _device, verifier = endpoints
+
+    def hostile(server, device, request):
+        hello, _eph = retrieval._make_hello(verifier, retrieval.ROLE_VERIFIER, b"")
+        hello.certificate_der = bytes.fromhex("3003020100")  # SEQUENCE { INTEGER 0 }
+        with socket.create_connection(("127.0.0.1", server.address[1]), timeout=5) as sock:
+            transport = FrameTransport(sock)
+            transport.send_frame(FRAME_HELLO, hello.pack())
+            retrieval._expect_frame(transport, FRAME_HELLO)
+
+    _survives_hostile_peer(tmp_path, verifier, caplog, hostile)
+
+
+def test_a_peer_presenting_an_anchored_rsa_certificate_cannot_kill_the_server(
+    tmp_path, endpoints, caplog
+):
+    _device, verifier = endpoints
+    # load_trust_anchors refuses it; a server built with it in code must live.
+    rsa_id = DeviceIdentity.generate()
+    rsa_cert = make_certificate(rsa_id.device_id, rsa.generate_private_key(65537, 2048))
+
+    def hostile(server, device, request):
+        hello, _eph = retrieval._make_hello(rsa_id, retrieval.ROLE_VERIFIER, b"")
+        hello.certificate_der = rsa_cert.public_bytes(Encoding.DER)
+        with socket.create_connection(("127.0.0.1", server.address[1]), timeout=5) as sock:
+            transport = FrameTransport(sock)
+            transport.send_frame(FRAME_HELLO, hello.pack())
+            retrieval._expect_frame(transport, FRAME_HELLO)
+            transport.send_frame(retrieval.FRAME_AUTH, os.urandom(64))
+            retrieval._expect_frame(transport, retrieval.FRAME_AUTH)
+
+    _survives_hostile_peer(tmp_path, verifier, caplog, hostile, server_anchors=[rsa_cert])
+
+
+@pytest.mark.parametrize("forger", ["verifier", "device"])
+def test_a_certificate_issued_by_an_anchored_leaf_is_refused(tmp_path, endpoints, caplog, forger):
+    _device, verifier = endpoints
+    other = DeviceIdentity.generate()  # anchored by the refusing end
+
+    def forging_verifier(server, device, request):
+        forged = _issued_by(verifier, other.device_id)
+        fetch("127.0.0.1", server.address[1], forged, [device.certificate], request)
+
+    def forging_device(server, device, request):
+        server.identity = _issued_by(other, device.device_id)
+        try:
+            anchors = [device.certificate, other.certificate]
+            fetch("127.0.0.1", server.address[1], verifier, anchors, request)
+        finally:
+            server.identity = device
+
+    if forger == "verifier":
+        _survives_hostile_peer(
+            tmp_path, verifier, caplog, forging_verifier, server_anchors=[other.certificate]
+        )
+    else:
+        _survives_hostile_peer(tmp_path, verifier, caplog, forging_device)
+
+
+@pytest.mark.parametrize(
+    "sender", [retrieval.ROLE_VERIFIER, retrieval.ROLE_DEVICE], ids=["verifier", "device"]
+)
+def test_a_hello_with_an_invalid_ephemeral_point_is_refused(
+    tmp_path, endpoints, caplog, monkeypatch, sender
+):
+    _device, verifier = endpoints
+    make_hello = retrieval._make_hello
+
+    def off_curve_hello(identity, role, evidence):
+        hello, eph = make_hello(identity, role, evidence)
+        if role == sender:
+            hello.ephemeral_pub = b"\x04" + b"\x01" * 64  # not a point on P-256
+        return hello, eph
+
+    def hostile(server, device, request):
+        monkeypatch.setattr(retrieval, "_make_hello", off_curve_hello)
+        try:
+            fetch("127.0.0.1", server.address[1], verifier, [device.certificate], request)
+        finally:
+            monkeypatch.undo()
+
+    _survives_hostile_peer(tmp_path, verifier, caplog, hostile)
+
+
+@pytest.mark.parametrize("body", [b"\xff\xfe", b"not json", b"[1, 2]", b'"block 3"'])
+def test_an_alarm_that_is_not_a_json_object_is_a_parse_error(tmp_path, endpoints, body):
+    device, verifier = endpoints
+    results = _handshake_pair(device, verifier, [verifier.certificate], [device.certificate])
+    server_session, client_session = results["server"], results["client"]
+
+    def dishonest_device():
+        server_session.recv_message()  # the request
+        server_session.send_message(retrieval.MSG_ALARM, body)
+        server_session.close()  # a transfer that keeps such an alarm ends here
+
+    thread = threading.Thread(target=dishonest_device)
+    thread.start()
+    with pytest.raises(ParseError, match="alarm"):
+        receive_transfer(client_session, RetrievalRequest(device.device_id, start=0))
+    thread.join()
