@@ -650,6 +650,14 @@ class FetchResult:
     alarms: list[dict] = field(default_factory=list)
 
 
+def _checked_alarm(alarm: object) -> dict:
+    """An integrity alarm, as received or archived: a JSON object, or a
+    ``ParseError``."""
+    if not isinstance(alarm, dict):
+        raise ParseError("integrity alarm is not a JSON object")
+    return alarm
+
+
 def receive_transfer(session: SecureSession, request: RetrievalRequest) -> FetchResult:
     """Send the request and collect block/summary/alarm messages."""
     result = FetchResult(request=request)
@@ -666,9 +674,7 @@ def receive_transfer(session: SecureSession, request: RetrievalRequest) -> Fetch
                 alarm = json.loads(body.decode("utf-8"))
             except ValueError as exc:
                 raise ParseError(f"malformed integrity alarm: {exc}") from exc
-            if not isinstance(alarm, dict):
-                raise ParseError("integrity alarm is not a JSON object")
-            result.alarms.append(alarm)
+            result.alarms.append(_checked_alarm(alarm))
         elif msg_type == MSG_SUMMARY:
             result.summary = TransferSummary.from_json(body)
             break
@@ -912,7 +918,7 @@ def load_archive(path: str | Path) -> tuple[FetchResult, x509.Certificate]:
         result = FetchResult(
             blocks=[Block.deserialize(base64.b64decode(b)) for b in doc["blocks"]],
             summary=summary,
-            alarms=doc.get("alarms", []),
+            alarms=[_checked_alarm(alarm) for alarm in doc.get("alarms", [])],
             request=request,
         )
         return result, cert

@@ -50,8 +50,10 @@ crash-safe:
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import stat
 import struct
 import tempfile
 from dataclasses import dataclass, replace
@@ -131,10 +133,11 @@ def seal(payload: bytes, sk: AESGCM, object_type: int, object_id: int) -> bytes:
 def unseal(data: bytes, sk: AESGCM, object_type: int, object_id: int) -> bytes:
     """The payload of the ``EMLS`` envelope ``data`` of object ``(object_type, object_id)``.
 
-    A short envelope, a bad magic or an unknown version raises
-    ``ParseError``.  A header naming another object, any other header or
-    body mutation, and a wrong key raise ``AuthFailure``: a wrong key is
-    indistinguishable from tampering.
+    AES-GCM decrypts from views of ``data``: the ciphertext is not copied
+    out of the envelope first.  A short envelope, a bad magic or an unknown
+    version raises ``ParseError``.  A header naming another object, any
+    other header or body mutation, and a wrong key raise ``AuthFailure``: a
+    wrong key is indistinguishable from tampering.
     """
     if len(data) < _BODY + GCM_TAG_LEN:
         raise ParseError("sealed object too short")
@@ -148,8 +151,9 @@ def unseal(data: bytes, sk: AESGCM, object_type: int, object_id: int) -> bytes:
             f"sealed header claims type={got_type} id={got_id}, "
             f"expected type={object_type} id={object_id}"
         )
+    view = memoryview(data)
     try:
-        return sk.decrypt(data[_HEADER.size : _BODY], data[_BODY:], data[: _HEADER.size])
+        return sk.decrypt(view[_HEADER.size : _BODY], view[_BODY:], view[: _HEADER.size])
     except InvalidTag as exc:
         raise AuthFailure(f"unseal failed for object type={object_type} id={object_id}") from exc
 
@@ -446,18 +450,31 @@ class SealedStore:
                 os.close(fd)
 
     def _read_sealed(self, name: str, object_type: int, object_id: int) -> bytes:
-        """One open and one read of the named object, then its ``unseal``.
+        """The named object read whole, then its ``unseal``.
 
-        Any ``OSError`` becomes a ``StorageError`` whose ``__cause__`` is
-        the original, so a caller can tell a missing file
-        (``FileNotFoundError``) from one that exists but cannot be read.
+        One ``os.open``, one ``fstat`` and reads to the end of the file,
+        the first sized to hold all of it, with no buffered file object.
+        The errors are those of ``open``: a directory raises
+        ``IsADirectoryError`` naming the path.  Any ``OSError`` becomes a
+        ``StorageError`` whose ``__cause__`` is the original, so a caller
+        can tell a missing file (``FileNotFoundError``) from one that
+        exists but cannot be read.
         """
+        path = self._prefix + name
         try:
-            with open(self._prefix + name, "rb") as fh:
-                raw = fh.read()
+            fd = os.open(path, os.O_RDONLY | os.O_CLOEXEC)
+            try:
+                info = os.fstat(fd)
+                if stat.S_ISDIR(info.st_mode):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+                chunks = []
+                while chunk := os.read(fd, info.st_size + 1):
+                    chunks.append(chunk)
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise StorageError(f"cannot read {name}: {exc}") from exc
-        return unseal(raw, self.sk, object_type, object_id)
+        return unseal(b"".join(chunks), self.sk, object_type, object_id)
 
     # -- chain state --
 

@@ -249,6 +249,20 @@ def test_a_state_signature_of_the_wrong_length_is_a_finding(tmp_path, capsys, le
     assert "finding: state-signature-invalid" in capsys.readouterr().out
 
 
+def test_an_archived_alarm_that_is_not_an_object_exits_three(tmp_path, capsys):
+    rc, archive = _serve_and_fetch(tmp_path, capsys)
+    assert rc == 0
+    doc = json.loads(archive.read_text())
+    doc["alarms"] = ["x"]
+    archive.write_text(json.dumps(doc))
+    capsys.readouterr()
+    anchors = str(tmp_path / "verifier-anchors")
+    assert main(["verify", "--archive", str(archive), "--anchors", anchors, "--public"]) == 3
+    captured = capsys.readouterr()
+    assert "verdict" not in captured.out
+    assert captured.err == "error: integrity alarm is not a JSON object\n"
+
+
 def test_config_file_defaults(tmp_path, capsys):
     config = tmp_path / "sealog.json"
     config.write_text(json.dumps({"c": 4, "m": 3}))

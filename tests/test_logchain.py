@@ -172,11 +172,15 @@ def test_signatures_do_not_cross_verify_between_block_ids(identity):
     assert verify_block_public(swapped, identity.public_key) == STATUS_BAD_SIGNATURE
 
 
-def test_truncated_signature_is_parse_error(identity):
+def test_a_signature_of_the_wrong_length_is_a_bad_signature(identity):
     block = _build_block(0, [b"a"], identity)
     broken = Block(block.block_id, block.records, block.signature[:63])
-    with pytest.raises(ParseError):
-        verify_block_public(broken, identity.public_key)
+    assert verify_block_public(broken, identity.public_key) == STATUS_BAD_SIGNATURE
+    state = ChainState(block_id=0, msg_count=1, sealed_blocks=1, commit_counter=1)
+    for rlk, notes in ((None, ["hmac-unverified (no RLK)"]), (RootLoggingKey(SEED), [])):
+        report = verify_sequence([(0, broken, None)], 0, state, rlk, identity.public_key, PARAMS)
+        assert [(e.block_id, e.status) for e in report.entries] == [(0, STATUS_BAD_SIGNATURE)]
+        assert report.notes == notes and report.findings == []
 
 
 def test_public_path_does_not_cover_text(identity):
@@ -543,6 +547,23 @@ def test_block_read_from_bytes_keeps_them_and_signs_its_tags(data):
     rebuilt = Block(block.block_id, block.records, block.signature)
     assert rebuilt.serialize() == data and rebuilt == block
     assert rebuilt.sign_preimage() == block.sign_preimage()
+
+
+@pytest.mark.parametrize("m", [1, 4, 100])
+def test_sign_preimage_is_the_signed_header_then_the_tags(identity, m):
+    # Every length up to m, partial blocks included, signed and read back.
+    key = bytearray(32)
+    for count in range(1, m + 1):
+        records = [make_record(m, i, f"entry {i}".encode(), key) for i in range(count)]
+        signed = sign_block(m, records, identity)
+        for block in (signed, Block.deserialize(signed.serialize())):
+            expected = block.serialize()[5:13] + b"".join(r.tag for r in block.records)
+            assert block.sign_preimage() == expected
+        assert verify_block_public(signed, identity.public_key) == STATUS_OK
+    # One compiled struct per record count, and no more than the bound kept.
+    cached = logchain._signed_fields.cache_info()
+    assert cached.maxsize == logchain._SIGNED_FIELDS_CACHED
+    assert cached.currsize <= logchain._SIGNED_FIELDS_CACHED
 
 
 def test_read_block_equals_the_block_it_was_built_from(identity):

@@ -423,6 +423,47 @@ def test_unreadable_block_is_seal_failure_and_audit_goes_on(tmp_path, full):
     assert report.verdict == "fail" and report.findings == []
 
 
+@pytest.mark.parametrize("full", [True, False], ids=["full", "public"])
+def test_a_deleted_block_and_a_directory_block_give_the_pinned_report(tmp_path, full):
+    # The store the cross-version CI gate audits: c=3/m=4, 50 entries, so
+    # 13 blocks; block 4 deleted and block 7 replaced by a directory.  The
+    # gate compares these reports byte for byte across versions.
+    store = build_store(tmp_path / "s", c=3, m=4)
+    fill_store(store, 50)
+    store.block_path(4).unlink()
+    store.block_path(7).unlink()
+    store.block_path(7).mkdir()
+    report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=full)
+    entries = [{"block_id": i, "status": STATUS_OK} for i in range(13) if i != 4]
+    entries[4:4] = [{"block_id": 4, "status": STATUS_GAP, "detail": "blocks 4..4 missing"}]
+    entries[7] = {
+        "block_id": 7,
+        "status": STATUS_SEAL_FAILURE,
+        "detail": "cannot read blk_00000007.seal: [Errno 21] Is a directory: "
+        f"'{store.block_path(7)}'",
+    }
+    assert report.to_dict() == {
+        "mode": "full" if full else "public",
+        "expected_start": 0,
+        "verdict": "fail",
+        "first_failure": (4, None),
+        "entries": entries,
+        "findings": [],
+        "notes": [] if full else ["hmac-unverified (no RLK)"],
+    }
+
+
+def test_a_large_sealed_object_is_read_whole(tmp_path):
+    # One c=1/m=4000 block: a sealed object of about 1.2 MB.
+    store = build_store(tmp_path / "s", c=1, m=4000)
+    fill_store(store, 4000)
+    reopened = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    assert store.block_path(0).stat().st_size > 1_150_000
+    block = reopened.load_block(0)
+    assert [r.text for r in block.records] == [f"log entry {i}".encode() for i in range(4000)]
+    assert verify_store(reopened, full=True).verdict == "ok"
+
+
 def test_unreadable_last_block_keeps_block_order(tmp_path):
     store = build_store(tmp_path / "s", c=2, m=2)
     fill_store(store, 8)  # 4 blocks
