@@ -18,6 +18,14 @@ BE32 record_count, the records, then the 64-byte raw r||s signature.  The
 signed header fields are bytes 5 to 12 of that encoding, so a serialized
 block carries its own signature preimage.
 
+The chain digest binds a run of blocks to the exact bytes committed:
+H_k = SHA-256(H_{k-1} || sign_preimage_k || signature_k), from
+H_{-1} = 32 zero bytes.  It covers what each signature covers, plus the
+signature; record texts are bound by their tags, which the full audit
+checks.  The chain state carries H through its newest block, so a block
+the device signed under the same id but never committed, such as one a
+crash left behind, no longer passes for the committed one.
+
 A ``Block`` is its bytes.  One built from records is encoded when it is
 built; one read from bytes (disk or wire) keeps them, and deserializing
 checks only the header and the length.  Both audits read the records
@@ -30,6 +38,7 @@ reassembly makes.
 
 from __future__ import annotations
 
+import hashlib
 import hmac as hmac_mod
 import struct
 from dataclasses import dataclass, field
@@ -79,6 +88,10 @@ FINDING_MISSING_STATE = "missing-state"
 FINDING_BEYOND_STATE = "blocks-beyond-state"
 FINDING_KEY_MISMATCH = "wholesale-key-mismatch"
 FINDING_INTEGRITY_ALARM = "integrity-alarm"
+FINDING_HISTORY_MISMATCH = "history-mismatch"
+
+# The chain digest before any block, H_{-1}.
+GENESIS_DIGEST = bytes(32)
 
 
 def pack_text_field(text: bytes, continuation: bool = False) -> bytes:
@@ -193,17 +206,19 @@ class Block:
     them.  A block read by ``deserialize`` keeps the bytes it was given and
     decodes its records on the first read of ``records``.  ``serialize()``
     returns the bytes, and ``sign_preimage()`` reads the tags from them
-    without decoding a record.  Blocks are compared by their bytes and are
-    not changed after construction.
+    without decoding a record, on its first call only: an audit reads the
+    preimage twice, for the signature and for the chain digest.  Blocks are
+    compared by their bytes and are not changed after construction.
     """
 
-    __slots__ = ("block_id", "signature", "_records", "_data")
+    __slots__ = ("block_id", "signature", "_records", "_data", "_preimage")
 
     def __init__(self, block_id: int, records: tuple[LogRecord, ...], signature: bytes) -> None:
         self.block_id = block_id
         self.signature = signature
         self._records: tuple[LogRecord, ...] | None = tuple(records)
         self._data = _encode_unsigned(block_id, self._records) + signature
+        self._preimage: bytes | None = None
 
     @property
     def records(self) -> tuple[LogRecord, ...]:
@@ -216,7 +231,9 @@ class Block:
         return self._data
 
     def sign_preimage(self) -> bytes:
-        return _sign_preimage(self._data, len(self._data) - len(self.signature))
+        if self._preimage is None:
+            self._preimage = _sign_preimage(self._data, len(self._data) - len(self.signature))
+        return self._preimage
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Block):
@@ -238,6 +255,7 @@ class Block:
         block.signature = data[-SIGNATURE_LEN:]
         block._records = records
         block._data = data
+        block._preimage = None
         return block
 
     @classmethod
@@ -267,6 +285,12 @@ def sign_block(block_id: int, records: list[LogRecord], identity: DeviceIdentity
     return Block._of(unsigned + signature, records)
 
 
+def chain_digest(digest: bytes, block: Block) -> bytes:
+    """The chain digest through ``block``, from ``digest``, the one through
+    the block before it: SHA-256(digest || sign preimage || signature)."""
+    return hashlib.sha256(digest + block.sign_preimage() + block.signature).digest()
+
+
 def verify_block_public(block: Block, public_key: ec.EllipticCurvePublicKey) -> str:
     """Signature-only check: authenticates origin without any chain secret.
 
@@ -281,16 +305,18 @@ def verify_block_public(block: Block, public_key: ec.EllipticCurvePublicKey) -> 
 
 @dataclass
 class BlockVerification:
-    """Per-record verification outcome for one block."""
+    """Per-record verification outcome for one block; ``signature_ok`` is
+    None when the signature was not checked, and ``ok`` says that every
+    check made passed."""
 
     block_id: int
-    signature_ok: bool
+    signature_ok: bool | None
     bad_records: list[int] = field(default_factory=list)
     checked_records: int = 0
 
     @property
     def ok(self) -> bool:
-        return self.signature_ok and not self.bad_records
+        return self.signature_ok is not False and not self.bad_records
 
     @property
     def first_bad_msg_id(self) -> int | None:
@@ -301,16 +327,19 @@ def verify_block_full(
     block: Block,
     rlk: RootLoggingKey,
     params: ChainParams,
-    public_key: ec.EllipticCurvePublicKey,
+    public_key: ec.EllipticCurvePublicKey | None,
 ) -> BlockVerification:
-    """Recompute every message key and tag from the RLK, plus the signature.
+    """Recompute every message key and tag from the RLK, plus the signature
+    under ``public_key``; with None the signature is left to the caller.
 
     The records are checked in one pass over the block's bytes; none is
     decoded into a ``LogRecord``.
     """
     if rlk.destroyed:
         raise KeyUnavailable("root logging key unavailable for full verification")
-    signature_ok = verify_block_public(block, public_key) == STATUS_OK
+    signature_ok = None
+    if public_key is not None:
+        signature_ok = verify_block_public(block, public_key) == STATUS_OK
     data, block_id = block.serialize(), block.block_id
     body = memoryview(data)[_BLOCK_HEADER.size : len(data) - len(block.signature)]
     count = len(body) // RECORD_LEN
@@ -398,7 +427,7 @@ def verify_sequence(
     expected_end: int | None = None,
     run_ids: Container[int] = (),
 ) -> VerificationReport:
-    """Audit a run of blocks against the committed chain state, in one pass.
+    """Audit a run of blocks against the committed chain state.
 
     ``run`` yields ``(block_id, block, error)`` triples in the order the
     blocks were presented, as ``SealedStore.iter_committed_blocks`` does,
@@ -417,6 +446,21 @@ def verify_sequence(
     run must reach ``expected_end`` (a requested last block) or, when that
     is None or beyond the state, the newest committed block.  A run that
     starts past the newest committed block has nothing due.
+
+    A run due from block 0 through the newest committed block must also
+    reproduce the state's chain digest.  A full audit of such a run checks
+    the digest first: one pass checks every record tag and extends the
+    digest, with no signature check, since a matching digest covers every
+    signature the device made at commit.  It is done when the run is blocks
+    0 to the newest in order, every tag checks and the digest matches.  On
+    anything else it reads the run again and audits it on the per-block
+    pass, so ``run`` must start over on each ``iter()``, as a list does; a
+    one-shot iterator gets the per-block pass alone.  The per-block pass,
+    the only one of a public audit or of any other run, checks every
+    signature and gives each id its entry, and extends the digest when one
+    is due.  A digest that does not match when that pass finds nothing else
+    is a ``history-mismatch`` finding: every block is one the device
+    signed, but not the one it committed.
     """
     mode = "full" if rlk is not None else "public"
     if report is None:
@@ -425,8 +469,16 @@ def verify_sequence(
     if rlk is None:
         report.notes.append("hmac-unverified (no RLK)")
 
-    # All the fold keeps: the id due next and the highest id seen.
-    expected_id, highest = expected_start, -1
+    due = _due_digest(state, expected_start, expected_end)
+    if rlk is not None and due is not None and iter(run) is not run:
+        latest = state.latest_block_id
+        if _digest_pass(run, rlk, params, due, latest):
+            report.entries.extend(BlockEntry(i, STATUS_OK) for i in range(latest + 1))
+            return report
+
+    # All the fold keeps: the id due next, the highest id seen and the digest.
+    expected_id, highest, digest = expected_start, -1, GENESIS_DIGEST
+    findings = len(report.findings)
     for position, (block_id, block, error) in enumerate(run):
         if error == "missing":
             continue
@@ -449,10 +501,51 @@ def verify_sequence(
             report.add(BlockEntry(block_id, STATUS_SEAL_FAILURE, detail=error))
         else:
             report.add(_verify_one(block, rlk, params, public_key, report))
+            if due is not None:
+                digest = chain_digest(digest, block)
         expected_id = block_id + 1
 
     _check_state_consistency(report, highest, state, expected_start, expected_end)
+    if (
+        due is not None
+        and digest != due
+        and len(report.findings) == findings
+        and all(e.status == STATUS_OK for e in report.entries)
+    ):
+        report.findings.append(
+            f"{FINDING_HISTORY_MISMATCH}: blocks 0..{state.latest_block_id} "
+            "are not the ones the chain state commits"
+        )
     return report
+
+
+def _due_digest(state, expected_start: int, expected_end: int | None) -> bytes | None:
+    """The chain digest a run must reproduce: the state's, when the run is
+    due from block 0 through the newest committed block; otherwise None."""
+    if state is None or state.latest_block_id is None or expected_start != 0:
+        return None
+    if expected_end is not None and expected_end < state.latest_block_id:
+        return None
+    return state.chain_digest
+
+
+def _digest_pass(run, rlk, params, due: bytes, latest: int) -> bool:
+    """A full audit's first pass: whether ``run`` is blocks 0..``latest``
+    in order, each with every record tag right, whose chain digest is
+    ``due``.  It checks no signature, keeps no block and stops at the first
+    block that is not so."""
+    digest, expected_id = GENESIS_DIGEST, 0
+    for block_id, block, error in run:
+        if error is not None or block_id != expected_id:
+            return False
+        try:
+            if not verify_block_full(block, rlk, params, None).ok:
+                return False
+        except InvalidParameter:
+            return False
+        digest = chain_digest(digest, block)
+        expected_id += 1
+    return expected_id == latest + 1 and digest == due
 
 
 def _verify_one(block, rlk, params, public_key, report) -> BlockEntry:

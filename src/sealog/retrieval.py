@@ -1,6 +1,6 @@
 """Device-side export service and verifier-side retrieval client.
 
-The wire format (protocol v1) is length-prefixed binary frames:
+The wire format (protocol v2) is length-prefixed binary frames:
 
     frame    := BE32 length || type(1) || payload
     HELLO    := version(1) role(1) device_id(16)
@@ -25,6 +25,9 @@ Inside the encrypted channel, messages are type-tagged: a range request,
 the serialized blocks in ascending order, a final summary carrying the
 signed chain state (so a dishonest transport cannot silently truncate),
 and an integrity alarm if a sealed block fails to open mid-transfer.
+Version 2 is version 1 with the chain digest in the summary's state in
+place of a field nothing read; each version refuses the other's hello and
+archive.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ from .sealstore import ChainState, SealedStore
 
 _log = logging.getLogger("sealog.retrieval")
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 MAX_FRAME_LEN = 32 * 1024 * 1024
 
 FRAME_HELLO = 0x01
@@ -101,7 +104,7 @@ MODE_PUBLIC = 0
 MODE_FULL = 1
 
 HELLO_NONCE_LEN = 16
-ARCHIVE_VERSION = 1
+ARCHIVE_VERSION = 2
 # Seconds an accepted connection gets for its handshake and request
 # together, and then for each send of the transfer, before the export
 # server drops it for the next peer.
@@ -530,6 +533,14 @@ class RetrievalRequest:
 
 @dataclass
 class TransferSummary:
+    """What a transfer ends with: the device's chain state and its
+    signature, the count of blocks sent and the range they cover.
+
+    The state carries the chain digest through its newest block, so an
+    audit of a range from block 0 through that block checks the blocks
+    against the digest the device signed.
+    """
+
     device_id: bytes
     params: ChainParams
     state: ChainState
@@ -841,6 +852,16 @@ def audit(
     Public mode (rlk=None) checks origin and structure; full mode
     additionally recomputes the whole hash matrix, which requires the chain
     parameters (taken from the summary when not supplied).
+
+    A request from block 0 with no end, or one ending at or past the
+    summary's newest block, is due to cover every committed block, so its
+    blocks must also reproduce the chain digest of the state the summary
+    signs; a mismatch that no other check explains is a
+    ``history-mismatch`` finding.  A full audit of such a range checks the digest first and then
+    verifies no block signature, only the summary's (see
+    ``logchain.verify_sequence``).  Any other range, and any transfer whose
+    summary is missing or not validly signed, is audited block by block
+    with no digest check.
     """
     request, summary = result.request, result.summary
     state = None
@@ -872,7 +893,7 @@ def audit(
             f"{FINDING_INTEGRITY_ALARM}: block {alarm.get('block_id')} ({alarm.get('reason')})"
         )
 
-    run = ((block.block_id, block, None) for block in result.blocks)
+    run = [(block.block_id, block, None) for block in result.blocks]
     ids = {block.block_id for block in result.blocks}
     return verify_sequence(
         run, request.start, state, rlk, public_key, params, report, request.end, run_ids=ids

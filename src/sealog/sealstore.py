@@ -20,7 +20,11 @@ The store keeps one file per object, and each has one writer:
 - ``manifest.seal``: chain parameters and device secrets, written once by
   ``create``;
 - ``state.seal``: the committed chain state, written by ``create`` and
-  then only by ``commit_blocks``, that is by the log writer;
+  then only by ``commit_blocks``, that is by the log writer.  Its payload
+  (``>IIIQQ32s``) is the newest block's group id, block id and record
+  count, the number of blocks committed, the commit counter and the chain
+  digest through the newest block, which binds the state to the bytes of
+  every block it commits (see ``logchain``);
 - ``blk_<id>.seal``: one signed block, written by ``commit_blocks``;
 - ``ik_<gid>.seal``: a group's intermediate key, written once by
   ``seal_ik`` as the log writer opens the group;
@@ -79,11 +83,17 @@ from .keyschedule import (
     RootLoggingKey,
     hkdf,
 )
-from .logchain import Block, beyond_state_finding, verify_sequence
+from .logchain import (
+    GENESIS_DIGEST,
+    Block,
+    beyond_state_finding,
+    chain_digest,
+    verify_sequence,
+)
 
 SEAL_MAGIC = b"EMLS"
 SEAL_VERSION = 1
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 NONCE_LEN = 12
 GCM_TAG_LEN = 16
 
@@ -101,7 +111,7 @@ LOG_WRITER_APP_ID = b"log-writer-v1"
 _HEADER = struct.Struct(">4sBBQ")
 # Where the ciphertext starts: after the header and the nonce.
 _BODY = _HEADER.size + NONCE_LEN
-_STATE_PAYLOAD = struct.Struct(">IIIQQI")
+_STATE_PAYLOAD = struct.Struct(">IIIQQ32s")
 _DELIVERED_PAYLOAD = struct.Struct(">I")
 
 # Sentinel for "no blocks delivered yet" in the delivered watermark.
@@ -167,9 +177,10 @@ class ChainState:
 
     ``sealed_blocks == 0`` means nothing is committed yet and the position
     fields are meaningless.  The commit counter strictly increases with
-    every state write.  ``delivered_mark`` is kept only for the payload
-    bytes: nothing reads or changes it, and the delivered watermark lives
-    in its own object (``SealedStore.delivered_mark``).
+    every state write.  ``chain_digest`` is H_k through the newest block k,
+    SHA-256(H_{k-1} || sign preimage || signature) from H_{-1} = 32 zero
+    bytes (``logchain.chain_digest``), so the state names the exact blocks
+    it commits, not only their position.
     """
 
     group_id: int = 0
@@ -177,7 +188,7 @@ class ChainState:
     msg_count: int = 0
     sealed_blocks: int = 0
     commit_counter: int = 0
-    delivered_mark: int = NO_WATERMARK
+    chain_digest: bytes = GENESIS_DIGEST
 
     @property
     def latest_block_id(self) -> int | None:
@@ -190,7 +201,7 @@ class ChainState:
             self.msg_count,
             self.sealed_blocks,
             self.commit_counter,
-            self.delivered_mark,
+            self.chain_digest,
         )
 
     @classmethod
@@ -458,15 +469,19 @@ class SealedStore:
         ``IsADirectoryError`` naming the path.  Any ``OSError`` becomes a
         ``StorageError`` whose ``__cause__`` is the original, so a caller
         can tell a missing file (``FileNotFoundError``) from one that
-        exists but cannot be read.
+        exists but cannot be read.  The open does not block, so a named
+        pipe or device under the name cannot stall the reader: anything but
+        a regular file is a ``StorageError`` with no cause.
         """
         path = self._prefix + name
         try:
-            fd = os.open(path, os.O_RDONLY | os.O_CLOEXEC)
+            fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK | os.O_CLOEXEC)
             try:
                 info = os.fstat(fd)
                 if stat.S_ISDIR(info.st_mode):
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+                if not stat.S_ISREG(info.st_mode):
+                    raise StorageError(f"cannot read {name}: not a regular file")
                 chunks = []
                 while chunk := os.read(fd, info.st_size + 1):
                     chunks.append(chunk)
@@ -540,7 +555,8 @@ class SealedStore:
         first only leaves the later fsyncs less to commit.  A crash
         mid-batch leaves block files beyond the state, torn, unsynced or
         whole, that recovery drops and a later commit of the same ids
-        replaces; the producer replays them from its in-RAM window.
+        replaces; the producer replays them from its in-RAM window.  The
+        new state's chain digest extends the old one over the batch.
         """
         if not blocks:
             return self._require_state()
@@ -561,6 +577,9 @@ class SealedStore:
                 self._create_window(blocks[start : start + _WINDOW], dir_fd)
         finally:
             os.close(dir_fd)
+        digest = self.state.chain_digest
+        for block in blocks:
+            digest = chain_digest(digest, block)
         last = blocks[-1]
         new_state = replace(
             self.state,
@@ -569,6 +588,7 @@ class SealedStore:
             msg_count=len(last.records),
             sealed_blocks=self.state.sealed_blocks + len(blocks),
             commit_counter=self.state.commit_counter + 1,
+            chain_digest=digest,
         )
         self._commit_state(new_state)
         return new_state
@@ -670,13 +690,26 @@ class SealedStore:
         return self.state
 
 
+class _CommittedRun:
+    """A store's committed run, read from disk afresh on each iteration."""
+
+    def __init__(self, store: SealedStore) -> None:
+        self._store = store
+
+    def __iter__(self) -> Iterator[tuple[int, Block | None, str | None]]:
+        return self._store.iter_committed_blocks()
+
+
 def verify_store(store: SealedStore, full: bool = True):
-    """Audit everything committed to a local store, in one pass.
+    """Audit everything committed to a local store.
 
     The sequence verifier reads the blocks as ``iter_committed_blocks``
     yields them and keeps none, so the audit holds one block at a time
     whatever the size of the store; each id gets one entry in block order.
-    A block file that is missing leaves a ``gap``; one that cannot be read,
+    The blocks must reproduce the chain state's digest.  A full audit
+    checks the digest first and then no block signature; when that pass
+    fails it reads the store again for the per-block pass (see
+    ``logchain.verify_sequence``).  A block file that is missing leaves a ``gap``; one that cannot be read,
     unsealed or parsed is a ``seal-failure`` entry, and the audit goes on.
     A missing or unreadable state record becomes a ``missing-state``
     finding rather than an error, and every block file on disk is audited.
@@ -686,7 +719,7 @@ def verify_store(store: SealedStore, full: bool = True):
     """
     rlk = store.root_logging_key() if full else None
     report = verify_sequence(
-        store.iter_committed_blocks(), 0, store.state, rlk, store.public_key(), store.params
+        _CommittedRun(store), 0, store.state, rlk, store.public_key(), store.params
     )
     if store.state is not None:
         latest = store.state.latest_block_id

@@ -21,7 +21,7 @@ from sealog.cli import main
 from sealog.errors import StorageError
 from sealog.identity import DeviceIdentity
 from sealog.keyschedule import RootLoggingKey
-from sealog.logchain import Block, sign_block
+from sealog.logchain import GENESIS_DIGEST, Block, chain_digest, sign_block
 from sealog.sealstore import ChainState, SealedStore
 
 
@@ -203,16 +203,18 @@ def test_verify_archive_trusts_the_anchors_not_the_archive(tmp_path, capsys):
     rc, archive = _serve_and_fetch(tmp_path, capsys)  # 20 blocks, c=2/m=5
     assert rc == 0
     # Cut the last two blocks, re-sign the rest and a state naming block 17
-    # with a fresh identity for the same device id, and name its certificate.
+    # and their chain digest with a fresh identity for the same device id,
+    # and name its certificate.
     doc = json.loads(archive.read_text())
     impostor = DeviceIdentity.generate(bytes.fromhex(doc["request"]["device_id"]))
     blocks = [Block.deserialize(base64.b64decode(b)) for b in doc["blocks"][:-2]]
-    doc["blocks"] = [
-        base64.b64encode(sign_block(b.block_id, list(b.records), impostor).serialize()).decode()
-        for b in blocks
-    ]
+    forged = [sign_block(b.block_id, list(b.records), impostor) for b in blocks]
+    doc["blocks"] = [base64.b64encode(b.serialize()).decode() for b in forged]
+    digest = GENESIS_DIGEST
+    for block in forged:
+        digest = chain_digest(digest, block)
     state = ChainState.unpack(bytes.fromhex(doc["summary"]["state"]))
-    state = dataclasses.replace(state, group_id=8, block_id=17)
+    state = dataclasses.replace(state, group_id=8, block_id=17, chain_digest=digest)
     doc["summary"].update(
         state=state.pack().hex(),
         state_signature=impostor.sign(state.sign_preimage()).hex(),

@@ -205,6 +205,18 @@ def test_full_verification_clean_block(identity):
     assert outcome.ok and outcome.signature_ok and outcome.checked_records == 4
 
 
+def test_full_verification_with_no_key_checks_only_the_records(identity, monkeypatch):
+    block = _build_block(2, [b"r0", b"r1", b"r2"], identity)
+    monkeypatch.setattr(logchain, "verify_raw", None)  # no signature check may run
+    outcome = verify_block_full(block, RootLoggingKey(SEED), PARAMS, None)
+    assert outcome.signature_ok is None and outcome.ok and outcome.checked_records == 3
+    field = bytearray(block.records[1].text_field)
+    field[2] ^= 0x01
+    records = (block.records[0], LogRecord(1, block.records[1].tag, bytes(field)), block.records[2])
+    outcome = verify_block_full(Block(2, records, block.signature), RootLoggingKey(SEED), PARAMS, None)
+    assert not outcome.ok and outcome.bad_records == [1]
+
+
 def test_text_flip_reports_failing_record_and_signature(identity):
     texts = [b"zero", b"one", b"two", b"three", b"four", b"five", b"six", b"seven"]
     block = _build_block(0, texts, identity)

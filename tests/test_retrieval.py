@@ -31,7 +31,7 @@ from sealog.errors import (
 )
 from sealog.identity import DeviceIdentity
 from sealog.keyschedule import RootLoggingKey
-from sealog.logchain import FINDING_TRUNCATION, LogRecord
+from sealog.logchain import FINDING_HISTORY_MISMATCH, FINDING_TRUNCATION, LogRecord
 from sealog.sealstore import STATE_FILE, SealedStore, verify_store
 from sealog import logchain, retrieval
 from sealog.retrieval import (
@@ -429,10 +429,6 @@ def test_dishonest_server_truncation_detected(tmp_path, endpoints):
     assert any(FINDING_TRUNCATION in f for f in report.findings)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: the chain state names a position, not the bytes it commits",
-)
 def test_fetched_pre_crash_blocks_put_back_over_committed_ones_are_detected(
     tmp_path, endpoints
 ):
@@ -449,11 +445,13 @@ def test_fetched_pre_crash_blocks_put_back_over_committed_ones_are_detected(
         server.close()
     assert [b.block_id for b in result.blocks] == [0, 1, 2, 3]
     certificate = store.identity().certificate
-    verdicts = {
-        audit(result, certificate).verdict,
-        audit(result, certificate, rlk=store.root_logging_key()).verdict,
-    }
-    assert verdicts == {"fail"}
+    for rlk in (None, store.root_logging_key()):
+        report = audit(result, certificate, rlk=rlk)
+        assert [e.status for e in report.entries] == ["ok"] * 4
+        assert report.findings == [
+            f"{FINDING_HISTORY_MISMATCH}: blocks 0..3 are not the ones the chain state commits"
+        ]
+        assert report.verdict == "fail"
 
 
 def test_single_block_poll_before_latest_audits_ok(tmp_path, endpoints):
@@ -950,9 +948,9 @@ def test_an_archive_of_another_version_is_refused(tmp_path, endpoints):
     save_archive(path, result, store.identity().certificate_pem())
     assert load_archive(path)[0].summary is not None
     doc = json.loads(path.read_text())
-    doc["version"] = 2
+    doc["version"] = 1
     path.write_text(json.dumps(doc))
-    with pytest.raises(ParseError, match="unsupported archive version 2"):
+    with pytest.raises(ParseError, match="unsupported archive version 1"):
         load_archive(path)
     del doc["version"]
     path.write_text(json.dumps(doc))

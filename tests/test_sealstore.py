@@ -7,6 +7,7 @@ import os
 import resource
 import shutil
 import subprocess
+import struct
 import sys
 import tempfile
 import tracemalloc
@@ -30,6 +31,7 @@ from sealog.errors import (
 from sealog.keyschedule import ChainParams, RootLoggingKey, derive_ik
 from sealog.logchain import (
     FINDING_BEYOND_STATE,
+    FINDING_HISTORY_MISMATCH,
     FINDING_MISSING_STATE,
     FINDING_TRUNCATION,
     STATUS_GAP,
@@ -170,14 +172,20 @@ def test_sealed_envelopes_match_golden_digests(tmp_path, monkeypatch):
         for name in ("manifest.seal", "state.seal", "blk_00000000.seal", "ik_00000000.seal")
     }
     assert digests == {
-        "manifest.seal": "13b7783ba7fb6de0b15c03edb69e47d8e83b334674b12bb7c46c7435d0eb2c85",
-        "state.seal": "860d44c093e136e43a5037d4ba2cabd89f9a824ab6c17f85f7139f81f7d397b7",
+        "manifest.seal": "6c95950c2f18dea97e6123b2cc04862079ab9b477b55359c421f706bcd5453f1",
+        "state.seal": "3701fa1c6fe2db1570b768565da234d6f678bc212815030ef511fae06e460d2b",
         "blk_00000000.seal": "ae85bd214e6e818ac1b253cbf51a225e56a1b4c63c5bb98f626ada22bd75f9f1",
         "ik_00000000.seal": "7a40e543795ea6d61c3a0bfe4af9b170019e9ae913be16e6ef471981e9e19a14",
     }
     reopened = SealedStore.open(tmp_path / "s", b"\x07" * 32)
     assert reopened.manifest == store.manifest
-    assert reopened.state == ChainState(block_id=0, msg_count=1, sealed_blocks=1, commit_counter=1)
+    # H_0 by hand: SHA-256 of H_{-1} (32 zero bytes), then what the block's
+    # signature covers (BE32 block id, BE32 record count, the one tag), then
+    # the signature.
+    h0 = hashlib.sha256(bytes(32) + struct.pack(">II", 0, 1) + b"\x22" * 32 + b"\x33" * 64)
+    assert reopened.state == ChainState(
+        block_id=0, msg_count=1, sealed_blocks=1, commit_counter=1, chain_digest=h0.digest()
+    )
     assert reopened.load_block(0) == block
     assert reopened.load_ik(0) == b"\x44" * 32
 
@@ -239,10 +247,10 @@ def test_open_with_wrong_secret_fails(tmp_path):
 def test_a_manifest_of_another_version_is_refused(tmp_path):
     store = build_store(tmp_path / "s")
     doc = json.loads(store.manifest.pack())
-    doc["version"] = 2
+    doc["version"] = 1
     sealed = seal(json.dumps(doc).encode(), store.sk, OBJECT_MANIFEST, 0)
     (store.directory / MANIFEST_FILE).write_bytes(sealed)
-    with pytest.raises(ParseError, match="unsupported store manifest version 2"):
+    with pytest.raises(ParseError, match="unsupported store manifest version 1"):
         SealedStore.open(tmp_path / "s", ROOT_SECRET)
     del doc["version"]
     sealed = seal(json.dumps(doc).encode(), store.sk, OBJECT_MANIFEST, 0)
@@ -453,6 +461,58 @@ def test_a_deleted_block_and_a_directory_block_give_the_pinned_report(tmp_path, 
     }
 
 
+_FIFO_CHILD = """
+import json
+import sys
+
+from sealog.identity import DeviceIdentity
+from sealog.retrieval import LogExportServer, RetrievalRequest, fetch
+from sealog.sealstore import SealedStore, verify_store
+
+store = SealedStore.open(sys.argv[1], bytes.fromhex(sys.argv[2]))
+for full in (True, False):
+    print(json.dumps(verify_store(store, full=full).to_dict()))
+verifier = DeviceIdentity.generate()
+server = LogExportServer(store, [verifier.certificate])
+server.start()
+try:
+    request = RetrievalRequest(store.manifest.device_id, 0)
+    result = fetch("127.0.0.1", server.address[1], verifier, [store.identity().certificate], request)
+finally:
+    server.close()
+print(json.dumps({"blocks": [b.block_id for b in result.blocks], "alarms": result.alarms}))
+"""
+
+
+def test_a_named_pipe_block_is_a_seal_failure_and_an_alarm_not_a_stall(tmp_path):
+    # Opening a named pipe for reading blocks until a writer comes, so the
+    # audit and the export run in a child that a timeout can end.
+    store = build_store(tmp_path / "s", c=2, m=2)
+    fill_store(store, 8)  # 4 blocks
+    store.block_path(1).unlink()
+    os.mkfifo(store.block_path(1))
+    src = str(Path(sealog.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", _FIFO_CHILD, str(store.directory), ROOT_SECRET.hex()],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    *reports, transfer = map(json.loads, child.stdout.splitlines())
+    reason = "cannot read blk_00000001.seal: not a regular file"
+    for report in reports:
+        assert report["entries"] == [
+            {"block_id": 0, "status": STATUS_OK},
+            {"block_id": 1, "status": STATUS_SEAL_FAILURE, "detail": reason},
+            {"block_id": 2, "status": STATUS_OK},
+            {"block_id": 3, "status": STATUS_OK},
+        ]
+        assert report["verdict"] == "fail" and report["findings"] == []
+    assert transfer == {"blocks": [0], "alarms": [{"block_id": 1, "reason": reason}]}
+
+
 def test_a_large_sealed_object_is_read_whole(tmp_path):
     # One c=1/m=4000 block: a sealed object of about 1.2 MB.
     store = build_store(tmp_path / "s", c=1, m=4000)
@@ -525,14 +585,33 @@ def test_block_file_before_any_commit_is_a_finding(tmp_path):
     assert report.entries == [] and report.verdict == "fail"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: the chain state names a position, not the bytes it commits",
-)
 def test_pre_crash_blocks_put_back_over_committed_ones_are_detected(tmp_path):
     store = build_replayed_store(tmp_path / "s")
-    verdicts = {verify_store(store, full=full).verdict for full in (True, False)}
-    assert verdicts == {"fail"}
+    for full in (True, False):
+        report = verify_store(store, full=full)
+        # Every block is one the device signed: only the digest tells.
+        assert [e.status for e in report.entries] == [STATUS_OK] * 4
+        assert report.findings == [
+            f"{FINDING_HISTORY_MISMATCH}: blocks 0..3 are not the ones the chain state commits"
+        ]
+        assert report.verdict == "fail"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: with no pinned anchor a local audit cannot tell an older "
+    "sealed state from the newest",
+)
+def test_an_older_state_put_back_with_the_tail_deleted_is_detected(tmp_path):
+    store = build_store(tmp_path / "s", c=2, m=2)
+    fill_store(store, 4)  # blocks 0-1
+    older = (store.directory / STATE_FILE).read_bytes()
+    fill_store(store, 4)  # blocks 2-3
+    (store.directory / STATE_FILE).write_bytes(older)
+    for block_id in (2, 3):
+        store.block_path(block_id).unlink()
+    replayed = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    assert {verify_store(replayed, full=full).verdict for full in (True, False)} == {"fail"}
 
 
 @pytest.mark.parametrize("full", [True, False], ids=["full", "public"])
