@@ -48,7 +48,7 @@ from typing import Container, Iterable, NamedTuple
 
 from cryptography.hazmat.primitives.asymmetric import ec
 
-from .errors import InvalidParameter, KeyUnavailable, ParseError
+from .errors import InvalidParameter, ParseError
 from .identity import SIGNATURE_LEN, DeviceIdentity, verify_raw
 from .keyschedule import (
     ChainParams,
@@ -335,8 +335,6 @@ def verify_block_full(
     The records are checked in one pass over the block's bytes; none is
     decoded into a ``LogRecord``.
     """
-    if rlk.destroyed:
-        raise KeyUnavailable("root logging key unavailable for full verification")
     signature_ok = None
     if public_key is not None:
         signature_ok = verify_block_public(block, public_key) == STATUS_OK
@@ -401,9 +399,6 @@ class VerificationReport:
                 return (entry.block_id, entry.msg_id)
         return None
 
-    def add(self, entry: BlockEntry) -> None:
-        self.entries.append(entry)
-
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
@@ -448,19 +443,18 @@ def verify_sequence(
     starts past the newest committed block has nothing due.
 
     A run due from block 0 through the newest committed block must also
-    reproduce the state's chain digest.  A full audit of such a run checks
-    the digest first: one pass checks every record tag and extends the
-    digest, with no signature check, since a matching digest covers every
-    signature the device made at commit.  It is done when the run is blocks
-    0 to the newest in order, every tag checks and the digest matches.  On
-    anything else it reads the run again and audits it on the per-block
-    pass, so ``run`` must start over on each ``iter()``, as a list does; a
-    one-shot iterator gets the per-block pass alone.  The per-block pass,
-    the only one of a public audit or of any other run, checks every
-    signature and gives each id its entry, and extends the digest when one
-    is due.  A digest that does not match when that pass finds nothing else
-    is a ``history-mismatch`` finding: every block is one the device
-    signed, but not the one it committed.
+    reproduce the state's chain digest.  The audit is one fold over the
+    run, which gives each id its entry and extends the digest when one is
+    due; it runs at most twice.  A full audit of a due run folds it first
+    with no public key: that checks every record tag and the digest but no
+    block signature, since a matching digest covers every signature the
+    device made at commit.  When that fold finds nothing, its entries are
+    the report's.  Otherwise, and on any other run, the fold runs with the
+    key, which checks every signature, into ``report``.  So ``run`` must
+    start over on each ``iter()``, as a list does; a one-shot iterator is
+    folded once, with the key.  A digest that does not match when the fold
+    finds nothing else is a ``history-mismatch`` finding: every block is
+    one the device signed, but not the one it committed.
     """
     mode = "full" if rlk is not None else "public"
     if report is None:
@@ -471,13 +465,20 @@ def verify_sequence(
 
     due = _due_digest(state, expected_start, expected_end)
     if rlk is not None and due is not None and iter(run) is not run:
-        latest = state.latest_block_id
-        if _digest_pass(run, rlk, params, due, latest):
-            report.entries.extend(BlockEntry(i, STATUS_OK) for i in range(latest + 1))
+        first = VerificationReport(mode=mode, expected_start=expected_start)
+        _fold(run, first, state, rlk, params, None, due, expected_end, run_ids)
+        if first.verdict == "ok":
+            report.entries.extend(first.entries)
             return report
+    _fold(run, report, state, rlk, params, public_key, due, expected_end, run_ids)
+    return report
 
+
+def _fold(run, report, state, rlk, params, public_key, due, expected_end, run_ids) -> None:
+    """Audit ``run`` from ``report.expected_start`` into ``report``: an
+    entry per presented id, then the findings on the run as a whole."""
     # All the fold keeps: the id due next, the highest id seen and the digest.
-    expected_id, highest, digest = expected_start, -1, GENESIS_DIGEST
+    expected_id, highest, digest = report.expected_start, -1, GENESIS_DIGEST
     findings = len(report.findings)
     for position, (block_id, block, error) in enumerate(run):
         if error == "missing":
@@ -486,7 +487,7 @@ def verify_sequence(
         if block_id != expected_id:
             if block_id > expected_id and expected_id not in run_ids:
                 detail = f"blocks {expected_id}..{block_id - 1} missing"
-                report.add(BlockEntry(expected_id, STATUS_GAP, detail=detail))
+                report.entries.append(BlockEntry(expected_id, STATUS_GAP, detail=detail))
             else:
                 # A reorder, not a deletion: the expected block comes later
                 # in the run, or this one belongs before it.
@@ -494,18 +495,18 @@ def verify_sequence(
                     detail = f"position {position}: got block {block_id}, expected {expected_id}"
                 else:
                     detail = f"position {position}: block id regressed below {expected_id}"
-                report.add(BlockEntry(block_id, STATUS_ORDER_VIOLATION, detail=detail))
+                report.entries.append(BlockEntry(block_id, STATUS_ORDER_VIOLATION, detail=detail))
                 expected_id = block_id + 1
                 continue
         if error is not None:
-            report.add(BlockEntry(block_id, STATUS_SEAL_FAILURE, detail=error))
+            report.entries.append(BlockEntry(block_id, STATUS_SEAL_FAILURE, detail=error))
         else:
-            report.add(_verify_one(block, rlk, params, public_key, report))
+            report.entries.append(_verify_one(block, rlk, params, public_key, report))
             if due is not None:
                 digest = chain_digest(digest, block)
         expected_id = block_id + 1
 
-    _check_state_consistency(report, highest, state, expected_start, expected_end)
+    _check_state_consistency(report, highest, state, expected_end)
     if (
         due is not None
         and digest != due
@@ -516,7 +517,6 @@ def verify_sequence(
             f"{FINDING_HISTORY_MISMATCH}: blocks 0..{state.latest_block_id} "
             "are not the ones the chain state commits"
         )
-    return report
 
 
 def _due_digest(state, expected_start: int, expected_end: int | None) -> bytes | None:
@@ -529,25 +529,6 @@ def _due_digest(state, expected_start: int, expected_end: int | None) -> bytes |
     return state.chain_digest
 
 
-def _digest_pass(run, rlk, params, due: bytes, latest: int) -> bool:
-    """A full audit's first pass: whether ``run`` is blocks 0..``latest``
-    in order, each with every record tag right, whose chain digest is
-    ``due``.  It checks no signature, keeps no block and stops at the first
-    block that is not so."""
-    digest, expected_id = GENESIS_DIGEST, 0
-    for block_id, block, error in run:
-        if error is not None or block_id != expected_id:
-            return False
-        try:
-            if not verify_block_full(block, rlk, params, None).ok:
-                return False
-        except InvalidParameter:
-            return False
-        digest = chain_digest(digest, block)
-        expected_id += 1
-    return expected_id == latest + 1 and digest == due
-
-
 def _verify_one(block, rlk, params, public_key, report) -> BlockEntry:
     if rlk is not None:
         try:
@@ -557,7 +538,7 @@ def _verify_one(block, rlk, params, public_key, report) -> BlockEntry:
         if outcome.ok:
             return BlockEntry(block.block_id, STATUS_OK)
         if outcome.bad_records:
-            if not outcome.signature_ok:
+            if outcome.signature_ok is False:
                 report.notes.append(f"block {block.block_id}: signature also invalid")
             return BlockEntry(
                 block.block_id, STATUS_BAD_HMAC, msg_id=outcome.first_bad_msg_id
@@ -574,7 +555,7 @@ def beyond_state_finding(block_id: int, latest: int | None) -> str:
     return f"{FINDING_BEYOND_STATE}: block {block_id} exceeds committed {latest}"
 
 
-def _check_state_consistency(report, highest, state, expected_start, expected_end) -> None:
+def _check_state_consistency(report, highest, state, expected_end) -> None:
     """Findings on the run as a whole; ``highest`` is the highest id it
     presented, -1 for none.  An unreadable block is present, and already
     reported as a seal failure: it does not also end the run early."""
@@ -588,7 +569,7 @@ def _check_state_consistency(report, highest, state, expected_start, expected_en
         return
     if highest < 0:
         # A run that starts past the newest committed block has nothing due.
-        if expected_start <= latest:
+        if report.expected_start <= latest:
             report.findings.append(
                 f"{FINDING_TRUNCATION}: no blocks presented but state commits through {latest}"
             )

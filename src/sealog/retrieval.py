@@ -857,11 +857,12 @@ def audit(
     summary's newest block, is due to cover every committed block, so its
     blocks must also reproduce the chain digest of the state the summary
     signs; a mismatch that no other check explains is a
-    ``history-mismatch`` finding.  A full audit of such a range checks the digest first and then
-    verifies no block signature, only the summary's (see
-    ``logchain.verify_sequence``).  Any other range, and any transfer whose
-    summary is missing or not validly signed, is audited block by block
-    with no digest check.
+    ``history-mismatch`` finding.  The audit is one fold that runs at most
+    twice (see ``logchain.verify_sequence``): a full audit of such a range
+    checks only the summary's signature, and every block's only when that
+    first fold finds anything.  Any other range, and any transfer whose
+    summary is missing or not validly signed, is folded once with every
+    block signature checked and no digest check.
     """
     request, summary = result.request, result.summary
     state = None

@@ -627,21 +627,23 @@ class SealedStore:
         With no chain state there is no committed range, and every block
         file on disk is read instead, in id order.  Each block is read
         once, with no existence probe.  ``block`` is None when the read
-        fails; ``error`` is then ``"missing"`` when the file does not exist
-        (an audit ``gap``), else the reason it could not be read, unsealed
-        or parsed (an audit ``seal-failure``).  A yielded block has decoded
-        none of its records.
+        fails; ``error`` is then ``"missing"`` when a committed id has no
+        file (an audit ``gap``), else the reason it could not be read,
+        unsealed or parsed (an audit ``seal-failure``).  A listed file that
+        is gone by its read is such a reason: it was present.  A yielded
+        block has decoded none of its records.
         """
-        if self.state is None:
-            ids = self.block_ids_on_disk()
-        else:
+        committed = self.state is not None
+        if committed:
             latest = self.state.latest_block_id
             ids = range(0 if latest is None else latest + 1)
+        else:
+            ids = self.block_ids_on_disk()
         for block_id in ids:
             try:
                 block, error = self.load_block(block_id), None
             except StorageError as exc:
-                missing = isinstance(exc.__cause__, FileNotFoundError)
+                missing = committed and isinstance(exc.__cause__, FileNotFoundError)
                 block, error = None, "missing" if missing else str(exc)
             except (AuthFailure, ParseError) as exc:
                 block, error = None, str(exc)
@@ -706,11 +708,12 @@ def verify_store(store: SealedStore, full: bool = True):
     The sequence verifier reads the blocks as ``iter_committed_blocks``
     yields them and keeps none, so the audit holds one block at a time
     whatever the size of the store; each id gets one entry in block order.
-    The blocks must reproduce the chain state's digest.  A full audit
-    checks the digest first and then no block signature; when that pass
-    fails it reads the store again for the per-block pass (see
-    ``logchain.verify_sequence``).  A block file that is missing leaves a ``gap``; one that cannot be read,
-    unsealed or parsed is a ``seal-failure`` entry, and the audit goes on.
+    The blocks must reproduce the chain state's digest.  The audit is one
+    fold that runs at most twice (see ``logchain.verify_sequence``): a full
+    audit checks no block signature, and reads the store again to check
+    them all only when that first fold finds anything.  A missing block
+    file leaves a ``gap``; one that cannot be read, unsealed or parsed is
+    a ``seal-failure`` entry, and the audit goes on.
     A missing or unreadable state record becomes a ``missing-state``
     finding rather than an error, and every block file on disk is audited.
     A block file beyond the committed state is a ``blocks-beyond-state``

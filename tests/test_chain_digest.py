@@ -1,14 +1,21 @@
 """The chain digest: full audits that check it first give the reports of the
-per-block path, and make no block-signature check on an honest run."""
+per-block path, and make no block-signature check on an honest run.  The
+audit is one fold that runs at most twice; the counts below pin what each
+run costs."""
 
 from __future__ import annotations
+
+import dataclasses
+import struct
 
 import pytest
 
 from conftest import ROOT_SECRET, build_store, fill_store
 from sealog import logchain, retrieval
+from sealog.errors import KeyUnavailable
 from sealog.identity import DeviceIdentity
 from sealog.logchain import (
+    FINDING_BEYOND_STATE,
     FINDING_HISTORY_MISMATCH,
     STATUS_BAD_HMAC,
     STATUS_BAD_SIGNATURE,
@@ -16,6 +23,8 @@ from sealog.logchain import (
     STATUS_OK,
     STATUS_ORDER_VIOLATION,
     STATUS_SEAL_FAILURE,
+    Block,
+    verify_block_full,
     verify_sequence,
 )
 from sealog.retrieval import LogExportServer, RetrievalRequest, audit, fetch
@@ -46,6 +55,20 @@ def signature_checks(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(module, "verify_raw", counted)
+    return calls
+
+
+@pytest.fixture
+def full_checks(monkeypatch):
+    """The block id of every ``verify_block_full`` call an audit makes."""
+    calls = []
+    real = logchain.verify_block_full
+
+    def counted(block, *args):
+        calls.append(block.block_id)
+        return real(block, *args)
+
+    monkeypatch.setattr(logchain, "verify_block_full", counted)
     return calls
 
 
@@ -184,3 +207,93 @@ def test_a_reordered_fetched_run_gets_the_per_block_report(tmp_path, full):
     assert report.to_dict() == reference.to_dict()
     assert [e.status for e in report.entries][1:3] == [STATUS_ORDER_VIOLATION] * 2
     assert not any(f.startswith(FINDING_HISTORY_MISMATCH) for f in report.findings)
+
+
+@pytest.mark.parametrize("c, m, entries", HONEST)
+def test_a_full_audit_of_an_honest_store_checks_each_block_once(
+    tmp_path, full_checks, c, m, entries
+):
+    fill_store(build_store(tmp_path / "s", c=c, m=m), entries)
+    report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=True)
+    assert report.verdict == "ok"
+    assert full_checks == list(range(-(-entries // m)))
+
+
+@pytest.mark.parametrize(
+    "tamper, present, calls",
+    [
+        pytest.param(_flip_text, 6, 12, id="hmac"),
+        pytest.param(lambda s: s.block_path(2).unlink(), 5, 10, id="deleted"),
+    ],
+)
+def test_a_full_audit_of_a_tampered_store_folds_every_present_block_twice(
+    tmp_path, full_checks, tamper, present, calls
+):
+    # The first fold does not stop at the first anomaly: it reads the whole
+    # run, and the fold with signatures then reads it again.
+    fill_store(build_store(tmp_path / "s", c=2, m=2), 12)  # 6 blocks
+    tamper(SealedStore.open(tmp_path / "s", ROOT_SECRET))
+    report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=True)
+    assert report.verdict == "fail"
+    assert len(full_checks) == 2 * present == calls
+
+
+def test_a_summary_count_that_disagrees_is_a_finding_beside_ok_entries(
+    tmp_path, signature_checks
+):
+    store = build_store(tmp_path / "s", c=2, m=4)
+    fill_store(store, 40)  # 10 blocks
+    verifier = DeviceIdentity.generate()
+    result = _served(store, verifier, RetrievalRequest(store.manifest.device_id, 0))
+    result.summary.count += 1
+    signature_checks.clear()
+    report = audit(result, store.identity().certificate, rlk=store.root_logging_key())
+    assert len(signature_checks) == 1
+    assert report.findings == ["summary counts 11 blocks, received 10"]
+    assert [e.to_dict() for e in report.entries] == [
+        {"block_id": i, "status": STATUS_OK} for i in range(10)
+    ]
+    assert report.verdict == "fail"
+
+
+def test_a_summary_signed_over_an_older_state_gets_the_per_block_report(tmp_path):
+    store = build_store(tmp_path / "s", c=2, m=4)
+    fill_store(store, 32)  # blocks 0-7
+    older = store.state
+    fill_store(store, 8)  # blocks 8-9
+    verifier = DeviceIdentity.generate()
+    result = _served(store, verifier, RetrievalRequest(store.manifest.device_id, 0))
+    state, signature = store.signed_state_snapshot(older)
+    result.summary = dataclasses.replace(result.summary, state=state, state_signature=signature)
+    certificate = store.identity().certificate
+    rlk = store.root_logging_key()
+    report = audit(result, certificate, rlk=rlk)
+    assert report.findings == [f"{FINDING_BEYOND_STATE}: block 9 exceeds committed 7"]
+    run = [(block.block_id, block, None) for block in result.blocks]
+    reference = verify_sequence(
+        iter(run), 0, older, rlk, certificate.public_key(), store.params,
+        run_ids={block.block_id for block in result.blocks},
+    )
+    assert report.to_dict() == reference.to_dict()
+
+
+def test_an_audit_with_a_destroyed_root_key_raises(tmp_path):
+    store = build_store(tmp_path / "s", c=2, m=2)
+    fill_store(store, 8)  # 4 blocks
+    verifier = DeviceIdentity.generate()
+    result = _served(store, verifier, RetrievalRequest(store.manifest.device_id, 0))
+    certificate, public_key = store.identity().certificate, store.public_key()
+    rlk = store.root_logging_key()
+    rlk.destroy()
+    # A block of no records derives no message key, but still its block key.
+    header = struct.pack(">4sBII", logchain.BLOCK_MAGIC, logchain.FORMAT_VERSION, 1, 0)
+    empty = Block.deserialize(header + bytes(64))
+    for block in (store.load_block(1), empty):
+        for key in (public_key, None):
+            with pytest.raises(KeyUnavailable):
+                verify_block_full(block, rlk, store.params, key)
+    run = list(store.iter_committed_blocks())
+    with pytest.raises(KeyUnavailable):
+        verify_sequence(run, 0, store.state, rlk, public_key, store.params)
+    with pytest.raises(KeyUnavailable):
+        audit(result, certificate, rlk=rlk)

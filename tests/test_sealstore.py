@@ -560,6 +560,31 @@ def test_unreadable_block_without_state_is_seal_failure(tmp_path):
 
 
 @pytest.mark.parametrize("full", [True, False], ids=["full", "public"])
+def test_block_file_gone_after_the_listing_without_state_is_seal_failure(tmp_path, full):
+    store = build_store(tmp_path / "s", c=2, m=2)
+    fill_store(store, 8)  # 4 blocks
+    (store.directory / STATE_FILE).unlink()
+    store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    listed = store.block_ids_on_disk
+
+    def list_then_delete():
+        ids = listed()
+        store.block_path(2).unlink(missing_ok=True)
+        return ids
+
+    store.block_ids_on_disk = list_then_delete
+    report = verify_store(store, full=full)
+    # The file was listed, so it was present: no committed range says it is due.
+    assert [(e.block_id, e.status) for e in report.entries] == [
+        (0, STATUS_OK),
+        (1, STATUS_OK),
+        (2, STATUS_SEAL_FAILURE),
+        (3, STATUS_OK),
+    ]
+    assert report.findings == [FINDING_MISSING_STATE]
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full", "public"])
 def test_block_file_beyond_the_state_is_a_finding(tmp_path, full):
     store = build_store(tmp_path / "s", c=2, m=2)
     fill_store(store, 8)  # 4 blocks
@@ -612,6 +637,79 @@ def test_an_older_state_put_back_with_the_tail_deleted_is_detected(tmp_path):
         store.block_path(block_id).unlink()
     replayed = SealedStore.open(tmp_path / "s", ROOT_SECRET)
     assert {verify_store(replayed, full=full).verdict for full in (True, False)} == {"fail"}
+
+
+# More than one handle on a store (ROADMAP item 1) -------------------------------
+
+
+def _two_committed_blocks(directory):
+    """A c=2/m=2 store with blocks 0-1 committed."""
+    fill_store(build_store(directory, c=2, m=2), 4)
+
+
+def _append(writer, tag, n=4):
+    for i in range(n):
+        writer.append_entry(RawEntry("generic", f"{tag}-{i}".encode()))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: no lock stops a second writer, which overwrites the first's "
+    "blocks 2-3 and state",
+)
+def test_a_second_writer_on_a_store_is_refused(tmp_path):
+    _two_committed_blocks(tmp_path / "s")
+    first = LogWriter(SealedStore.open(tmp_path / "s", ROOT_SECRET))
+    second_store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    _append(first, "FIRST")
+    first.flush()
+    with pytest.raises(StorageError, match="another writer"):
+        second = LogWriter(second_store)
+        _append(second, "SECOND")
+        second.flush()
+    store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    assert store.state.commit_counter == 2
+    assert verify_store(store, full=True).verdict == "ok"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: a new writer does not recover the store, so the block files a "
+    "crash left beyond the state stay and fail the audit",
+)
+def test_a_writer_opened_after_a_crash_before_the_state_commit_recovers(tmp_path):
+    _two_committed_blocks(tmp_path / "s")
+    store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+
+    def crash_before_state(step):
+        if step == "state:start":
+            raise _Crash(step)
+
+    store.crash_hook = crash_before_state
+    writer = LogWriter(store)
+    with pytest.raises(_Crash):
+        _append(writer, "LOST")
+        writer.flush()
+    assert store.block_ids_on_disk() == [0, 1, 2, 3]  # the crash left blocks 2-3
+    store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    LogWriter(store)
+    assert store.block_ids_on_disk() == [0, 1]
+    assert not list(store.directory.glob(".tmp-*"))
+    assert verify_store(store, full=True).verdict == "ok"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: verify_store judges the disk against the state its handle "
+    "loaded at open, so an honest later commit is blocks-beyond-state",
+)
+def test_an_audit_handle_opened_before_an_honest_commit_says_ok(tmp_path):
+    _two_committed_blocks(tmp_path / "s")
+    auditor = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    fill_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), 4)  # blocks 2-3
+    for full in (True, False):
+        report = verify_store(auditor, full=full)
+        assert report.findings == [] and report.verdict == "ok"
 
 
 @pytest.mark.parametrize("full", [True, False], ids=["full", "public"])
