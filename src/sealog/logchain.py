@@ -291,15 +291,16 @@ def chain_digest(digest: bytes, block: Block) -> bytes:
     return hashlib.sha256(digest + block.sign_preimage() + block.signature).digest()
 
 
-def verify_block_public(block: Block, public_key: ec.EllipticCurvePublicKey) -> str:
+def verify_block_public(block: Block, public_key: ec.EllipticCurvePublicKey | None) -> str:
     """Signature-only check: authenticates origin without any chain secret.
 
     Record text is not covered directly (only the tags are signed), so
     HMAC-level tampering is out of this path's scope by design.  The tags
     are read from the block's bytes; no record is decoded.  A signature
-    that is not 64 bytes is a bad one.
+    that is not 64 bytes is a bad one.  With ``public_key`` None it is
+    left to the caller, which checks the chain digest that covers it.
     """
-    ok = verify_raw(public_key, block.sign_preimage(), block.signature)
+    ok = public_key is None or verify_raw(public_key, block.sign_preimage(), block.signature)
     return STATUS_OK if ok else STATUS_BAD_SIGNATURE
 
 
@@ -445,16 +446,18 @@ def verify_sequence(
     A run due from block 0 through the newest committed block must also
     reproduce the state's chain digest.  The audit is one fold over the
     run, which gives each id its entry and extends the digest when one is
-    due; it runs at most twice.  A full audit of a due run folds it first
-    with no public key: that checks every record tag and the digest but no
-    block signature, since a matching digest covers every signature the
-    device made at commit.  When that fold finds nothing, its entries are
-    the report's.  Otherwise, and on any other run, the fold runs with the
-    key, which checks every signature, into ``report``.  So ``run`` must
-    start over on each ``iter()``, as a list does; a one-shot iterator is
-    folded once, with the key.  A digest that does not match when the fold
-    finds nothing else is a ``history-mismatch`` finding: every block is
-    one the device signed, but not the one it committed.
+    due; it runs at most twice.  A full or public audit of a due run folds
+    it first with no public key: the digest, and with an RLK every record
+    tag, but no block signature, since a matching digest covers every
+    signature the device made at commit.  When that fold finds nothing,
+    its entries are the report's: 0 signature checks.  Otherwise, and on
+    any other run, the fold runs with the key into ``report``: one check
+    per block, and 2 fold calls per block present on a faulted due run.
+    So ``run`` must start over on each ``iter()``, as a list does; a
+    one-shot iterator is folded once, with the key.  A digest that does
+    not match when the fold finds nothing else is a ``history-mismatch``
+    finding: every block is one the device signed, but not the one it
+    committed.
     """
     mode = "full" if rlk is not None else "public"
     if report is None:
@@ -464,7 +467,7 @@ def verify_sequence(
         report.notes.append("hmac-unverified (no RLK)")
 
     due = _due_digest(state, expected_start, expected_end)
-    if rlk is not None and due is not None and iter(run) is not run:
+    if due is not None and iter(run) is not run:
         first = VerificationReport(mode=mode, expected_start=expected_start)
         _fold(run, first, state, rlk, params, None, due, expected_end, run_ids)
         if first.verdict == "ok":

@@ -858,11 +858,12 @@ def audit(
     blocks must also reproduce the chain digest of the state the summary
     signs; a mismatch that no other check explains is a
     ``history-mismatch`` finding.  The audit is one fold that runs at most
-    twice (see ``logchain.verify_sequence``): a full audit of such a range
-    checks only the summary's signature, and every block's only when that
-    first fold finds anything.  Any other range, and any transfer whose
-    summary is missing or not validly signed, is folded once with every
-    block signature checked and no digest check.
+    twice (see ``logchain.verify_sequence``): a full or public audit of
+    such a range checks 1 signature, the summary's, which authenticates
+    the digest, and every block's only when that first fold finds
+    anything.  Any other range, and any transfer whose summary is missing
+    or not validly signed, is folded once with every block signature
+    checked and no digest check: 1 + N checks for N blocks.
     """
     request, summary = result.request, result.summary
     state = None

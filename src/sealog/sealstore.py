@@ -350,13 +350,7 @@ class SealedStore:
         store.manifest = StoreManifest.unpack(
             store._read_sealed(MANIFEST_FILE, OBJECT_MANIFEST, 0)
         )
-        # A missing or unreadable state record is a first-class audit
-        # finding, so opening for verification must survive it.
-        try:
-            store.state = store.load_state()
-        except (StorageError, AuthFailure, ParseError) as exc:
-            store.state = None
-            store.state_error = str(exc)
+        store.refresh_state()
         return store
 
     def identity(self) -> DeviceIdentity:
@@ -499,6 +493,16 @@ class SealedStore:
 
     def load_state(self) -> ChainState:
         return ChainState.unpack(self._read_sealed(STATE_FILE, OBJECT_STATE, 0))
+
+    def refresh_state(self) -> ChainState | None:
+        """Read the chain state from disk again.  A missing or unreadable
+        one is an audit finding, not an error: ``state`` is then None and
+        ``state_error`` says why."""
+        try:
+            self.state, self.state_error = self.load_state(), None
+        except (StorageError, AuthFailure, ParseError) as exc:
+            self.state, self.state_error = None, str(exc)
+        return self.state
 
     def _require_state(self) -> ChainState:
         if self.state is None:
@@ -708,25 +712,29 @@ def verify_store(store: SealedStore, full: bool = True):
     The sequence verifier reads the blocks as ``iter_committed_blocks``
     yields them and keeps none, so the audit holds one block at a time
     whatever the size of the store; each id gets one entry in block order.
-    The blocks must reproduce the chain state's digest.  The audit is one
-    fold that runs at most twice (see ``logchain.verify_sequence``): a full
-    audit checks no block signature, and reads the store again to check
-    them all only when that first fold finds anything.  A missing block
-    file leaves a ``gap``; one that cannot be read, unsealed or parsed is
-    a ``seal-failure`` entry, and the audit goes on.
+    The blocks must reproduce the digest of the chain state read afresh,
+    which its seal authenticates.  The audit is one fold that runs at most
+    twice (see ``logchain.verify_sequence``): a full or public audit checks
+    0 block signatures, and reads the store again to check them all, 2
+    fold calls per block present, only when that first fold finds
+    anything.  A missing block file leaves a ``gap``; one that cannot be
+    read, unsealed or parsed is a ``seal-failure`` entry, and the audit
+    goes on.
     A missing or unreadable state record becomes a ``missing-state``
     finding rather than an error, and every block file on disk is audited.
-    A block file beyond the committed state is a ``blocks-beyond-state``
-    finding, with no entry.  Neither audit decodes a record or parses the
-    signing key.
+    A block file beyond the audited state is a ``blocks-beyond-state``
+    finding, with no entry, unless a state read after the listing commits
+    it.  Neither audit decodes a record or parses the signing key.
     """
     rlk = store.root_logging_key() if full else None
-    report = verify_sequence(
-        _CommittedRun(store), 0, store.state, rlk, store.public_key(), store.params
-    )
-    if store.state is not None:
-        latest = store.state.latest_block_id
+    state = store.refresh_state()
+    report = verify_sequence(_CommittedRun(store), 0, state, rlk, store.public_key(), store.params)
+    if state is not None:
+        latest = state.latest_block_id
         on_disk = store.block_ids_on_disk()
         if on_disk and (latest is None or on_disk[-1] > latest):
-            report.findings.append(beyond_state_finding(on_disk[-1], latest))
+            # Unless another handle has committed it since the audit's read.
+            now = (store.refresh_state() or state).latest_block_id
+            if now is None or on_disk[-1] > now:
+                report.findings.append(beyond_state_finding(on_disk[-1], latest))
     return report

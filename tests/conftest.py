@@ -7,6 +7,7 @@ from cryptography import x509
 from cryptography.hazmat.primitives import hashes
 from cryptography.x509.oid import NameOID
 
+from sealog import logchain, retrieval
 from sealog.collector import IngestPolicy, LogWriter, RawEntry, ingest
 from sealog.identity import DeviceIdentity
 from sealog.keyschedule import ChainParams, RootLoggingKey
@@ -46,6 +47,21 @@ def make_certificate(
         .not_valid_after(now + datetime.timedelta(days=1))
         .sign(issuer.private_key if issuer else key, hashes.SHA256())
     )
+
+
+@pytest.fixture
+def signature_checks(monkeypatch):
+    """Every signature check the audit modules make, one item per call."""
+    calls = []
+    for module in (logchain, retrieval):
+        real = module.verify_raw
+
+        def counted(*args, real=real):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, "verify_raw", counted)
+    return calls
 
 
 @pytest.fixture

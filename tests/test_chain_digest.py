@@ -1,7 +1,7 @@
-"""The chain digest: full audits that check it first give the reports of the
-per-block path, and make no block-signature check on an honest run.  The
-audit is one fold that runs at most twice; the counts below pin what each
-run costs."""
+"""The chain digest: full and public audits that check it first give the
+reports of the per-block path, and make no block-signature check on an
+honest run (locally) or only the summary's (remotely).  The audit is one
+fold that runs at most twice; the counts below pin what each run costs."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import struct
 import pytest
 
 from conftest import ROOT_SECRET, build_store, fill_store
-from sealog import logchain, retrieval
+from sealog import logchain
 from sealog.errors import KeyUnavailable
 from sealog.identity import DeviceIdentity
 from sealog.logchain import (
@@ -43,33 +43,27 @@ HONEST = [
 _RECORD0_TEXT = 13 + 4 + 32 + 2
 
 
-@pytest.fixture
-def signature_checks(monkeypatch):
-    """Every signature check the audit modules make, one item per call."""
+def _block_calls(monkeypatch, name):
+    """The block id of every call an audit makes to ``logchain.<name>``."""
     calls = []
-    for module in (logchain, retrieval):
-        real = module.verify_raw
-
-        def counted(*args, real=real):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(module, "verify_raw", counted)
-    return calls
-
-
-@pytest.fixture
-def full_checks(monkeypatch):
-    """The block id of every ``verify_block_full`` call an audit makes."""
-    calls = []
-    real = logchain.verify_block_full
+    real = getattr(logchain, name)
 
     def counted(block, *args):
         calls.append(block.block_id)
         return real(block, *args)
 
-    monkeypatch.setattr(logchain, "verify_block_full", counted)
+    monkeypatch.setattr(logchain, name, counted)
     return calls
+
+
+@pytest.fixture
+def full_checks(monkeypatch):
+    return _block_calls(monkeypatch, "verify_block_full")
+
+
+@pytest.fixture
+def public_checks(monkeypatch):
+    return _block_calls(monkeypatch, "verify_block_public")
 
 
 def _per_block_report(store: SealedStore, full: bool):
@@ -95,8 +89,8 @@ def test_digest_first_gives_the_per_block_report_on_honest_stores(
     for full in (True, False):
         signature_checks.clear()
         report = verify_store(store, full=full)
-        # A local full audit checks no block signature; a public one checks each.
-        assert len(signature_checks) == (0 if full else blocks)
+        # A local audit, full or public, checks no block signature.
+        assert len(signature_checks) == 0
         signature_checks.clear()
         reference = _per_block_report(store, full)
         assert len(signature_checks) == blocks
@@ -124,20 +118,25 @@ def test_a_remote_full_audit_of_the_whole_range_checks_only_the_summary_signatur
     verifier = DeviceIdentity.generate()
     result = _served(store, verifier, RetrievalRequest(store.manifest.device_id, 0, end))
     certificate = store.identity().certificate
-    for rlk, checks in ((store.root_logging_key(), 1), (None, 11)):
+    # Full or public, the summary's signature is the only one checked.
+    for rlk in (store.root_logging_key(), None):
         signature_checks.clear()
         report = audit(result, certificate, rlk=rlk)
-        assert len(signature_checks) == checks
+        assert len(signature_checks) == 1
         assert report.verdict == "ok" and len(report.entries) == 10
 
 
-def test_a_remote_full_audit_of_a_partial_range_checks_each_block(tmp_path, signature_checks):
+@pytest.mark.parametrize("full", [True, False], ids=["full", "public"])
+def test_a_remote_full_audit_of_a_partial_range_checks_each_block(
+    tmp_path, signature_checks, full
+):
     store = build_store(tmp_path / "s", c=2, m=4)
     fill_store(store, 40)  # 10 blocks
     verifier = DeviceIdentity.generate()
     result = _served(store, verifier, RetrievalRequest(store.manifest.device_id, 0, 8))
     signature_checks.clear()
-    report = audit(result, store.identity().certificate, rlk=store.root_logging_key())
+    rlk = store.root_logging_key() if full else None
+    report = audit(result, store.identity().certificate, rlk=rlk)
     assert len(signature_checks) == 1 + 9
     assert report.verdict == "ok"
 
@@ -238,8 +237,49 @@ def test_a_full_audit_of_a_tampered_store_folds_every_present_block_twice(
     assert len(full_checks) == 2 * present == calls
 
 
+@pytest.mark.parametrize("c, m, entries", HONEST)
+def test_a_public_audit_of_an_honest_store_calls_the_block_check_once_per_block(
+    tmp_path, public_checks, signature_checks, c, m, entries
+):
+    fill_store(build_store(tmp_path / "s", c=c, m=m), entries)
+    report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=False)
+    assert report.verdict == "ok"
+    assert public_checks == list(range(-(-entries // m)))
+    assert signature_checks == []
+
+
+@pytest.mark.parametrize(
+    "tamper, present, calls",
+    [
+        pytest.param(_flip_signature, 6, 12, id="signature"),
+        pytest.param(lambda s: s.block_path(2).unlink(), 5, 10, id="deleted"),
+    ],
+)
+def test_a_public_audit_of_a_tampered_store_folds_every_present_block_twice(
+    tmp_path, public_checks, signature_checks, tamper, present, calls
+):
+    fill_store(build_store(tmp_path / "s", c=2, m=2), 12)  # 6 blocks
+    tamper(SealedStore.open(tmp_path / "s", ROOT_SECRET))
+    report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=False)
+    assert report.verdict == "fail"
+    assert len(public_checks) == 2 * present == calls
+    # Only the second fold checks signatures, one per block present.
+    assert len(signature_checks) == present
+
+
+def test_a_text_flip_passes_a_public_audit_in_one_fold(tmp_path, public_checks):
+    # A public audit covers no record text: the tags, signatures and
+    # digest all still match, so the first fold is the report.
+    fill_store(build_store(tmp_path / "s", c=2, m=2), 12)  # 6 blocks
+    _flip_text(SealedStore.open(tmp_path / "s", ROOT_SECRET))
+    report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=False)
+    assert report.verdict == "ok" and not report.findings
+    assert public_checks == list(range(6))
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full", "public"])
 def test_a_summary_count_that_disagrees_is_a_finding_beside_ok_entries(
-    tmp_path, signature_checks
+    tmp_path, signature_checks, full
 ):
     store = build_store(tmp_path / "s", c=2, m=4)
     fill_store(store, 40)  # 10 blocks
@@ -247,7 +287,8 @@ def test_a_summary_count_that_disagrees_is_a_finding_beside_ok_entries(
     result = _served(store, verifier, RetrievalRequest(store.manifest.device_id, 0))
     result.summary.count += 1
     signature_checks.clear()
-    report = audit(result, store.identity().certificate, rlk=store.root_logging_key())
+    rlk = store.root_logging_key() if full else None
+    report = audit(result, store.identity().certificate, rlk=rlk)
     assert len(signature_checks) == 1
     assert report.findings == ["summary counts 11 blocks, received 10"]
     assert [e.to_dict() for e in report.entries] == [
@@ -256,7 +297,8 @@ def test_a_summary_count_that_disagrees_is_a_finding_beside_ok_entries(
     assert report.verdict == "fail"
 
 
-def test_a_summary_signed_over_an_older_state_gets_the_per_block_report(tmp_path):
+@pytest.mark.parametrize("full", [True, False], ids=["full", "public"])
+def test_a_summary_signed_over_an_older_state_gets_the_per_block_report(tmp_path, full):
     store = build_store(tmp_path / "s", c=2, m=4)
     fill_store(store, 32)  # blocks 0-7
     older = store.state
@@ -266,7 +308,7 @@ def test_a_summary_signed_over_an_older_state_gets_the_per_block_report(tmp_path
     state, signature = store.signed_state_snapshot(older)
     result.summary = dataclasses.replace(result.summary, state=state, state_signature=signature)
     certificate = store.identity().certificate
-    rlk = store.root_logging_key()
+    rlk = store.root_logging_key() if full else None
     report = audit(result, certificate, rlk=rlk)
     assert report.findings == [f"{FINDING_BEYOND_STATE}: block 9 exceeds committed 7"]
     run = [(block.block_id, block, None) for block in result.blocks]

@@ -16,7 +16,7 @@ from cryptography.hazmat.primitives.serialization import Encoding
 
 from conftest import make_certificate
 import sealog
-from sealog import retrieval
+from sealog import logchain, retrieval
 from sealog.cli import main
 from sealog.errors import StorageError
 from sealog.identity import DeviceIdentity
@@ -235,6 +235,40 @@ def test_verify_archive_trusts_the_anchors_not_the_archive(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "verdict" not in captured.out
         assert captured.err == "error: peer certificate is not one of the trust anchors\n"
+
+
+def test_a_public_archive_audit_checks_the_digest_and_one_signature(
+    tmp_path, capsys, signature_checks
+):
+    rc, archive = _serve_and_fetch(tmp_path, capsys)  # 20 blocks, c=2/m=5, whole range
+    assert rc == 0
+    signature_checks.clear()
+    anchors = str(tmp_path / "verifier-anchors")
+    argv = ["verify", "--archive", str(archive), "--anchors", anchors, "--public", "--json"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "ok"
+    assert len(signature_checks) == 1  # the summary's
+
+    doc = json.loads(archive.read_text())
+    data = bytearray(base64.b64decode(doc["blocks"][7]))
+    data[-1] ^= 0x01
+    doc["blocks"][7] = base64.b64encode(bytes(data)).decode()
+    archive.write_text(json.dumps(doc))
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [e for e in report["entries"] if e["status"] != "ok"] == [
+        {"block_id": 7, "status": logchain.STATUS_BAD_SIGNATURE}
+    ]
+    assert not any(f.startswith(logchain.FINDING_HISTORY_MISMATCH) for f in report["findings"])
+    # The one-shot per-block reference: a run read once folds once, with the key.
+    result, cert = retrieval.load_archive(archive)
+    reference = logchain.verify_sequence(
+        iter([(block.block_id, block, None) for block in result.blocks]),
+        0, result.summary.state, None, cert.public_key(),
+        run_ids={block.block_id for block in result.blocks},
+    )
+    assert report == json.loads(json.dumps(reference.to_dict()))
 
 
 @pytest.mark.parametrize("length", [63, 65])

@@ -698,11 +698,6 @@ def test_a_writer_opened_after_a_crash_before_the_state_commit_recovers(tmp_path
     assert verify_store(store, full=True).verdict == "ok"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: verify_store judges the disk against the state its handle "
-    "loaded at open, so an honest later commit is blocks-beyond-state",
-)
 def test_an_audit_handle_opened_before_an_honest_commit_says_ok(tmp_path):
     _two_committed_blocks(tmp_path / "s")
     auditor = SealedStore.open(tmp_path / "s", ROOT_SECRET)
@@ -710,6 +705,25 @@ def test_an_audit_handle_opened_before_an_honest_commit_says_ok(tmp_path):
     for full in (True, False):
         report = verify_store(auditor, full=full)
         assert report.findings == [] and report.verdict == "ok"
+        # The audit covers the state on disk, not the one loaded at open.
+        assert [e.block_id for e in report.entries] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full", "public"])
+def test_an_honest_commit_between_the_fold_and_the_listing_says_ok(tmp_path, full):
+    _two_committed_blocks(tmp_path / "s")
+    auditor = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    listed = auditor.block_ids_on_disk
+
+    def commit_then_list():
+        # Another handle commits blocks 2-3 after the fold audited 0-1.
+        fill_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), 4)
+        return listed()
+
+    auditor.block_ids_on_disk = commit_then_list
+    report = verify_store(auditor, full=full)
+    assert report.findings == [] and report.verdict == "ok"
+    assert [e.block_id for e in report.entries] == [0, 1]
 
 
 @pytest.mark.parametrize("full", [True, False], ids=["full", "public"])
