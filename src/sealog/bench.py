@@ -33,7 +33,7 @@ from .collector import IngestPolicy, LogWriter, RawEntry, ingest
 from .errors import InvalidParameter
 from .identity import DeviceIdentity
 from .keyschedule import ChainParams, RootLoggingKey, walk_message_chain
-from .logchain import make_record, sign_block, verify_block_full
+from .logchain import make_record, sign_block, verify_block_full, verify_block_public
 from .sealstore import OBJECT_BLOCK, SealedStore, derive_storage_key, seal
 
 MIN_TIMING_WINDOW = 0.005  # seconds; widen batches below this
@@ -167,7 +167,8 @@ def _bench_block_cells(
         block = create_block()  # warm-up, reused by the verify cell
 
         def verify():
-            verify_block_full(block, rlk, params, identity.public_key)
+            verify_block_public(block, identity.public_key)
+            verify_block_full(block, rlk, params)
 
         create_samples = [_timed(create_block) for _ in range(config.repetitions)]
         verify_samples = [_timed(verify) for _ in range(config.repetitions)]

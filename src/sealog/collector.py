@@ -174,7 +174,8 @@ class LogWriter:
     its predecessor's, and its buffer is zeroed at block end or
     ``close()``.  A group's intermediate key lives only until it is sealed
     and then read back into the block walk, before the group's first record
-    is tagged.
+    is tagged.  A writer recovers its store as it opens (``recover``), so it
+    starts from the committed state.
     """
 
     def __init__(self, store: SealedStore, epoch_seconds: float | None = None):
@@ -187,7 +188,7 @@ class LogWriter:
         self.epoch_seconds = epoch_seconds
         self._identity = store.identity()
         self._rlk = store.root_logging_key()
-        latest = store.state.latest_block_id
+        latest = store.recover().latest_block_id
         self._next_block_id = 0 if latest is None else latest + 1
         self._records: list[LogRecord] = []
         self._ram_blocks: list[Block] = []

@@ -28,12 +28,14 @@ crash left behind, no longer passes for the committed one.
 
 A ``Block`` is its bytes.  One built from records is encoded when it is
 built; one read from bytes (disk or wire) keeps them, and deserializing
-checks only the header and the length.  Both audits read the records
-straight out of the body, the signature check its tags and the full audit
-every field.  The signer reads the signature preimage from the encoded
-block with the same code the verifier uses.  Records read from bytes are
-decoded on the first read of ``block.records``, which only entry
-reassembly makes.
+checks only the header and the length.  A block has two checks, one
+function each: ``verify_block_public`` checks the signature over the tags,
+``verify_block_full`` every record's tag under the RLK; a full audit makes
+both.  Both read the records straight out of the body, the signature check
+its tags and the tag check every field.  The signer reads the signature
+preimage from the encoded block with the same code the verifier uses.
+Records read from bytes are decoded on the first read of
+``block.records``, which only entry reassembly makes.
 """
 
 from __future__ import annotations
@@ -297,66 +299,39 @@ def verify_block_public(block: Block, public_key: ec.EllipticCurvePublicKey | No
     Record text is not covered directly (only the tags are signed), so
     HMAC-level tampering is out of this path's scope by design.  The tags
     are read from the block's bytes; no record is decoded.  A signature
-    that is not 64 bytes is a bad one.  With ``public_key`` None it is
-    left to the caller, which checks the chain digest that covers it.
+    that is not 64 bytes is a bad one.  With ``public_key`` None nothing
+    is checked and the status is ok: the caller checks the chain digest,
+    which covers every signature.
     """
     ok = public_key is None or verify_raw(public_key, block.sign_preimage(), block.signature)
     return STATUS_OK if ok else STATUS_BAD_SIGNATURE
 
 
-@dataclass
-class BlockVerification:
-    """Per-record verification outcome for one block; ``signature_ok`` is
-    None when the signature was not checked, and ``ok`` says that every
-    check made passed."""
-
-    block_id: int
-    signature_ok: bool | None
-    bad_records: list[int] = field(default_factory=list)
-    checked_records: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.signature_ok is not False and not self.bad_records
-
-    @property
-    def first_bad_msg_id(self) -> int | None:
-        return self.bad_records[0] if self.bad_records else None
-
-
-def verify_block_full(
-    block: Block,
-    rlk: RootLoggingKey,
-    params: ChainParams,
-    public_key: ec.EllipticCurvePublicKey | None,
-) -> BlockVerification:
-    """Recompute every message key and tag from the RLK, plus the signature
-    under ``public_key``; with None the signature is left to the caller.
+def verify_block_full(block: Block, rlk: RootLoggingKey, params: ChainParams) -> list[int]:
+    """Recompute every message key and tag from the RLK; return the
+    positions whose record fails, in order.  The signature is
+    ``verify_block_public``'s to check.
 
     The records are checked in one pass over the block's bytes; none is
-    decoded into a ``LogRecord``.
+    decoded into a ``LogRecord``.  A block of more than ``params.m``
+    records raises ``InvalidParameter``.
     """
-    signature_ok = None
-    if public_key is not None:
-        signature_ok = verify_block_public(block, public_key) == STATUS_OK
     data, block_id = block.serialize(), block.block_id
     body = memoryview(data)[_BLOCK_HEADER.size : len(data) - len(block.signature)]
-    count = len(body) // RECORD_LEN
-    result = BlockVerification(block_id, signature_ok, checked_records=count)
 
     # Keys are derived for the declared positions, each overwriting its
     # predecessor; records whose claimed msg_id disagrees with their
     # position fail their tag check below.  The walk is drawn first, so it
     # runs to its end, and zeroes its buffer, before the records do.
-    bad, compare = result.bad_records, hmac_mod.compare_digest
-    keys = walk_message_chain(rlk, block_id, count, params)
+    bad, compare = [], hmac_mod.compare_digest
+    keys = walk_message_chain(rlk, block_id, len(body) // RECORD_LEN, params)
     for position, (key, (msg_id, tag, text_field)) in enumerate(
         zip(keys, _RECORD.iter_unpack(body))
     ):
         expected = hmac_sha256(key, record_preimage(block_id, position, text_field))
         if msg_id != position or not compare(expected, tag):
             bad.append(position)
-    return result
+    return bad
 
 
 # Sequence-level verification ---------------------------------------------
@@ -436,8 +411,10 @@ def verify_sequence(
     ``gap``; a store run reads ids in ascending order and passes none.
 
     ``state`` is a ChainState (or None for a missing state record, which is
-    itself a finding).  With an RLK the full hash matrix is recomputed under
-    the chain ``params``; with rlk=None only signatures and structure are
+    itself a finding).  Each block's signature is checked and, with an RLK,
+    every record tag under the chain ``params``: a block with a failing tag
+    is ``bad-hmac`` at its first failing position, with a note when its
+    signature failed too.  With rlk=None only signatures and structure are
     checked (public mode), and ``params`` is not needed.  The
     run must reach ``expected_end`` (a requested last block) or, when that
     is None or beyond the state, the newest committed block.  A run that
@@ -533,21 +510,18 @@ def _due_digest(state, expected_start: int, expected_end: int | None) -> bytes |
 
 
 def _verify_one(block, rlk, params, public_key, report) -> BlockEntry:
-    if rlk is not None:
-        try:
-            outcome = verify_block_full(block, rlk, params, public_key)
-        except InvalidParameter as exc:
-            return BlockEntry(block.block_id, STATUS_ORDER_VIOLATION, detail=str(exc))
-        if outcome.ok:
-            return BlockEntry(block.block_id, STATUS_OK)
-        if outcome.bad_records:
-            if outcome.signature_ok is False:
-                report.notes.append(f"block {block.block_id}: signature also invalid")
-            return BlockEntry(
-                block.block_id, STATUS_BAD_HMAC, msg_id=outcome.first_bad_msg_id
-            )
-        return BlockEntry(block.block_id, STATUS_BAD_SIGNATURE)
-    return BlockEntry(block.block_id, verify_block_public(block, public_key))
+    signature = verify_block_public(block, public_key)
+    if rlk is None:
+        return BlockEntry(block.block_id, signature)
+    try:
+        bad = verify_block_full(block, rlk, params)
+    except InvalidParameter as exc:
+        return BlockEntry(block.block_id, STATUS_ORDER_VIOLATION, detail=str(exc))
+    if not bad:
+        return BlockEntry(block.block_id, signature)
+    if signature != STATUS_OK:
+        report.notes.append(f"block {block.block_id}: signature also invalid")
+    return BlockEntry(block.block_id, STATUS_BAD_HMAC, msg_id=bad[0])
 
 
 def beyond_state_finding(block_id: int, latest: int | None) -> str:

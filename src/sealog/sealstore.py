@@ -396,7 +396,7 @@ class SealedStore:
         data = seal(payload, self.sk, object_type, object_id)
         self._hook(f"{step}:start")
         try:
-            fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=self.directory)
+            fd, tmp_name = tempfile.mkstemp(prefix=f".tmp-{name}-", dir=self.directory)
             try:
                 try:
                     _write_all(fd, data)
@@ -684,10 +684,13 @@ class SealedStore:
         removed, and so is every block file beyond the committed state: it
         may be torn, and its content is still re-derivable and
         re-committable by the producer.  Committed blocks are never touched;
-        they were durable before the state that names them.
+        they were durable before the state that names them.  A temp file of
+        the delivered watermark is left: that object is the export server's,
+        whose replace may be in flight.
         """
         for tmp in self.directory.glob(".tmp-*"):
-            tmp.unlink(missing_ok=True)
+            if not tmp.name.startswith(f".tmp-{DELIVERED_FILE}-"):
+                tmp.unlink(missing_ok=True)
         self.state = self.load_state()
         latest = self.state.latest_block_id
         for block_id in self.block_ids_on_disk():

@@ -38,6 +38,7 @@ from sealog.keyschedule import (
 from sealog.logchain import (
     FINDING_MISSING_STATE,
     FINDING_TRUNCATION,
+    STATUS_OK,
     Block,
     LogRecord,
     pack_text_field,
@@ -149,10 +150,8 @@ def test_criterion_02_deterministic_matrix(tmp_path):
                 ]
                 assert keys[-1] == mk
                 # and the production full verification agrees
-                outcome = verify_block_full(
-                    block, store.root_logging_key(), params, store.identity().public_key
-                )
-                assert outcome.ok
+                assert verify_block_public(block, store.identity().public_key) == STATUS_OK
+                assert verify_block_full(block, store.root_logging_key(), params) == []
 
 
 # 3 -----------------------------------------------------------------------------
@@ -171,7 +170,8 @@ def test_criterion_03_tamper_detection(tmp_path):
         assert verify_store(store, full=True).verdict == "ok"
         plain_blocks = {bid: store.load_block(bid) for bid in range(10)}
         for block in plain_blocks.values():
-            assert verify_block_full(block, rlk(), params, public_key).ok
+            assert verify_block_public(block, public_key) == STATUS_OK
+            assert verify_block_full(block, rlk(), params) == []
 
         detected = 0
 
@@ -217,8 +217,10 @@ def test_criterion_03_tamper_detection(tmp_path):
             except ParseError:
                 detected += 1
                 continue
-            outcome = verify_block_full(mutant, rlk(), params, public_key)
-            assert not outcome.ok, f"undetected mutation in block {bid} at byte {pos}"
+            assert (
+                verify_block_full(mutant, rlk(), params)
+                or verify_block_public(mutant, public_key) != STATUS_OK
+            ), f"undetected mutation in block {bid} at byte {pos}"
             detected += 1
 
         # (c) signature-field mutations specifically
@@ -274,8 +276,10 @@ def test_criterion_04_reorder_detection(tmp_path):
                     records = list(block.records)
                     records[i], records[j] = records[j], records[i]
                     mutant = Block(block.block_id, tuple(records), block.signature)
-                    outcome = verify_block_full(mutant, rlk(), params, public_key)
-                    assert not outcome.ok, (block.block_id, i, j)
+                    assert (
+                        verify_block_full(mutant, rlk(), params)
+                        or verify_block_public(mutant, public_key) != STATUS_OK
+                    ), (block.block_id, i, j)
 
         # text-field-only swaps keep msg_ids plausible; position-bound keys
         # still catch them
@@ -286,8 +290,7 @@ def test_criterion_04_reorder_detection(tmp_path):
                 records[i] = LogRecord(i, records[i].tag, block.records[j].text_field)
                 records[j] = LogRecord(j, records[j].tag, block.records[i].text_field)
                 mutant = Block(block.block_id, tuple(records), block.signature)
-                outcome = verify_block_full(mutant, rlk(), params, public_key)
-                assert not outcome.ok and outcome.first_bad_msg_id == i
+                assert verify_block_full(mutant, rlk(), params)[:1] == [i]
 
 
 # 5 -----------------------------------------------------------------------------

@@ -208,6 +208,24 @@ def test_a_reordered_fetched_run_gets_the_per_block_report(tmp_path, full):
     assert not any(f.startswith(FINDING_HISTORY_MISMATCH) for f in report.findings)
 
 
+def test_a_bad_tag_under_a_bad_signature_is_one_entry_and_a_note(tmp_path):
+    fill_store(build_store(tmp_path / "s", c=2, m=2), 12)  # 6 blocks
+    store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    data = bytearray(store.load_block(2).serialize())
+    data[_RECORD0_TEXT] ^= 0x01
+    data[-1] ^= 0x01
+    _reseal(store, 2, bytes(data))
+    local = verify_store(store, full=True)
+    verifier = DeviceIdentity.generate()
+    result = _served(store, verifier, RetrievalRequest(store.manifest.device_id, 0))
+    remote = audit(result, store.identity().certificate, rlk=store.root_logging_key())
+    assert remote.to_dict() == local.to_dict()
+    assert local.verdict == "fail" and local.findings == []
+    failed = [(e.block_id, e.status, e.msg_id) for e in local.entries if e.status != STATUS_OK]
+    assert failed == [(2, STATUS_BAD_HMAC, 0)]
+    assert local.notes == ["block 2: signature also invalid"]
+
+
 @pytest.mark.parametrize("c, m, entries", HONEST)
 def test_a_full_audit_of_an_honest_store_checks_each_block_once(
     tmp_path, full_checks, c, m, entries
@@ -331,9 +349,8 @@ def test_an_audit_with_a_destroyed_root_key_raises(tmp_path):
     header = struct.pack(">4sBII", logchain.BLOCK_MAGIC, logchain.FORMAT_VERSION, 1, 0)
     empty = Block.deserialize(header + bytes(64))
     for block in (store.load_block(1), empty):
-        for key in (public_key, None):
-            with pytest.raises(KeyUnavailable):
-                verify_block_full(block, rlk, store.params, key)
+        with pytest.raises(KeyUnavailable):
+            verify_block_full(block, rlk, store.params)
     run = list(store.iter_committed_blocks())
     with pytest.raises(KeyUnavailable):
         verify_sequence(run, 0, store.state, rlk, public_key, store.params)

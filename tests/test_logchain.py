@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sealog import keyschedule, logchain
 from sealog.errors import InvalidParameter, ParseError
-from sealog.identity import DeviceIdentity
+from sealog.identity import DeviceIdentity, verify_raw
 from sealog.keyschedule import (
     LABEL_MESSAGE,
     SCHEME_SALT,
@@ -26,7 +26,6 @@ from sealog.logchain import (
     STATUS_BAD_SIGNATURE,
     STATUS_OK,
     Block,
-    BlockVerification,
     LogRecord,
     make_record,
     pack_text_field,
@@ -192,8 +191,7 @@ def test_public_path_does_not_cover_text(identity):
     records = (LogRecord(0, block.records[0].tag, bytes(field)),)
     tampered = Block(block.block_id, records, block.signature)
     assert verify_block_public(tampered, identity.public_key) == STATUS_OK
-    outcome = verify_block_full(tampered, RootLoggingKey(SEED), PARAMS, identity.public_key)
-    assert not outcome.ok and outcome.bad_records == [0]
+    assert verify_block_full(tampered, RootLoggingKey(SEED), PARAMS) == [0]
 
 
 # Full verification ---------------------------------------------------------------
@@ -201,20 +199,19 @@ def test_public_path_does_not_cover_text(identity):
 
 def test_full_verification_clean_block(identity):
     block = _build_block(2, [b"r0", b"r1", b"r2", b"r3"], identity)
-    outcome = verify_block_full(block, RootLoggingKey(SEED), PARAMS, identity.public_key)
-    assert outcome.ok and outcome.signature_ok and outcome.checked_records == 4
+    assert verify_block_public(block, identity.public_key) == STATUS_OK
+    assert verify_block_full(block, RootLoggingKey(SEED), PARAMS) == []
 
 
 def test_full_verification_with_no_key_checks_only_the_records(identity, monkeypatch):
     block = _build_block(2, [b"r0", b"r1", b"r2"], identity)
     monkeypatch.setattr(logchain, "verify_raw", None)  # no signature check may run
-    outcome = verify_block_full(block, RootLoggingKey(SEED), PARAMS, None)
-    assert outcome.signature_ok is None and outcome.ok and outcome.checked_records == 3
+    assert verify_block_full(block, RootLoggingKey(SEED), PARAMS) == []
     field = bytearray(block.records[1].text_field)
     field[2] ^= 0x01
     records = (block.records[0], LogRecord(1, block.records[1].tag, bytes(field)), block.records[2])
-    outcome = verify_block_full(Block(2, records, block.signature), RootLoggingKey(SEED), PARAMS, None)
-    assert not outcome.ok and outcome.bad_records == [1]
+    tampered = Block(2, records, block.signature)
+    assert verify_block_full(tampered, RootLoggingKey(SEED), PARAMS) == [1]
 
 
 def test_text_flip_reports_failing_record_and_signature(identity):
@@ -225,11 +222,10 @@ def test_text_flip_reports_failing_record_and_signature(identity):
     records = list(block.records)
     records[7] = LogRecord(7, records[7].tag, bytes(field))
     tampered = Block(block.block_id, tuple(records), block.signature)
-    outcome = verify_block_full(tampered, RootLoggingKey(SEED), PARAMS, identity.public_key)
-    assert outcome.bad_records == [7]
+    assert verify_block_full(tampered, RootLoggingKey(SEED), PARAMS) == [7]
     # tags feed the signature, so fixing the tag to match would break it;
     # leaving the tag stale keeps the signature valid over the old tags
-    assert outcome.signature_ok
+    assert verify_block_public(tampered, identity.public_key) == STATUS_OK
 
 
 def test_swapped_records_fail_at_first_swapped_coordinate(identity):
@@ -238,9 +234,7 @@ def test_swapped_records_fail_at_first_swapped_coordinate(identity):
     records = list(block.records)
     records[3], records[4] = records[4], records[3]
     swapped = Block(block.block_id, tuple(records), block.signature)
-    outcome = verify_block_full(swapped, RootLoggingKey(SEED), PARAMS, identity.public_key)
-    assert not outcome.ok
-    assert outcome.first_bad_msg_id == 3
+    assert verify_block_full(swapped, RootLoggingKey(SEED), PARAMS)[0] == 3
 
 
 def test_swapped_records_report_one_bad_hmac_entry(identity):
@@ -266,24 +260,21 @@ def test_record_moved_across_blocks_fails(identity):
     # transplant record 1 of block 0 into the same slot of block 1
     records = (block1.records[0], block0.records[1])
     franken = Block(1, records, block1.signature)
-    outcome = verify_block_full(franken, RootLoggingKey(SEED), PARAMS, identity.public_key)
-    assert 1 in outcome.bad_records
+    assert 1 in verify_block_full(franken, RootLoggingKey(SEED), PARAMS)
 
 
 def test_wrong_rlk_fails_every_record(identity):
     block = _build_block(0, [b"a", b"b", b"c"], identity)
-    outcome = verify_block_full(
-        block, RootLoggingKey(b"\x99" * 32), PARAMS, identity.public_key
-    )
-    assert outcome.bad_records == [0, 1, 2]
-    assert outcome.signature_ok  # signature has nothing to do with the RLK
+    assert verify_block_full(block, RootLoggingKey(b"\x99" * 32), PARAMS) == [0, 1, 2]
+    # signature has nothing to do with the RLK
+    assert verify_block_public(block, identity.public_key) == STATUS_OK
 
 
 def test_block_longer_than_m_rejected(identity):
     block = _build_block(0, [bytes([i]) for i in range(PARAMS.m)], identity)
     overlong = Block(0, block.records + block.records[:1], block.signature)
     with pytest.raises(InvalidParameter):
-        verify_block_full(overlong, RootLoggingKey(SEED), PARAMS, identity.public_key)
+        verify_block_full(overlong, RootLoggingKey(SEED), PARAMS)
 
 
 def test_empty_block_derives_only_its_block_key(identity, monkeypatch):
@@ -296,7 +287,7 @@ def test_empty_block_derives_only_its_block_key(identity, monkeypatch):
 
     monkeypatch.setattr(keyschedule, "hkdf", counting_hkdf)
     empty = Block(block_id=3, records=(), signature=b"\x00" * 64)
-    outcome = verify_block_full(empty, RootLoggingKey(SEED), PARAMS, identity.public_key)
+    bad = verify_block_full(empty, RootLoggingKey(SEED), PARAMS)
     # Block 3 is the second of group 1: its IK, the group's first block key,
     # one chain step; no message key.
     assert calls == [
@@ -304,36 +295,39 @@ def test_empty_block_derives_only_its_block_key(identity, monkeypatch):
         b"BK0" + struct.pack(">I", 2),
         b"BK" + struct.pack(">I", 3),
     ]
-    assert outcome.bad_records == [] and outcome.checked_records == 0
+    assert bad == []
 
 
 def test_public_full_consistency(identity):
     # Anything that passes full verification passes the public check too.
     for block_id in range(4):
         block = _build_block(block_id, [bytes([i]) * 10 for i in range(5)], identity)
-        full = verify_block_full(block, RootLoggingKey(SEED), PARAMS, identity.public_key)
-        assert full.ok
+        assert verify_block_full(block, RootLoggingKey(SEED), PARAMS) == []
         assert verify_block_public(block, identity.public_key) == STATUS_OK
 
 
-def _reference_verify_full(block, rlk, params, public_key):
-    """``verify_block_full`` as it was before it read records from the
-    bytes: a loop over the decoded ``block.records``."""
-    try:
-        signature_ok = verify_block_public(block, public_key) == STATUS_OK
-    except ParseError:
-        signature_ok = False
-    result = BlockVerification(block_id=block.block_id, signature_ok=signature_ok)
-    result.checked_records = len(block.records)
+def _both_checks(block, rlk, params, public_key):
+    """A full audit's two checks of a block: its signature status and the
+    positions of its failing records."""
+    return verify_block_public(block, public_key), verify_block_full(block, rlk, params)
+
+
+def _reference_checks(block, rlk, params, public_key):
+    """``_both_checks`` as they were before they read records from the
+    bytes: the signature over a preimage encoded apart, then a loop over
+    the decoded ``block.records``."""
     records = block.records
+    preimage = _reference_preimage(block.block_id, [record.tag for record in records])
+    signature_ok = verify_raw(public_key, preimage, block.signature)
+    bad = []
     for position, key in enumerate(walk_message_chain(rlk, block.block_id, len(records), params)):
         record = records[position]
         expected = hmac_mod.new(
             bytes(key), struct.pack(">II", block.block_id, position) + record.text_field, "sha256"
         ).digest()
         if record.msg_id != position or not hmac_mod.compare_digest(expected, record.tag):
-            result.bad_records.append(position)
-    return result
+            bad.append(position)
+    return (STATUS_OK if signature_ok else STATUS_BAD_SIGNATURE), bad
 
 
 _RECORD_FIELDS = {"msg_id": (0, 4), "tag": (4, 32), "text": (36, 256)}
@@ -398,8 +392,7 @@ def _full_audit_outcome(verify, raw: bytes, public_key) -> tuple[tuple, list[byt
 
     keyschedule.hkdf = counting_hkdf
     try:
-        outcome = verify(Block.deserialize(raw), RootLoggingKey(SEED), PARAMS, public_key)
-        said = (outcome.signature_ok, outcome.bad_records, outcome.checked_records)
+        said = verify(Block.deserialize(raw), RootLoggingKey(SEED), PARAMS, public_key)
     except InvalidParameter as exc:
         said = ("InvalidParameter", str(exc))
     finally:
@@ -411,8 +404,8 @@ def _full_audit_outcome(verify, raw: bytes, public_key) -> tuple[tuple, list[byt
 @given(data=st.data())
 def test_full_audit_from_bytes_matches_the_decoding_reference(identity, signed_blocks, data):
     raw = _tampered_block(data, signed_blocks)
-    got = _full_audit_outcome(verify_block_full, raw, identity.public_key)
-    want = _full_audit_outcome(_reference_verify_full, raw, identity.public_key)
+    got = _full_audit_outcome(_both_checks, raw, identity.public_key)
+    want = _full_audit_outcome(_reference_checks, raw, identity.public_key)
     assert got == want
     assert got[1], "every full audit derives at least the block's key"
 
@@ -436,10 +429,7 @@ def test_full_audit_runs_the_message_walk_to_its_end(identity, monkeypatch):
         return steps()
 
     monkeypatch.setattr(logchain, "walk_message_chain", watched_walk)
-    outcome = verify_block_full(
-        Block.deserialize(bytes(raw)), RootLoggingKey(SEED), PARAMS, identity.public_key
-    )
-    assert outcome.bad_records == [1] and outcome.checked_records == 4
+    assert verify_block_full(Block.deserialize(bytes(raw)), RootLoggingKey(SEED), PARAMS) == [1]
     # One walk, run to its end: its one buffer is zeroed by the time the
     # audit returns.
     assert len(walks) == 1 and walks[0].gi_frame is None

@@ -672,11 +672,6 @@ def test_a_second_writer_on_a_store_is_refused(tmp_path):
     assert verify_store(store, full=True).verdict == "ok"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: a new writer does not recover the store, so the block files a "
-    "crash left beyond the state stay and fail the audit",
-)
 def test_a_writer_opened_after_a_crash_before_the_state_commit_recovers(tmp_path):
     _two_committed_blocks(tmp_path / "s")
     store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
@@ -696,6 +691,33 @@ def test_a_writer_opened_after_a_crash_before_the_state_commit_recovers(tmp_path
     assert store.block_ids_on_disk() == [0, 1]
     assert not list(store.directory.glob(".tmp-*"))
     assert verify_store(store, full=True).verdict == "ok"
+
+
+def test_a_writer_leaves_the_export_servers_temp_file(tmp_path):
+    _two_committed_blocks(tmp_path / "s")
+    store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    for name in (f".tmp-{DELIVERED_FILE}-x", f".tmp-{STATE_FILE}-x"):
+        (store.directory / name).write_bytes(b"")
+    shutil.copy(store.block_path(1), store.block_path(2))
+    LogWriter(store)
+    # The delivered watermark's replace may be in flight in a server.
+    assert [p.name for p in store.directory.glob(".tmp-*")] == [f".tmp-{DELIVERED_FILE}-x"]
+    assert store.block_ids_on_disk() == [0, 1]
+
+
+def test_a_writer_opened_during_a_delivered_mark_leaves_its_replace(tmp_path):
+    _two_committed_blocks(tmp_path / "s")
+    server_store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    writers = []
+
+    def open_a_writer(step):
+        if step == "delivered:tmp-written":
+            writers.append(LogWriter(SealedStore.open(tmp_path / "s", ROOT_SECRET)))
+
+    server_store.crash_hook = open_a_writer
+    server_store.mark_delivered(1)
+    assert len(writers) == 1
+    assert SealedStore.open(tmp_path / "s", ROOT_SECRET).delivered_mark() == 1
 
 
 def test_an_audit_handle_opened_before_an_honest_commit_says_ok(tmp_path):
@@ -1009,7 +1031,9 @@ def test_block_left_by_a_crash_is_committed_over(tmp_path, label):
     assert store.load_state().latest_block_id == 2
 
     store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
-    fill_store(store, 6)  # no recover: blocks 3-5 are created again over the leftovers
+    # No recover: blocks 3-5 are created again over the leftovers.
+    store.recover = lambda: store.state
+    fill_store(store, 6)
     report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=True)
     assert report.verdict == "ok", report.to_dict()
     assert [e.block_id for e in report.entries] == list(range(6))
