@@ -46,7 +46,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import starmap
-from typing import Container, Iterable, NamedTuple
+from typing import Callable, Container, Iterable, NamedTuple
 
 from cryptography.hazmat.primitives.asymmetric import ec
 
@@ -249,11 +249,12 @@ class Block:
         return f"Block(block_id={self.block_id}, {len(self._data)} bytes)"
 
     @classmethod
-    def _of(cls, data: bytes, records: tuple[LogRecord, ...] | None) -> "Block":
-        """The block whose checked encoding is ``data``; ``records`` are
-        its records, or None to decode them from ``data`` when read."""
+    def _of(cls, data: bytes, block_id: int, records: tuple[LogRecord, ...] | None) -> "Block":
+        """The block ``block_id`` whose checked encoding is ``data``;
+        ``records`` are its records, or None to decode them from ``data``
+        when read."""
         block = cls.__new__(cls)
-        block.block_id = _BLOCK_HEADER.unpack_from(data)[2]
+        block.block_id = block_id
         block.signature = data[-SIGNATURE_LEN:]
         block._records = records
         block._data = data
@@ -273,7 +274,7 @@ class Block:
         expected = BLOCK_ENVELOPE_LEN + count * RECORD_LEN
         if len(data) != expected:
             raise ParseError(f"block length {len(data)} does not match declared count {count}")
-        return cls._of(data, None)
+        return cls._of(data, block_id, None)
 
 
 def sign_block(block_id: int, records: list[LogRecord], identity: DeviceIdentity) -> Block:
@@ -284,7 +285,7 @@ def sign_block(block_id: int, records: list[LogRecord], identity: DeviceIdentity
     records = tuple(records)
     unsigned = _encode_unsigned(block_id, records)
     signature = identity.sign(_sign_preimage(unsigned, len(unsigned)))
-    return Block._of(unsigned + signature, records)
+    return Block._of(unsigned + signature, block_id, records)
 
 
 def chain_digest(digest: bytes, block: Block) -> bytes:
@@ -392,7 +393,7 @@ def verify_sequence(
     expected_start: int,
     state,
     rlk: RootLoggingKey | None,
-    public_key: ec.EllipticCurvePublicKey,
+    public_key: Callable[[], ec.EllipticCurvePublicKey],
     params: ChainParams | None = None,
     report: VerificationReport | None = None,
     expected_end: int | None = None,
@@ -411,7 +412,10 @@ def verify_sequence(
     ``gap``; a store run reads ids in ascending order and passes none.
 
     ``state`` is a ChainState (or None for a missing state record, which is
-    itself a finding).  Each block's signature is checked and, with an RLK,
+    itself a finding).  ``public_key`` returns the device key: it is called
+    at most once, just before a fold that checks signatures, so an audit
+    that checks none never makes the key, which may mean parsing a
+    certificate.  Each block's signature is checked and, with an RLK,
     every record tag under the chain ``params``: a block with a failing tag
     is ``bad-hmac`` at its first failing position, with a note when its
     signature failed too.  With rlk=None only signatures and structure are
@@ -450,7 +454,7 @@ def verify_sequence(
         if first.verdict == "ok":
             report.entries.extend(first.entries)
             return report
-    _fold(run, report, state, rlk, params, public_key, due, expected_end, run_ids)
+    _fold(run, report, state, rlk, params, public_key(), due, expected_end, run_ids)
     return report
 
 

@@ -794,6 +794,11 @@ class LogExportServer:
 def _log_session(
     peer, session: SecureSession | None, error: Exception | None, seconds: float
 ) -> None:
+    """Emit the session event, built only when ``sealog.retrieval`` logs
+    at its level: INFO for a served session, WARNING for a failed one."""
+    level = logging.INFO if error is None else logging.WARNING
+    if not _log.isEnabledFor(level):
+        return
     event = {
         "peer": f"{peer[0]}:{peer[1]}",
         "device": session.peer_device_id.hex() if session is not None else None,
@@ -805,7 +810,7 @@ def _log_session(
     if error is not None:
         event["error"] = str(error)
     _log.log(
-        logging.INFO if error is None else logging.WARNING,
+        level,
         "session %s",
         " ".join(f"{key}={value}" for key, value in event.items()),
         extra={"session": event},
@@ -863,17 +868,19 @@ def audit(
     the digest, and every block's only when that first fold finds
     anything.  Any other range, and any transfer whose summary is missing
     or not validly signed, is folded once with every block signature
-    checked and no digest check: 1 + N checks for N blocks.
+    checked and no digest check: 1 + N checks for N blocks.  The
+    certificate's ``public_key`` is passed to the fold as its key getter,
+    so the fold makes the key only when it checks a block signature.
     """
     request, summary = result.request, result.summary
     state = None
     report = VerificationReport(mode="full" if rlk else "public", expected_start=request.start)
 
-    public_key = device_certificate.public_key()
+    public_key = device_certificate.public_key
     if summary is not None:
         if params is None:
             params = summary.params
-        if not verify_raw(public_key, summary.state.sign_preimage(), summary.state_signature):
+        if not verify_raw(public_key(), summary.state.sign_preimage(), summary.state_signature):
             report.findings.append("state-signature-invalid")
         else:
             state = summary.state

@@ -57,6 +57,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import re
 import stat
 import struct
 import tempfile
@@ -265,6 +266,11 @@ def _block_file(block_id: int) -> str:
     return f"blk_{block_id:08d}.seal"
 
 
+# In a listing joined by ``/``, the names ``_block_file`` writes and no
+# others: 8 digits, or more than 8 with no leading zero.
+_BLOCK_NAMES = re.compile(r"(?:^|/)blk_(\d{8}|[1-9]\d{8,})\.seal(?=/|$)", re.ASCII)
+
+
 def _ik_file(group_id: int) -> str:
     return f"ik_{group_id:08d}.seal"
 
@@ -457,8 +463,10 @@ class SealedStore:
     def _read_sealed(self, name: str, object_type: int, object_id: int) -> bytes:
         """The named object read whole, then its ``unseal``.
 
-        One ``os.open``, one ``fstat`` and reads to the end of the file,
-        the first sized to hold all of it, with no buffered file object.
+        One ``os.open``, one ``fstat`` and one ``os.read`` of one byte more
+        than the file holds, with no buffered file object: a read that
+        returns less has reached the end of the file.  Only a file that
+        grew past its ``fstat`` is read on, to its end.
         The errors are those of ``open``: a directory raises
         ``IsADirectoryError`` naming the path.  Any ``OSError`` becomes a
         ``StorageError`` whose ``__cause__`` is the original, so a caller
@@ -472,18 +480,21 @@ class SealedStore:
             fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK | os.O_CLOEXEC)
             try:
                 info = os.fstat(fd)
-                if stat.S_ISDIR(info.st_mode):
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
                 if not stat.S_ISREG(info.st_mode):
+                    if stat.S_ISDIR(info.st_mode):
+                        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
                     raise StorageError(f"cannot read {name}: not a regular file")
-                chunks = []
-                while chunk := os.read(fd, info.st_size + 1):
-                    chunks.append(chunk)
+                data = os.read(fd, info.st_size + 1)
+                if len(data) > info.st_size:
+                    chunks = [data]
+                    while chunk := os.read(fd, info.st_size + 1):
+                        chunks.append(chunk)
+                    data = b"".join(chunks)
             finally:
                 os.close(fd)
         except OSError as exc:
             raise StorageError(f"cannot read {name}: {exc}") from exc
-        return unseal(b"".join(chunks), self.sk, object_type, object_id)
+        return unseal(data, self.sk, object_type, object_id)
 
     # -- chain state --
 
@@ -615,15 +626,14 @@ class SealedStore:
         return block
 
     def block_ids_on_disk(self) -> list[int]:
-        """The ids of the ``blk_<id>.seal`` entries in the store, ascending."""
-        ids = []
-        for name in os.listdir(self.directory):
-            if name.startswith("blk_") and name.endswith(".seal"):
-                try:
-                    ids.append(int(name[: -len(".seal")].split("_")[1]))
-                except ValueError:
-                    continue
-        return sorted(ids)
+        """The ids of the entries in the store named as ``_block_file``
+        names a block, ascending.  Any other name, such as ``blk_99.seal``,
+        is no block of this store: ``recover`` could not remove it by id.
+        The listing is joined by ``/``, which no name contains, and matched
+        in one pass."""
+        ids = list(map(int, _BLOCK_NAMES.findall("/".join(os.listdir(self.directory)))))
+        ids.sort()
+        return ids
 
     def iter_committed_blocks(self) -> Iterator[tuple[int, Block | None, str | None]]:
         """Yield (block_id, block, error) for every committed id in order.
@@ -727,11 +737,13 @@ def verify_store(store: SealedStore, full: bool = True):
     finding rather than an error, and every block file on disk is audited.
     A block file beyond the audited state is a ``blocks-beyond-state``
     finding, with no entry, unless a state read after the listing commits
-    it.  Neither audit decodes a record or parses the signing key.
+    it.  Neither audit decodes a record or parses the signing key, and no
+    audit parses the certificate unless it checks a signature: an honest
+    audit, full or public, parses neither.
     """
     rlk = store.root_logging_key() if full else None
     state = store.refresh_state()
-    report = verify_sequence(_CommittedRun(store), 0, state, rlk, store.public_key(), store.params)
+    report = verify_sequence(_CommittedRun(store), 0, state, rlk, store.public_key, store.params)
     if state is not None:
         latest = state.latest_block_id
         on_disk = store.block_ids_on_disk()

@@ -262,7 +262,7 @@ def test_criterion_04_reorder_detection(tmp_path):
                     0,
                     state,
                     None,
-                    public_key,
+                    lambda: public_key,
                     params,
                     run_ids={b.block_id for b in shuffled},
                 )

@@ -71,7 +71,7 @@ def _per_block_report(store: SealedStore, full: bool):
     cannot be read twice, so it never takes the digest-first pass."""
     rlk = store.root_logging_key() if full else None
     return verify_sequence(
-        store.iter_committed_blocks(), 0, store.state, rlk, store.public_key(), store.params
+        store.iter_committed_blocks(), 0, store.state, rlk, store.public_key, store.params
     )
 
 
@@ -188,6 +188,38 @@ def test_a_tampered_store_gets_the_per_block_report(
     assert not any(f.startswith(FINDING_HISTORY_MISMATCH) for f in report.findings)
 
 
+def test_an_honest_audit_parses_no_certificate(tmp_path, monkeypatch):
+    fill_store(build_store(tmp_path / "s", c=2, m=2), 12)  # 6 blocks
+
+    def refuse(*args):
+        raise AssertionError("the audit parsed the device certificate")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(DeviceIdentity, "from_material", refuse)
+        for full in (True, False):
+            report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=full)
+            assert report.verdict == "ok" and len(report.entries) == 6
+
+    # A bad signature sends the audit to the fold that checks signatures,
+    # which makes the key once for all of them.
+    _flip_signature(SealedStore.open(tmp_path / "s", ROOT_SECRET))
+    real, parsed = DeviceIdentity.from_material, []
+
+    def counted(*args):
+        parsed.append(args)
+        return real(*args)
+
+    for full in (True, False):
+        parsed.clear()
+        store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+        with monkeypatch.context() as patched:
+            patched.setattr(DeviceIdentity, "from_material", counted)
+            report = verify_store(store, full=full)
+        assert len(parsed) == 1
+        assert report.to_dict() == _per_block_report(store, full).to_dict()
+        assert [e.status for e in report.entries[1:4]] == _SIGNATURE
+
+
 @pytest.mark.parametrize("full", [True, False], ids=["full", "public"])
 def test_a_reordered_fetched_run_gets_the_per_block_report(tmp_path, full):
     store = build_store(tmp_path / "s", c=2, m=2)
@@ -200,7 +232,7 @@ def test_a_reordered_fetched_run_gets_the_per_block_report(tmp_path, full):
     report = audit(result, certificate, rlk=rlk)
     run = [(block.block_id, block, None) for block in result.blocks]
     reference = verify_sequence(
-        iter(run), 0, result.summary.state, rlk, certificate.public_key(), store.params,
+        iter(run), 0, result.summary.state, rlk, certificate.public_key, store.params,
         run_ids={block.block_id for block in result.blocks},
     )
     assert report.to_dict() == reference.to_dict()
@@ -331,7 +363,7 @@ def test_a_summary_signed_over_an_older_state_gets_the_per_block_report(tmp_path
     assert report.findings == [f"{FINDING_BEYOND_STATE}: block 9 exceeds committed 7"]
     run = [(block.block_id, block, None) for block in result.blocks]
     reference = verify_sequence(
-        iter(run), 0, older, rlk, certificate.public_key(), store.params,
+        iter(run), 0, older, rlk, certificate.public_key, store.params,
         run_ids={block.block_id for block in result.blocks},
     )
     assert report.to_dict() == reference.to_dict()
@@ -342,7 +374,7 @@ def test_an_audit_with_a_destroyed_root_key_raises(tmp_path):
     fill_store(store, 8)  # 4 blocks
     verifier = DeviceIdentity.generate()
     result = _served(store, verifier, RetrievalRequest(store.manifest.device_id, 0))
-    certificate, public_key = store.identity().certificate, store.public_key()
+    certificate = store.identity().certificate
     rlk = store.root_logging_key()
     rlk.destroy()
     # A block of no records derives no message key, but still its block key.
@@ -353,6 +385,6 @@ def test_an_audit_with_a_destroyed_root_key_raises(tmp_path):
             verify_block_full(block, rlk, store.params)
     run = list(store.iter_committed_blocks())
     with pytest.raises(KeyUnavailable):
-        verify_sequence(run, 0, store.state, rlk, public_key, store.params)
+        verify_sequence(run, 0, store.state, rlk, store.public_key, store.params)
     with pytest.raises(KeyUnavailable):
         audit(result, certificate, rlk=rlk)

@@ -265,7 +265,7 @@ def test_a_public_archive_audit_checks_the_digest_and_one_signature(
     result, cert = retrieval.load_archive(archive)
     reference = logchain.verify_sequence(
         iter([(block.block_id, block, None) for block in result.blocks]),
-        0, result.summary.state, None, cert.public_key(),
+        0, result.summary.state, None, cert.public_key,
         run_ids={block.block_id for block in result.blocks},
     )
     assert report == json.loads(json.dumps(reference.to_dict()))

@@ -177,7 +177,9 @@ def test_a_signature_of_the_wrong_length_is_a_bad_signature(identity):
     assert verify_block_public(broken, identity.public_key) == STATUS_BAD_SIGNATURE
     state = ChainState(block_id=0, msg_count=1, sealed_blocks=1, commit_counter=1)
     for rlk, notes in ((None, ["hmac-unverified (no RLK)"]), (RootLoggingKey(SEED), [])):
-        report = verify_sequence([(0, broken, None)], 0, state, rlk, identity.public_key, PARAMS)
+        report = verify_sequence(
+            [(0, broken, None)], 0, state, rlk, lambda: identity.public_key, PARAMS
+        )
         assert [(e.block_id, e.status) for e in report.entries] == [(0, STATUS_BAD_SIGNATURE)]
         assert report.notes == notes and report.findings == []
 
@@ -245,7 +247,7 @@ def test_swapped_records_report_one_bad_hmac_entry(identity):
     swapped = Block(block.block_id, tuple(records), block.signature)
     state = ChainState(block_id=0, msg_count=len(texts), sealed_blocks=1, commit_counter=1)
     report = verify_sequence(
-        [(0, swapped, None)], 0, state, RootLoggingKey(SEED), identity.public_key, PARAMS
+        [(0, swapped, None)], 0, state, RootLoggingKey(SEED), lambda: identity.public_key, PARAMS
     )
     assert report.mode == "full"
     assert [(e.block_id, e.status, e.msg_id) for e in report.entries] == [

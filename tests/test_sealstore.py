@@ -6,6 +6,7 @@ import json
 import os
 import resource
 import shutil
+import stat
 import subprocess
 import struct
 import sys
@@ -34,6 +35,7 @@ from sealog.logchain import (
     FINDING_HISTORY_MISMATCH,
     FINDING_MISSING_STATE,
     FINDING_TRUNCATION,
+    RECORD_LEN,
     STATUS_GAP,
     STATUS_OK,
     STATUS_SEAL_FAILURE,
@@ -524,6 +526,31 @@ def test_a_large_sealed_object_is_read_whole(tmp_path):
     assert verify_store(reopened, full=True).verdict == "ok"
 
 
+def test_an_object_that_grew_past_its_fstat_is_read_whole(tmp_path, monkeypatch):
+    # One read of a byte more than ``fstat`` reports is the whole file only
+    # when it comes back short; a file that grew is read on to its end.
+    fill_store(build_store(tmp_path / "s", c=2, m=2), 8)  # 4 blocks
+    store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    real_fstat, shortened = os.fstat, []
+
+    def one_record_short(fd):
+        # The state object is shorter than a record; every block is longer.
+        info = real_fstat(fd)
+        if not stat.S_ISREG(info.st_mode) or info.st_size <= RECORD_LEN:
+            return info
+        shortened.append(fd)
+        fields = list(info)
+        fields[stat.ST_SIZE] -= RECORD_LEN
+        return os.stat_result(fields)
+
+    monkeypatch.setattr(os, "fstat", one_record_short)
+    for full in (True, False):
+        shortened.clear()
+        report = verify_store(store, full=full)
+        assert len(shortened) == 4
+        assert report.verdict == "ok" and len(report.entries) == 4
+
+
 def test_unreadable_last_block_keeps_block_order(tmp_path):
     store = build_store(tmp_path / "s", c=2, m=2)
     fill_store(store, 8)  # 4 blocks
@@ -608,6 +635,35 @@ def test_block_file_before_any_commit_is_a_finding(tmp_path):
         f"{FINDING_BEYOND_STATE}: state records no commits but blocks present"
     ]
     assert report.entries == [] and report.verdict == "fail"
+
+
+def test_block_ids_on_disk_are_the_names_block_files_have(tmp_path):
+    store = build_store(tmp_path / "s", c=2, m=2)
+    ids = [0, 99, 10**8 - 1, 10**8, 2**32 - 1]
+    for block_id in ids:
+        store.block_path(block_id).touch()
+    for name in ("blk_99.seal", "blk_99_x.seal", "blk_000000099.seal", "blk_+0000099.seal",
+                 "blk_0000009\u0669.seal", "x\nblk_00000005.seal", "blk_00000006.seal.x"):
+        (store.directory / name).touch()
+    assert store.block_ids_on_disk() == ids
+
+
+@pytest.mark.parametrize("name", ["blk_99_x.seal", "blk_99.seal", "blk_000000099.seal"])
+def test_a_block_name_no_writer_makes_leaves_no_finding_behind(tmp_path, name):
+    # ``recover`` removes block files by id: a file whose name only parses
+    # as an id would be a finding that no writer's open ever clears.
+    _two_committed_blocks(tmp_path / "s")
+    store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    shutil.copy(store.block_path(1), store.directory / name)
+    shutil.copy(store.block_path(1), store.block_path(99))
+    beyond = [f"{FINDING_BEYOND_STATE}: block 99 exceeds committed 1"]
+    for full in (True, False):
+        assert verify_store(store, full=full).findings == beyond
+    LogWriter(SealedStore.open(tmp_path / "s", ROOT_SECRET)).close()
+    for full in (True, False):
+        report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=full)
+        assert report.verdict == "ok" and report.findings == []
+    assert not store.block_path(99).exists()
 
 
 def test_pre_crash_blocks_put_back_over_committed_ones_are_detected(tmp_path):
