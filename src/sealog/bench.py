@@ -21,30 +21,40 @@ operation is too fast for the clock.
 from __future__ import annotations
 
 import random
-import shutil
 import statistics
 import string
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .collector import IngestPolicy, LogWriter, RawEntry, ingest
 from .errors import InvalidParameter
 from .identity import DeviceIdentity
 from .keyschedule import ChainParams, RootLoggingKey, walk_message_chain
-from .logchain import make_record, sign_block, verify_block_full, verify_block_public
-from .sealstore import OBJECT_BLOCK, SealedStore, derive_storage_key, seal
+from .logchain import (
+    MAX_TEXT_LEN,
+    Block,
+    make_record,
+    sign_block,
+    verify_block_full,
+    verify_block_public,
+)
+from .sealstore import MANIFEST_FILE, OBJECT_BLOCK, SealedStore, derive_storage_key, seal
 
 MIN_TIMING_WINDOW = 0.005  # seconds; widen batches below this
+MEAN_LENGTH = 115.08  # synthetic line length: mean and standard deviation
+STDDEV_LENGTH = 5.73
+GROUP_M = 100  # block length fixed for the group sweep
 
 _PRINTABLE = (string.ascii_letters + string.digits + string.punctuation + " ").encode()
 
 
 def gen_synthetic(
     count: int,
-    mean_length: float = 115.08,
-    stddev_length: float = 5.73,
+    mean_length: float = MEAN_LENGTH,
+    stddev_length: float = STDDEV_LENGTH,
     seed: int = 7,
 ) -> list[bytes]:
     """Printable log lines with normally distributed lengths.
@@ -66,8 +76,8 @@ def gen_synthetic(
 def write_synthetic_file(
     path: str | Path,
     count: int,
-    mean_length: float = 115.08,
-    stddev_length: float = 5.73,
+    mean_length: float = MEAN_LENGTH,
+    stddev_length: float = STDDEV_LENGTH,
     seed: int = 7,
 ) -> None:
     lines = gen_synthetic(count, mean_length, stddev_length, seed)
@@ -79,14 +89,11 @@ def write_synthetic_file(
 @dataclass
 class BenchConfig:
     entries: int = 2500
-    mean_length: float = 115.08
-    stddev_length: float = 5.73
     m_values: tuple[int, ...] = (10, 100, 250, 500)
     c_values: tuple[int, ...] = (1, 10, 25, 50)
     storage_m_values: tuple[int, ...] = (10, 50, 100, 250, 500, 750, 1000, 2500)
     repetitions: int = 3
     seed: int = 7
-    group_m: int = 100  # block length fixed for the group sweep
 
     def __post_init__(self) -> None:
         if self.repetitions < 3:
@@ -148,6 +155,18 @@ def _timed(fn, *, min_window: float = MIN_TIMING_WINDOW) -> float:
         batch *= 4
 
 
+def _build_block(
+    rlk: RootLoggingKey, identity: DeviceIdentity, lines: list[bytes], m: int
+) -> Block:
+    """Block 0 of ``m`` records, the lines in turn cut to one record's
+    payload, tagged and signed."""
+    keys = walk_message_chain(rlk, 0, m, ChainParams(c=1, m=m))
+    records = [
+        make_record(0, i, lines[i % len(lines)][:MAX_TEXT_LEN], key) for i, key in enumerate(keys)
+    ]
+    return sign_block(0, records, identity)
+
+
 def _bench_block_cells(
     config: BenchConfig,
     rlk: RootLoggingKey,
@@ -157,13 +176,7 @@ def _bench_block_cells(
 ) -> None:
     for m in config.m_values:
         params = ChainParams(c=1, m=m)
-        payloads = [lines[i % len(lines)][:254] for i in range(m)]
-
-        def create_block():
-            keys = walk_message_chain(rlk, 0, m, params)
-            records = [make_record(0, i, payloads[i], key) for i, key in enumerate(keys)]
-            return sign_block(0, records, identity)
-
+        create_block = partial(_build_block, rlk, identity, lines, m)
         block = create_block()  # warm-up, reused by the verify cell
 
         def verify():
@@ -180,51 +193,45 @@ def _bench_block_cells(
         )
 
 
-def _run_ingest(
-    workdir: Path, params: ChainParams, lines: list[bytes], label: str, report: BenchReport
-) -> float:
-    """One full ingest run into a fresh store; returns logs/second."""
-    store_dir = workdir / f"store-{label}"
-    store = SealedStore.create(
-        store_dir,
-        root_storage_key=b"\x42" * 32,
-        params=params,
-        identity=DeviceIdentity.generate(),
-        rlk=RootLoggingKey.generate(),
-    )
-    writer = LogWriter(store)
-    entries = (RawEntry(source="generic", body=line) for line in lines)
-    try:
-        stats = ingest(entries, IngestPolicy(params=params), writer)
-    finally:
-        writer.close()
-    peak_key = f"c={params.c},m={params.m}"
-    report.memory_peaks[peak_key] = max(
-        report.memory_peaks.get(peak_key, 0), writer.peak_ram_bytes
-    )
-    shutil.rmtree(store_dir)
-    return stats.throughput
+def _run_ingest(params: ChainParams, lines: list[bytes]) -> tuple[float, int, int]:
+    """One full ingest run into a fresh store; returns its logs/second, the
+    bytes it stored (every sealed file but the manifest) and the writer's
+    peak RAM window in bytes."""
+    with tempfile.TemporaryDirectory(prefix="sealog-bench-") as workdir:
+        store_dir = Path(workdir) / "store"
+        store = SealedStore.create(
+            store_dir,
+            root_storage_key=b"\x42" * 32,
+            params=params,
+            identity=DeviceIdentity.generate(),
+            rlk=RootLoggingKey.generate(),
+        )
+        writer = LogWriter(store)
+        entries = (RawEntry(source="generic", body=line) for line in lines)
+        try:
+            stats = ingest(entries, IngestPolicy(params=params), writer)
+        finally:
+            writer.close()
+        stored = sum(
+            p.stat().st_size for p in store_dir.glob("*.seal") if p.name != MANIFEST_FILE
+        )
+    return stats.throughput, stored, writer.peak_ram_bytes
 
 
 def _bench_group_cells(config: BenchConfig, lines: list[bytes], report: BenchReport) -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="sealog-bench-"))
-    try:
-        for c in config.c_values:
-            params = ChainParams(c=c, m=config.group_m)
-            # Warm-up pass excluded from statistics.
-            _run_ingest(workdir, params, lines[: c * config.group_m], f"warm-c{c}", report)
-            samples = []
-            for rep in range(config.repetitions):
-                samples.append(
-                    _run_ingest(workdir, params, lines, f"c{c}-r{rep}", report)
-                )
-            report.group_throughput[c] = samples
-        # Memory peaks for the block-length sweep, measured the same way.
-        for m in config.m_values:
-            params = ChainParams(c=1, m=m)
-            _run_ingest(workdir, params, lines[: 2 * m], f"mem-m{m}", report)
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+    def run(params: ChainParams, batch: list[bytes]) -> float:
+        throughput, _, peak = _run_ingest(params, batch)
+        key = f"c={params.c},m={params.m}"
+        report.memory_peaks[key] = max(report.memory_peaks.get(key, 0), peak)
+        return throughput
+
+    for c in config.c_values:
+        params = ChainParams(c=c, m=GROUP_M)
+        run(params, lines[: c * GROUP_M])  # warm-up, excluded from statistics
+        report.group_throughput[c] = [run(params, lines) for _ in range(config.repetitions)]
+    # Memory peaks for the block-length sweep, measured the same way.
+    for m in config.m_values:
+        run(ChainParams(c=1, m=m), lines[: 2 * m])
 
 
 def _bench_storage(
@@ -236,12 +243,7 @@ def _bench_storage(
 ) -> None:
     sk = derive_storage_key(b"\x42" * 32, b"bench")
     for m in config.storage_m_values:
-        params = ChainParams(c=1, m=m)
-        keys = walk_message_chain(rlk, 0, m, params)
-        records = [
-            make_record(0, i, lines[i % len(lines)][:254], key) for i, key in enumerate(keys)
-        ]
-        block = sign_block(0, records, identity)
+        block = _build_block(rlk, identity, lines, m)
         report.sealed_bytes_per_block[m] = len(seal(block.serialize(), sk, OBJECT_BLOCK, 0))
 
     xs = list(report.sealed_bytes_per_block.keys())
@@ -251,39 +253,19 @@ def _bench_storage(
     report.storage_fit = {"slope": slope, "intercept": intercept, "r_squared": r * r}
 
 
-def _bench_overhead(config: BenchConfig, lines: list[bytes], report: BenchReport) -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="sealog-overhead-"))
-    try:
-        params = ChainParams(c=1, m=250)
-        store_dir = workdir / "store"
-        store = SealedStore.create(
-            store_dir,
-            root_storage_key=b"\x42" * 32,
-            params=params,
-            identity=DeviceIdentity.generate(),
-            rlk=RootLoggingKey.generate(),
-        )
-        writer = LogWriter(store)
-        entries = (RawEntry(source="generic", body=line) for line in lines)
-        try:
-            ingest(entries, IngestPolicy(params=params), writer)
-        finally:
-            writer.close()
-        raw_bytes = sum(len(line) + 1 for line in lines)
-        sealed_bytes = sum(
-            p.stat().st_size for p in store_dir.glob("*.seal") if p.name != "manifest.seal"
-        )
-        report.overhead = {
-            "raw_bytes": raw_bytes,
-            "sealed_bytes": sealed_bytes,
-            "ratio": sealed_bytes / raw_bytes if raw_bytes else float("inf"),
-            "m": params.m,
-        }
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+def _bench_overhead(lines: list[bytes], report: BenchReport) -> None:
+    params = ChainParams(c=1, m=250)
+    _, sealed_bytes, _ = _run_ingest(params, lines)
+    raw_bytes = sum(len(line) + 1 for line in lines)
+    report.overhead = {
+        "raw_bytes": raw_bytes,
+        "sealed_bytes": sealed_bytes,
+        "ratio": sealed_bytes / raw_bytes if raw_bytes else float("inf"),
+        "m": params.m,
+    }
 
 
-def _evaluate_trends(config: BenchConfig, report: BenchReport) -> None:
+def _evaluate_trends(report: BenchReport) -> None:
     ms = sorted(report.block_create.keys())
     creates = [report.block_create[m].mean_seconds for m in ms]
     t1 = all(b > a for a, b in zip(creates, creates[1:]))
@@ -313,7 +295,7 @@ def _evaluate_trends(config: BenchConfig, report: BenchReport) -> None:
 def bench_grid(config: BenchConfig | None = None) -> BenchReport:
     """Run the full grid and trend evaluation; counts are seed-deterministic."""
     config = config or BenchConfig()
-    lines = gen_synthetic(config.entries, config.mean_length, config.stddev_length, config.seed)
+    lines = gen_synthetic(config.entries, seed=config.seed)
     rlk = RootLoggingKey.generate()
     identity = DeviceIdentity.generate()
     report = BenchReport()
@@ -325,6 +307,6 @@ def bench_grid(config: BenchConfig | None = None) -> BenchReport:
     _bench_block_cells(config, rlk, identity, lines, report)
     _bench_group_cells(config, lines, report)
     _bench_storage(config, rlk, identity, lines, report)
-    _bench_overhead(config, lines, report)
-    _evaluate_trends(config, report)
+    _bench_overhead(lines, report)
+    _evaluate_trends(report)
     return report

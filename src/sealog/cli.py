@@ -242,9 +242,7 @@ def _cmd_fetch(args, config) -> int:
             raise InvalidParameter("--device-id required when several anchors are loaded")
         device_id = device_id_from_certificate(anchors[0])
 
-    request = retrieval.RetrievalRequest(
-        device_id=device_id, start=args.start, end=args.end, mode=args.mode
-    )
+    request = retrieval.RetrievalRequest(device_id=device_id, start=args.start, end=args.end)
     result = retrieval.fetch(
         _cfg(args, config, "host", "127.0.0.1"),
         _cfg(args, config, "port", 7060),
@@ -437,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device-id", help="target device id (hex)")
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--end", type=int, default=None)
-    p.add_argument("--mode", choices=["public", "full"], default="public")
     p.add_argument("--out", required=True, help="archive output path")
     p.set_defaults(func=_cmd_fetch)
 
@@ -453,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--mean", type=float, default=115.08)
-    p.add_argument("--stddev", type=float, default=5.73)
+    p.add_argument("--mean", type=float, default=bench_mod.MEAN_LENGTH)
+    p.add_argument("--stddev", type=float, default=bench_mod.STDDEV_LENGTH)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)

@@ -174,21 +174,20 @@ class LogWriter:
     its predecessor's, and its buffer is zeroed at block end or
     ``close()``.  A group's intermediate key lives only until it is sealed
     and then read back into the block walk, before the group's first record
-    is tagged.  A writer recovers its store as it opens (``recover``), so it
-    starts from the committed state.
+    is tagged.  A writer recovers its store as it opens (``recover``),
+    before it reads a key, so it starts from the committed state, which
+    alone counts what the writer has committed.
     """
 
     def __init__(self, store: SealedStore, epoch_seconds: float | None = None):
         if epoch_seconds is not None and epoch_seconds < 1:
             raise InvalidParameter("epoch_seconds must be >= 1 when set")
-        if store.state is None:
-            raise InvalidParameter("store has no chain state; cannot write")
+        latest = store.recover().latest_block_id
         self.store = store
         self.params = store.params
         self.epoch_seconds = epoch_seconds
         self._identity = store.identity()
         self._rlk = store.root_logging_key()
-        latest = store.recover().latest_block_id
         self._next_block_id = 0 if latest is None else latest + 1
         self._records: list[LogRecord] = []
         self._ram_blocks: list[Block] = []
@@ -196,8 +195,6 @@ class LogWriter:
         self._blocks: Generator[bytearray, None, None] | None = None  # open group's keys
         self._walk: Generator[bytearray, None, None] | None = None  # open block's keys
         self._last_seal = time.monotonic()
-        self.blocks_committed = 0
-        self.groups_sealed = 0
         # The window's peak before the open block's records: noted as each
         # block is finalized, since the window only grows between seals.
         self._peak_records = 0
@@ -304,14 +301,9 @@ class LogWriter:
 
     def _seal_ram_blocks(self) -> None:
         if self._ram_blocks:
-            batch = list(self._ram_blocks)
-            self.store.commit_blocks(batch)
+            self.store.commit_blocks(self._ram_blocks)
             self._ram_blocks.clear()
             self._ram_block_records = 0
-            for block in batch:
-                self.blocks_committed += 1
-                if (block.block_id + 1) % self.params.c == 0:
-                    self.groups_sealed += 1
         self._last_seal = time.monotonic()
 
     def flush(self) -> None:
@@ -344,13 +336,13 @@ def ingest(
     policy: IngestPolicy,
     writer: LogWriter,
 ) -> IngestStats:
-    """Drive the assembly pipeline over a stream of parsed entries."""
+    """Drive the assembly pipeline over a stream of parsed entries.  The
+    blocks and groups it counts are those the committed state gained."""
     if policy.params != writer.params:
         raise InvalidParameter("policy chain params differ from the store manifest")
     stats = IngestStats()
     start = time.perf_counter()
-    blocks_before = writer.blocks_committed
-    groups_before = writer.groups_sealed
+    before = writer.store.state.sealed_blocks
     for entry in entries:
         stats.entries += 1
         if entry.warning is not None:
@@ -358,8 +350,9 @@ def ingest(
         stats.records += writer.append_entry(entry)
     writer.flush()
     stats.elapsed_seconds = time.perf_counter() - start
-    stats.blocks = writer.blocks_committed - blocks_before
-    stats.groups = writer.groups_sealed - groups_before
+    after, c = writer.store.state.sealed_blocks, writer.params.c
+    stats.blocks = after - before
+    stats.groups = after // c - before // c
     return stats
 
 

@@ -207,20 +207,18 @@ class Block:
     A block built from records encodes them at construction and keeps
     them.  A block read by ``deserialize`` keeps the bytes it was given and
     decodes its records on the first read of ``records``.  ``serialize()``
-    returns the bytes, and ``sign_preimage()`` reads the tags from them
-    without decoding a record, on its first call only: an audit reads the
-    preimage twice, for the signature and for the chain digest.  Blocks are
-    compared by their bytes and are not changed after construction.
+    returns the bytes, and ``sign_preimage()`` reads the tags from them on
+    each call, without decoding a record.  Blocks are compared by their
+    bytes and are not changed after construction.
     """
 
-    __slots__ = ("block_id", "signature", "_records", "_data", "_preimage")
+    __slots__ = ("block_id", "signature", "_records", "_data")
 
     def __init__(self, block_id: int, records: tuple[LogRecord, ...], signature: bytes) -> None:
         self.block_id = block_id
         self.signature = signature
         self._records: tuple[LogRecord, ...] | None = tuple(records)
         self._data = _encode_unsigned(block_id, self._records) + signature
-        self._preimage: bytes | None = None
 
     @property
     def records(self) -> tuple[LogRecord, ...]:
@@ -233,9 +231,7 @@ class Block:
         return self._data
 
     def sign_preimage(self) -> bytes:
-        if self._preimage is None:
-            self._preimage = _sign_preimage(self._data, len(self._data) - len(self.signature))
-        return self._preimage
+        return _sign_preimage(self._data, len(self._data) - len(self.signature))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Block):
@@ -258,7 +254,6 @@ class Block:
         block.signature = data[-SIGNATURE_LEN:]
         block._records = records
         block._data = data
-        block._preimage = None
         return block
 
     @classmethod

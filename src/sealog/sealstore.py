@@ -282,6 +282,17 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view) :]
 
 
+def _remove_entry(path: str, dir_fd: int | None = None) -> None:
+    """Remove the entry ``path``, relative to ``dir_fd`` when given, unless
+    it is gone: a file, a pipe, a symlink or an empty directory."""
+    try:
+        os.unlink(path, dir_fd=dir_fd)
+    except IsADirectoryError:
+        os.rmdir(path, dir_fd=dir_fd)
+    except FileNotFoundError:
+        return
+
+
 # Most block files a commit holds open at once, written but not yet fsynced.
 _WINDOW = 32
 
@@ -427,8 +438,9 @@ class SealedStore:
         ``:created``) and writes all its bytes, keeping it open.  Pass 2, in
         block order, fsyncs and closes each file (``:written``) and then
         fsyncs the directory ``dir_fd`` (``:durable``).  An entry already
-        under a name is unlinked first, whatever it is.  Every file is
-        closed on the way out, and an ``OSError`` becomes a ``StorageError``.
+        under a name is removed first, whatever it is (``_remove_entry``).
+        Every file is closed on the way out, and an ``OSError`` becomes a
+        ``StorageError``.
         """
         fds: list[int] = []
         name = ""
@@ -441,7 +453,7 @@ class SealedStore:
                     fds.append(os.open(name, CREATE_ONCE, 0o600, dir_fd=dir_fd))
                 except FileExistsError:
                     # A crashed commit's leftover: this id is beyond the state.
-                    os.unlink(name, dir_fd=dir_fd)
+                    _remove_entry(name, dir_fd)
                     fds.append(os.open(name, CREATE_ONCE, 0o600, dir_fd=dir_fd))
                 self._hook(f"block{block.block_id}:created")
                 _write_all(fds[-1], data)
@@ -690,22 +702,31 @@ class SealedStore:
     def recover(self) -> ChainState:
         """Bring the directory back to the committed view after a crash.
 
-        Temp files of an interrupted state, IK or manifest replace are
-        removed, and so is every block file beyond the committed state: it
-        may be torn, and its content is still re-derivable and
-        re-committable by the producer.  Committed blocks are never touched;
-        they were durable before the state that names them.  A temp file of
-        the delivered watermark is left: that object is the export server's,
-        whose replace may be in flight.
+        The chain state is read first, so a store with none that reads is
+        refused with the read's error, untouched.  Then, in one listing,
+        temp files of an interrupted state, IK or manifest replace are
+        removed, and so is every entry under a block name beyond the
+        committed state, whatever it is (``_remove_entry``): a block file
+        there may be torn, and its content is still re-derivable and
+        re-committable by the producer.  One that cannot be removed, such as
+        a non-empty directory, is a ``StorageError`` naming it.  Committed
+        blocks are never touched; they were durable before the state that
+        names them.  A temp file of the delivered watermark is left: that
+        object is the export server's, whose replace may be in flight.
         """
-        for tmp in self.directory.glob(".tmp-*"):
-            if not tmp.name.startswith(f".tmp-{DELIVERED_FILE}-"):
-                tmp.unlink(missing_ok=True)
         self.state = self.load_state()
         latest = self.state.latest_block_id
-        for block_id in self.block_ids_on_disk():
-            if latest is None or block_id > latest:
-                self.block_path(block_id).unlink(missing_ok=True)
+        for name in os.listdir(self.directory):
+            if name.startswith(".tmp-"):
+                stray = not name.startswith(f".tmp-{DELIVERED_FILE}-")
+            else:
+                block = _BLOCK_NAMES.fullmatch(name)
+                stray = block is not None and (latest is None or int(block[1]) > latest)
+            if stray:
+                try:
+                    _remove_entry(self._prefix + name)
+                except OSError as exc:
+                    raise StorageError(f"cannot remove {name}: {exc}") from exc
         return self.state
 
 

@@ -66,7 +66,6 @@ def small_grid_report():
         c_values=(1, 3),
         storage_m_values=(10, 50, 100, 250),
         repetitions=3,
-        group_m=20,
     )
     return bench_grid(config)
 

@@ -16,13 +16,13 @@ from cryptography.hazmat.primitives.serialization import Encoding
 
 from conftest import make_certificate
 import sealog
-from sealog import logchain, retrieval
+from sealog import collector, logchain, retrieval
 from sealog.cli import main
-from sealog.errors import StorageError
+from sealog.errors import SealogError, StorageError
 from sealog.identity import DeviceIdentity
 from sealog.keyschedule import RootLoggingKey
 from sealog.logchain import GENESIS_DIGEST, Block, chain_digest, sign_block
-from sealog.sealstore import ChainState, SealedStore
+from sealog.sealstore import DELIVERED_FILE, STATE_FILE, ChainState, SealedStore
 
 
 def _init(tmp_path, capsys, c=2, m=5, rlk_out=False):
@@ -88,6 +88,40 @@ def test_ingest_rejects_sub_second_epoch(tmp_path, capsys):
     _write_lines(logfile, 10)
     argv = ["ingest", "--store", str(store), "--epoch-seconds", "0.5", str(logfile)]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("damage", ["deleted", "delivered-copy"])
+def test_a_writer_refuses_a_store_with_no_readable_state_untouched(
+    tmp_path, capsys, monkeypatch, damage
+):
+    store = _init(tmp_path, capsys, c=2, m=2)
+    logfile = tmp_path / "logs.txt"
+    _write_lines(logfile, 4)
+    assert main(["ingest", "--store", str(store), str(logfile)]) == 0
+    secret = bytes.fromhex((tmp_path / "store.secret").read_text())
+    SealedStore.open(store, secret).mark_delivered(1)
+    if damage == "deleted":
+        (store / STATE_FILE).unlink()
+    else:
+        (store / STATE_FILE).write_bytes((store / DELIVERED_FILE).read_bytes())
+    (store / ".tmp-state.seal-x").write_bytes(b"torn")
+    (store / "blk_00000099.seal").write_bytes((store / "blk_00000001.seal").read_bytes())
+    before = {p.name: p.read_bytes() for p in store.iterdir()}
+    capsys.readouterr()
+
+    opened = SealedStore.open(store, secret)
+    with pytest.raises(SealogError) as read:
+        opened.load_state()
+    # Refused with the read's own error, before a key is read.
+    monkeypatch.setattr(opened, "identity", lambda: pytest.fail("identity parsed"))
+    monkeypatch.setattr(opened, "root_logging_key", lambda: pytest.fail("RLK copied"))
+    with pytest.raises(type(read.value)) as refused:
+        collector.LogWriter(opened)
+    assert str(refused.value) == str(read.value)
+    assert main(["ingest", "--store", str(store), str(logfile)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in store.iterdir()} == before
 
 
 def test_ingest_json_stats(tmp_path, capsys):

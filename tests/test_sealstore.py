@@ -666,6 +666,51 @@ def test_a_block_name_no_writer_makes_leaves_no_finding_behind(tmp_path, name):
     assert not store.block_path(99).exists()
 
 
+@pytest.mark.parametrize("kind", ["empty-directory", "fifo", "symlink"])
+def test_any_entry_under_a_block_name_beyond_the_state_is_removed_as_a_writer_opens(
+    tmp_path, kind
+):
+    _two_committed_blocks(tmp_path / "s")
+    store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    stray, committed = store.block_path(99), store.block_path(0).read_bytes()
+    if kind == "empty-directory":
+        stray.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(stray)
+    else:
+        stray.symlink_to(store.block_path(0))
+    stats = fill_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), 4)  # blocks 2-3
+    assert (stats.entries, stats.blocks) == (4, 2)
+    for full in (True, False):
+        report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=full)
+        assert report.verdict == "ok" and report.findings == [], report.to_dict()
+    assert not os.path.lexists(stray)
+    assert store.block_path(0).read_bytes() == committed
+
+
+def test_a_non_empty_directory_beyond_the_state_is_a_storage_error_naming_it(tmp_path):
+    _two_committed_blocks(tmp_path / "s")
+    store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    store.block_path(99).mkdir()
+    (store.block_path(99) / "inside").write_bytes(b"x")
+    state = (store.directory / STATE_FILE).read_bytes()
+    with pytest.raises(StorageError, match="cannot remove blk_00000099.seal"):
+        LogWriter(SealedStore.open(tmp_path / "s", ROOT_SECRET))
+    assert (store.directory / STATE_FILE).read_bytes() == state
+    assert (store.block_path(99) / "inside").exists()
+
+
+def test_a_commit_replaces_an_empty_directory_under_its_block_name(tmp_path):
+    _two_committed_blocks(tmp_path / "s")
+    store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    store.block_path(2).mkdir()
+    store.recover = lambda: store.state  # the commit meets it, not ``recover``
+    fill_store(store, 4)  # blocks 2-3
+    for full in (True, False):
+        report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=full)
+        assert report.verdict == "ok" and report.findings == [], report.to_dict()
+
+
 def test_pre_crash_blocks_put_back_over_committed_ones_are_detected(tmp_path):
     store = build_replayed_store(tmp_path / "s")
     for full in (True, False):
