@@ -15,7 +15,10 @@ published figures; the report instead evaluates trends:
 
 plus a sanity floor on absolute throughput and a linearity fit (R^2) for
 storage growth.  Timing windows widen automatically when a single
-operation is too fast for the clock.
+operation is too fast for the clock.  Repetitions are interleaved, each
+timing every cell in turn, and a cell's time is its fastest repetition: a
+host busy for a while slows one repetition of several cells, not every
+repetition of one.
 """
 
 from __future__ import annotations
@@ -104,9 +107,15 @@ class BenchConfig:
 
 @dataclass
 class Cell:
-    mean_seconds: float
-    stddev_seconds: float
-    samples: list[float] = field(default_factory=list)
+    samples: list[float] = field(default_factory=list)  # seconds per call, one per repetition
+
+    @property
+    def mean_seconds(self) -> float:
+        return statistics.mean(self.samples)
+
+    @property
+    def stddev_seconds(self) -> float:
+        return statistics.pstdev(self.samples)
 
     def to_dict(self) -> dict:
         return {
@@ -174,23 +183,21 @@ def _bench_block_cells(
     lines: list[bytes],
     report: BenchReport,
 ) -> None:
+    cells = []  # (timed function, its cell)
     for m in config.m_values:
         params = ChainParams(c=1, m=m)
         create_block = partial(_build_block, rlk, identity, lines, m)
         block = create_block()  # warm-up, reused by the verify cell
 
-        def verify():
+        def verify(block=block, params=params):
             verify_block_public(block, identity.public_key)
             verify_block_full(block, rlk, params)
 
-        create_samples = [_timed(create_block) for _ in range(config.repetitions)]
-        verify_samples = [_timed(verify) for _ in range(config.repetitions)]
-        report.block_create[m] = Cell(
-            statistics.mean(create_samples), statistics.pstdev(create_samples), create_samples
-        )
-        report.block_verify[m] = Cell(
-            statistics.mean(verify_samples), statistics.pstdev(verify_samples), verify_samples
-        )
+        report.block_create[m], report.block_verify[m] = Cell(), Cell()
+        cells += [(create_block, report.block_create[m]), (verify, report.block_verify[m])]
+    for _ in range(config.repetitions):  # each repetition times every cell in turn
+        for fn, cell in cells:
+            cell.samples.append(_timed(fn))
 
 
 def _run_ingest(params: ChainParams, lines: list[bytes]) -> tuple[float, int, int]:
@@ -225,10 +232,11 @@ def _bench_group_cells(config: BenchConfig, lines: list[bytes], report: BenchRep
         report.memory_peaks[key] = max(report.memory_peaks.get(key, 0), peak)
         return throughput
 
-    for c in config.c_values:
-        params = ChainParams(c=c, m=GROUP_M)
-        run(params, lines[: c * GROUP_M])  # warm-up, excluded from statistics
-        report.group_throughput[c] = [run(params, lines) for _ in range(config.repetitions)]
+    for c in config.c_values:  # warm-up, excluded from statistics
+        run(ChainParams(c=c, m=GROUP_M), lines[: c * GROUP_M])
+    for _ in range(config.repetitions):  # each repetition runs every c in turn
+        for c in config.c_values:
+            report.group_throughput.setdefault(c, []).append(run(ChainParams(c, GROUP_M), lines))
     # Memory peaks for the block-length sweep, measured the same way.
     for m in config.m_values:
         run(ChainParams(c=1, m=m), lines[: 2 * m])
@@ -266,21 +274,14 @@ def _bench_overhead(lines: list[bytes], report: BenchReport) -> None:
 
 
 def _evaluate_trends(report: BenchReport) -> None:
+    # A cell's time is its fastest repetition; T2 votes per repetition.
     ms = sorted(report.block_create.keys())
-    creates = [report.block_create[m].mean_seconds for m in ms]
+    creates = [min(report.block_create[m].samples) for m in ms]
     t1 = all(b > a for a, b in zip(creates, creates[1:]))
 
-    votes = 0
-    base = report.group_throughput.get(1, [])
-    high = report.group_throughput.get(25, [])
-    for rep in range(min(len(base), len(high))):
-        if high[rep] >= base[rep]:
-            votes += 1
-
-    floor = min(
-        (min(v) for c, v in report.group_throughput.items() if c >= 10),
-        default=0.0,
-    )
+    base, high = report.group_throughput.get(1, []), report.group_throughput.get(25, [])
+    votes = sum(h >= b for b, h in zip(base, high))
+    floor = min((max(v) for c, v in report.group_throughput.items() if c >= 10), default=0.0)
     report.trends = {
         "block_create_monotone_in_m": t1,
         "throughput_c25_ge_c1_votes": votes,

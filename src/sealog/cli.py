@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -91,8 +92,6 @@ def _open_store(args, config: dict) -> sealstore.SealedStore:
 
 
 def _cmd_init(args, config) -> int:
-    import os
-
     params = ChainParams(c=_cfg(args, config, "c", 10), m=_cfg(args, config, "m", 100))
     device_id = _hex(args.device_id, "--device-id") if args.device_id else None
     identity = DeviceIdentity.generate(device_id)

@@ -46,7 +46,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import starmap
-from typing import Callable, Container, Iterable, NamedTuple
+from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
 from cryptography.hazmat.primitives.asymmetric import ec
 
@@ -195,7 +195,7 @@ def _sign_preimage(data: bytes, end: int) -> bytes:
     return b"".join(_signed_fields(count).unpack_from(data))
 
 
-def _encode_unsigned(block_id: int, records: tuple[LogRecord, ...]) -> bytes:
+def _encode_unsigned(block_id: int, records: Sequence[LogRecord]) -> bytes:
     """A block's encoding up to its signature: the header, then the records."""
     head = _BLOCK_HEADER.pack(BLOCK_MAGIC, FORMAT_VERSION, block_id, len(records))
     return b"".join((head, *starmap(_RECORD.pack, records)))
@@ -204,9 +204,9 @@ def _encode_unsigned(block_id: int, records: tuple[LogRecord, ...]) -> bytes:
 class Block:
     """A finalized, signed run of records, held as its ``EMLB`` bytes.
 
-    A block built from records encodes them at construction and keeps
-    them.  A block read by ``deserialize`` keeps the bytes it was given and
-    decodes its records on the first read of ``records``.  ``serialize()``
+    Every block keeps its bytes only, whether built from records, signed by
+    ``sign_block`` or read by ``deserialize``, and decodes its records on
+    the first read of ``records``.  ``serialize()``
     returns the bytes, and ``sign_preimage()`` reads the tags from them on
     each call, without decoding a record.  Blocks are compared by their
     bytes and are not changed after construction.
@@ -214,11 +214,11 @@ class Block:
 
     __slots__ = ("block_id", "signature", "_records", "_data")
 
-    def __init__(self, block_id: int, records: tuple[LogRecord, ...], signature: bytes) -> None:
+    def __init__(self, block_id: int, records: Sequence[LogRecord], signature: bytes) -> None:
         self.block_id = block_id
         self.signature = signature
-        self._records: tuple[LogRecord, ...] | None = tuple(records)
-        self._data = _encode_unsigned(block_id, self._records) + signature
+        self._records: tuple[LogRecord, ...] | None = None
+        self._data = _encode_unsigned(block_id, records) + signature
 
     @property
     def records(self) -> tuple[LogRecord, ...]:
@@ -245,14 +245,12 @@ class Block:
         return f"Block(block_id={self.block_id}, {len(self._data)} bytes)"
 
     @classmethod
-    def _of(cls, data: bytes, block_id: int, records: tuple[LogRecord, ...] | None) -> "Block":
-        """The block ``block_id`` whose checked encoding is ``data``;
-        ``records`` are its records, or None to decode them from ``data``
-        when read."""
+    def _of(cls, data: bytes, block_id: int) -> "Block":
+        """The block ``block_id`` whose checked encoding is ``data``."""
         block = cls.__new__(cls)
         block.block_id = block_id
         block.signature = data[-SIGNATURE_LEN:]
-        block._records = records
+        block._records = None
         block._data = data
         return block
 
@@ -269,7 +267,7 @@ class Block:
         expected = BLOCK_ENVELOPE_LEN + count * RECORD_LEN
         if len(data) != expected:
             raise ParseError(f"block length {len(data)} does not match declared count {count}")
-        return cls._of(data, block_id, None)
+        return cls._of(data, block_id)
 
 
 def sign_block(block_id: int, records: list[LogRecord], identity: DeviceIdentity) -> Block:
@@ -277,10 +275,9 @@ def sign_block(block_id: int, records: list[LogRecord], identity: DeviceIdentity
     bytes with the device key."""
     if not records:
         raise InvalidParameter("cannot sign an empty block")
-    records = tuple(records)
     unsigned = _encode_unsigned(block_id, records)
     signature = identity.sign(_sign_preimage(unsigned, len(unsigned)))
-    return Block._of(unsigned + signature, block_id, records)
+    return Block._of(unsigned + signature, block_id)
 
 
 def chain_digest(digest: bytes, block: Block) -> bytes:

@@ -80,6 +80,7 @@ _log = logging.getLogger("sealog.retrieval")
 
 PROTOCOL_VERSION = 2
 MAX_FRAME_LEN = 32 * 1024 * 1024
+RECV_CHUNK = 64 * 1024  # most bytes one socket read asks for
 
 FRAME_HELLO = 0x01
 FRAME_AUTH = 0x02
@@ -145,14 +146,16 @@ class FrameTransport:
         self._sock.sendall(struct.pack(">IB", 1 + len(payload), frame_type) + payload)
 
     def _recv_exact(self, n: int) -> bytes:
-        buf = bytearray()
-        while len(buf) < n:
+        """``n`` bytes, held as received: no read asks for more than ``RECV_CHUNK``."""
+        chunks, left = [], n
+        while left:
             self._apply_deadline()
-            chunk = self._sock.recv(n - len(buf))
+            chunk = self._sock.recv(min(left, RECV_CHUNK))
             if not chunk:
                 raise ChannelClosed("peer closed the connection")
-            buf.extend(chunk)
-        return bytes(buf)
+            chunks.append(chunk)
+            left -= len(chunk)
+        return b"".join(chunks)
 
     def recv_frame(self) -> tuple[int, bytes]:
         (length,) = struct.unpack(">I", self._recv_exact(4))
@@ -604,23 +607,15 @@ def serve_range(
     shares the handle.
     """
     state = store.load_state()
-    latest = state.latest_block_id
-    requested_end = request.end
-    notice = None
-    clamped = False
-
+    latest, first, end = state.latest_block_id, request.start, request.end
+    top = -1 if latest is None else latest
+    last = top if end is None else min(end, top)
+    clamped = latest is not None and end is not None and end > latest
+    notice = f"range clamped to latest committed block {latest}" if clamped else None
     if latest is None:
-        first, last = request.start, -1
         notice = "store holds no blocks"
-    else:
-        first = request.start
-        last = latest if requested_end is None else min(requested_end, latest)
-        if requested_end is not None and requested_end > latest:
-            clamped = True
-            notice = f"range clamped to latest committed block {latest}"
-        if first > latest:
-            last = first - 1
-            notice = f"start {first} beyond latest committed block {latest}"
+    elif first > latest:
+        last, notice = first - 1, f"start {first} beyond latest committed block {latest}"
 
     sent = 0
     for block_id in range(first, last + 1):

@@ -40,16 +40,13 @@ crash-safe:
   temp file and fsynced, renamed over the name, and the directory fsynced,
   so a crash leaves the old or the new object, never a torn one.
 - A block file is created once, under its final name, and never replaced.
-  A batch is committed in windows of up to 32 blocks: every file of a
-  window is created and written first, then, in block order, each is
-  fsynced and closed and the directory fsynced.  Each block still gets its
-  own file and directory fsync, so the fsync count and the crash points
-  are those of one block at a time; writing the window first only leaves
-  the later fsyncs less to commit.  A block counts only once the chain
-  state, committed after every block of its batch is durable, names it.
-  So a torn, unsynced or stale block file can only exist beyond the
-  committed state, where an audit reports it, ``recover`` drops it and the
-  next commit of that id replaces it.
+  A commit makes each block durable as one task on a pool of 8 threads,
+  with its own file and directory fsync, as if written alone: the tasks
+  only overlap the waits.  A block counts only once the chain state,
+  committed after every task of its batch has returned, names it.  So a
+  torn, unsynced or stale block file can only exist beyond the committed
+  state, where an audit reports it, ``recover`` drops it and the next
+  commit of that id replaces it.
 """
 
 from __future__ import annotations
@@ -61,7 +58,10 @@ import re
 import stat
 import struct
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
+from functools import cache
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -85,7 +85,9 @@ from .keyschedule import (
     hkdf,
 )
 from .logchain import (
+    BLOCK_ENVELOPE_LEN,
     GENESIS_DIGEST,
+    RECORD_LEN,
     Block,
     beyond_state_finding,
     chain_digest,
@@ -293,8 +295,18 @@ def _remove_entry(path: str, dir_fd: int | None = None) -> None:
         return
 
 
-# Most block files a commit holds open at once, written but not yet fsynced.
-_WINDOW = 32
+# Workers that make a commit's blocks durable, each one block at a time.
+_WORKERS = 8
+
+
+@cache
+def _pool() -> ThreadPoolExecutor:
+    """The block writers' pool, shared by every store, created on first use."""
+    return ThreadPoolExecutor(_WORKERS, thread_name_prefix="sealstore-block")
+
+
+# A forked child has none of the pool's threads: it makes its own.
+os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 class SealedStore:
@@ -302,7 +314,8 @@ class SealedStore:
 
     ``crash_hook`` is a test seam: when set, it is invoked with a step
     label at every point a power loss could strike during a commit, and may
-    raise to simulate the crash.
+    raise to simulate the crash.  A block's steps run on a pool thread, so
+    the hook may be called from several threads at once.
     """
 
     def __init__(self, directory: str | Path, sk: AESGCM, manifest: StoreManifest):
@@ -321,9 +334,6 @@ class SealedStore:
 
     def block_path(self, block_id: int) -> Path:
         return self.directory / _block_file(block_id)
-
-    def ik_path(self, group_id: int) -> Path:
-        return self.directory / _ik_file(group_id)
 
     # -- lifecycle --
 
@@ -364,9 +374,7 @@ class SealedStore:
         sk = derive_storage_key(root_storage_key, LOG_WRITER_APP_ID)
         placeholder = StoreManifest(ChainParams(1, 1), b"\x00" * 16, b"\x00" * 32, b"", b"")
         store = cls(directory, sk, placeholder)
-        store.manifest = StoreManifest.unpack(
-            store._read_sealed(MANIFEST_FILE, OBJECT_MANIFEST, 0)
-        )
+        store.manifest = StoreManifest.unpack(store._read_sealed(MANIFEST_FILE, OBJECT_MANIFEST, 0))
         store.refresh_state()
         return store
 
@@ -431,46 +439,37 @@ class SealedStore:
             raise StorageError(f"failed writing {name}: {exc}") from exc
         self._hook(f"{step}:durable")
 
-    def _create_window(self, blocks: list[Block], dir_fd: int) -> None:
-        """Seal each of ``blocks`` into a new file under its final name.
+    def _write_block(self, block: Block, dir_fd: int) -> None:
+        """Seal ``block`` into a new file under its final name, through the
+        directory ``dir_fd``, and make it durable.
 
-        Pass 1 creates each file (crash points ``block<id>:start`` and
-        ``:created``) and writes all its bytes, keeping it open.  Pass 2, in
-        block order, fsyncs and closes each file (``:written``) and then
-        fsyncs the directory ``dir_fd`` (``:durable``).  An entry already
-        under a name is removed first, whatever it is (``_remove_entry``).
-        Every file is closed on the way out, and an ``OSError`` becomes a
+        Crash points: ``block<id>:start`` once sealed, ``:created``,
+        ``:written`` once the file is fsynced and closed, and ``:durable``
+        once the directory is.  An entry already under the name is removed
+        first, whatever it is (``_remove_entry``); an ``OSError`` becomes a
         ``StorageError``.
         """
-        fds: list[int] = []
-        name = ""
+        name = _block_file(block.block_id)
+        data = seal(block.serialize(), self.sk, OBJECT_BLOCK, block.block_id)
+        self._hook(f"block{block.block_id}:start")
         try:
-            for block in blocks:
-                name = _block_file(block.block_id)
-                data = seal(block.serialize(), self.sk, OBJECT_BLOCK, block.block_id)
-                self._hook(f"block{block.block_id}:start")
-                try:
-                    fds.append(os.open(name, CREATE_ONCE, 0o600, dir_fd=dir_fd))
-                except FileExistsError:
-                    # A crashed commit's leftover: this id is beyond the state.
-                    _remove_entry(name, dir_fd)
-                    fds.append(os.open(name, CREATE_ONCE, 0o600, dir_fd=dir_fd))
+            try:
+                fd = os.open(name, CREATE_ONCE, 0o600, dir_fd=dir_fd)
+            except FileExistsError:
+                # A crashed commit's leftover: this id is beyond the state.
+                _remove_entry(name, dir_fd)
+                fd = os.open(name, CREATE_ONCE, 0o600, dir_fd=dir_fd)
+            try:
                 self._hook(f"block{block.block_id}:created")
-                _write_all(fds[-1], data)
-            for block in blocks:
-                name = _block_file(block.block_id)
-                try:
-                    os.fsync(fds[0])
-                finally:
-                    os.close(fds.pop(0))
-                self._hook(f"block{block.block_id}:written")
-                os.fsync(dir_fd)
-                self._hook(f"block{block.block_id}:durable")
+                _write_all(fd, data)
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            self._hook(f"block{block.block_id}:written")
+            os.fsync(dir_fd)
         except OSError as exc:
             raise StorageError(f"failed writing {name}: {exc}") from exc
-        finally:
-            for fd in fds:
-                os.close(fd)
+        self._hook(f"block{block.block_id}:durable")
 
     def _read_sealed(self, name: str, object_type: int, object_id: int) -> bytes:
         """The named object read whole, then its ``unseal``.
@@ -570,20 +569,18 @@ class SealedStore:
         """Seal a contiguous batch of blocks, then one state advance.
 
         The state record is committed once, after every block of the batch
-        is durable, which is what makes larger group sizes cheaper per log:
-        one durable state write per group instead of per block.  Each block
-        file is created once under its final name (no temp file, no rename),
-        through one directory fd per batch, in windows of up to 32 blocks
-        (the most files held open): every file of a window is created and
-        written before the first is fsynced, then each is fsynced in block
-        order and followed by a directory fsync.  So the fsyncs are still
-        ``2c + 4`` per group with the IK and the state, and the state still
-        names only blocks whose two fsyncs have run; writing the window
-        first only leaves the later fsyncs less to commit.  A crash
-        mid-batch leaves block files beyond the state, torn, unsynced or
-        whole, that recovery drops and a later commit of the same ids
-        replaces; the producer replays them from its in-RAM window.  The
-        new state's chain digest extends the old one over the batch.
+        is durable: one durable state write per group instead of per block,
+        which makes larger groups cheaper per log.  Up to 8 tasks on the
+        shared pool take the blocks in turn from one iterator and make each
+        durable (``_write_block``) through one directory fd, so the fsyncs
+        stay ``2c + 4`` per group with the IK and the state, their waits
+        overlap, and at most 8 sealed blocks are held at once.  After a
+        failure no task takes a block; the commit waits for those running,
+        then raises the failure of the lowest block id, the state untouched.
+        A crash mid-batch leaves block files beyond the state that recovery
+        drops and a later commit of the same ids replaces; the producer
+        replays them from its in-RAM window.  The new state's chain digest
+        extends the old one over the batch.
         """
         if not blocks:
             return self._require_state()
@@ -599,11 +596,30 @@ class SealedStore:
             dir_fd = os.open(self.directory, os.O_DIRECTORY | os.O_CLOEXEC)
         except OSError as exc:
             raise StorageError(f"cannot open store directory: {exc}") from exc
+        failures: dict[int, BaseException] = {}  # block id -> what its task raised
+        lock, pending, tasks = threading.Lock(), iter(blocks), []
+
+        def drain() -> None:
+            while True:
+                with lock:
+                    block = None if failures else next(pending, None)
+                if block is None:
+                    return
+                try:
+                    self._write_block(block, dir_fd)
+                except BaseException as exc:  # raised again by the commit
+                    failures[block.block_id] = exc
+
         try:
-            for start in range(0, len(blocks), _WINDOW):
-                self._create_window(blocks[start : start + _WINDOW], dir_fd)
+            for _ in range(min(_WORKERS, len(blocks))):
+                tasks.append(_pool().submit(drain))
         finally:
+            wait(tasks)
             os.close(dir_fd)
+        for task in tasks:
+            task.result()
+        if failures:
+            raise failures[min(failures)]
         digest = self.state.chain_digest
         for block in blocks:
             digest = chain_digest(digest, block)
@@ -612,7 +628,7 @@ class SealedStore:
             self.state,
             group_id=self.params.group_of(last.block_id),
             block_id=last.block_id,
-            msg_count=len(last.records),
+            msg_count=(len(last.serialize()) - BLOCK_ENVELOPE_LEN) // RECORD_LEN,
             sealed_blocks=self.state.sealed_blocks + len(blocks),
             commit_counter=self.state.commit_counter + 1,
             chain_digest=digest,
@@ -643,9 +659,7 @@ class SealedStore:
         is no block of this store: ``recover`` could not remove it by id.
         The listing is joined by ``/``, which no name contains, and matched
         in one pass."""
-        ids = list(map(int, _BLOCK_NAMES.findall("/".join(os.listdir(self.directory)))))
-        ids.sort()
-        return ids
+        return sorted(map(int, _BLOCK_NAMES.findall("/".join(os.listdir(self.directory)))))
 
     def iter_committed_blocks(self) -> Iterator[tuple[int, Block | None, str | None]]:
         """Yield (block_id, block, error) for every committed id in order.
@@ -675,6 +689,10 @@ class SealedStore:
                 block, error = None, str(exc)
             yield block_id, block, error
 
+    # Iterating a store reads its committed run afresh each time: an
+    # audit's fold may read it twice (``verify_store``).
+    __iter__ = iter_committed_blocks
+
     # -- intermediate keys --
 
     def seal_ik(self, group_id: int, ik: bytearray) -> None:
@@ -692,7 +710,7 @@ class SealedStore:
             ik[:] = bytes(KEY_LEN)
 
     def has_ik(self, group_id: int) -> bool:
-        return self.ik_path(group_id).exists()
+        return os.path.exists(self._prefix + _ik_file(group_id))
 
     def load_ik(self, group_id: int) -> bytearray:
         return bytearray(self._read_sealed(_ik_file(group_id), OBJECT_IK, group_id))
@@ -730,16 +748,6 @@ class SealedStore:
         return self.state
 
 
-class _CommittedRun:
-    """A store's committed run, read from disk afresh on each iteration."""
-
-    def __init__(self, store: SealedStore) -> None:
-        self._store = store
-
-    def __iter__(self) -> Iterator[tuple[int, Block | None, str | None]]:
-        return self._store.iter_committed_blocks()
-
-
 def verify_store(store: SealedStore, full: bool = True):
     """Audit everything committed to a local store.
 
@@ -764,7 +772,7 @@ def verify_store(store: SealedStore, full: bool = True):
     """
     rlk = store.root_logging_key() if full else None
     state = store.refresh_state()
-    report = verify_sequence(_CommittedRun(store), 0, state, rlk, store.public_key, store.params)
+    report = verify_sequence(store, 0, state, rlk, store.public_key, store.params)
     if state is not None:
         latest = state.latest_block_id
         on_disk = store.block_ids_on_disk()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -239,6 +240,23 @@ def test_ram_window_accounting_matches_recount(tmp_path, c):
     assert store.state.sealed_blocks // c >= 1 and blocks_completed >= 2
     writer.close()
     assert (writer.peak_ram_records, writer.peak_ram_bytes) == (peak_records, peak_bytes)
+
+
+@pytest.mark.parametrize("c, m, n_entries", [(200, 10, 4000), (10, 100, 3000)])
+def test_ingest_heap_peak_stays_under_1_mib(tmp_path, c, m, n_entries):
+    # EmLog's device budget is about 1 MB of heap and stack.  The RAM window
+    # alone is 2,009 or 1,099 records (587 or 321 KiB), so a second copy of
+    # each block, or a sealed envelope per block of a commit, shows at once.
+    store = build_store(tmp_path / "s", c=c, m=m)
+    fill_store(store, c * m)  # first-use allocations, pool threads included
+    tracemalloc.start()
+    try:
+        fill_store(store, n_entries, body=lambda i: b"entry %08d" % i)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert store.state.latest_block_id == (c * m + n_entries) // m - 1
+    assert peak < 1024 * 1024, peak
 
 
 def test_writer_rejects_sub_second_epoch_before_copying_the_root_key(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec, rsa
@@ -844,6 +845,40 @@ def test_stalled_peer_cannot_hold_the_server_past_the_session_deadline(
     assert any(
         r.name == "sealog.retrieval" and "TimeoutError" in r.getMessage() for r in caplog.records
     )
+
+
+def test_an_oversized_hello_costs_the_server_only_the_bytes_sent(tmp_path, endpoints, caplog):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)
+    server = LogExportServer(store, [verifier.certificate], port=0)
+    # A frame header declaring the largest frame, then 148 KB, then close.
+    sent = struct.pack(">IB", retrieval.MAX_FRAME_LEN, retrieval.FRAME_HELLO) + b"\x00" * 148_000
+
+    def session(data):
+        """The server's heap peak while it serves a peer that sends ``data``."""
+        def peer():
+            with socket.create_connection(("127.0.0.1", server.address[1])) as sock:
+                sock.sendall(data)
+
+        thread = threading.Thread(target=peer)
+        tracemalloc.start()
+        try:
+            thread.start()
+            assert server.handle_one(timeout=10)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+    try:
+        with caplog.at_level(logging.WARNING, logger="sealog.retrieval"):
+            session(b"")  # first-use allocations
+            peak = session(sent)
+    finally:
+        server.close()
+    assert [r.getMessage().count("outcome=ChannelClosed") for r in caplog.records] == [1, 1]
+    assert peak < 256 * 1024, peak
 
 
 def test_public_audit_paths_build_no_records(tmp_path, endpoints, monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import itertools
 import json
 import os
 import resource
@@ -11,6 +12,8 @@ import subprocess
 import struct
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -902,11 +905,10 @@ def _run_until_crash(directory, crash_at: int, n_entries: int):
     store = SealedStore.open(directory, ROOT_SECRET)
     store.recover()
     committed_before = sum(len(b.records) for _, b, _ in store.iter_committed_blocks() if b)
-    steps = [0]
+    steps = itertools.count(1)  # block steps run on pool threads
 
     def hook(step):
-        steps[0] += 1
-        if steps[0] == crash_at:
+        if next(steps) == crash_at:
             raise _Crash(step)
 
     store.crash_hook = hook
@@ -954,66 +956,96 @@ def test_crash_at_every_commit_step_recovers_cleanly(tmp_path):
 # group commit protocol ---------------------------------------------------------
 
 
+def _block_steps(block_id):
+    """The events one block's task makes, in order."""
+    b = f"block{block_id}"
+    return [f"{b}:start", f"{b}:created", "fsync:file", f"{b}:written", "fsync:dir", f"{b}:durable"]
+
+
 def test_full_group_commit_creates_blocks_once(tmp_path, monkeypatch):
-    c = 3
+    c = 11  # more blocks than pool workers
     store = build_store(tmp_path / "s", c=c, m=2)
-    events = []
-    store.crash_hook = events.append
+    events = []  # (thread, event), in the order they happened
 
-    def counted(name, real):
-        def call(*args, **kwargs):
-            events.append(name)
-            return real(*args, **kwargs)
+    def record(event):
+        events.append((threading.get_ident(), event))
 
-        return call
+    real_fsync, real_replace, real_mkstemp = os.fsync, os.replace, tempfile.mkstemp
 
-    for module, name in ((os, "fsync"), (os, "replace"), (tempfile, "mkstemp")):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    def fsync(fd):
+        record("fsync:dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync:file")
+        real_fsync(fd)
+
+    def replace(*args, **kwargs):
+        record("replace")
+        return real_replace(*args, **kwargs)
+
+    def mkstemp(*args, **kwargs):
+        record("mkstemp")
+        return real_mkstemp(*args, **kwargs)
+
+    store.crash_hook = record
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
     writer = LogWriter(store)
     for i in range(c * 2):  # one full group: the last append commits it
         writer.append_entry(RawEntry("generic", f"entry {i}".encode()))
     monkeypatch.undo()
 
     def replaced(step):
-        return [f"{step}:start", "mkstemp", "fsync", f"{step}:tmp-written", "replace",
-                f"{step}:renamed", "fsync", f"{step}:durable"]
+        return [f"{step}:start", "mkstemp", "fsync:file", f"{step}:tmp-written", "replace",
+                f"{step}:renamed", "fsync:dir", f"{step}:durable"]
 
-    blocks = [f"block{i}" for i in range(c)]
-    # Every block of the window is created and written, then each is made
-    # durable in block order.
-    created = [f"{b}:{label}" for b in blocks for label in ("start", "created")]
-    synced = [e for b in blocks for e in ("fsync", f"{b}:written", "fsync", f"{b}:durable")]
-    assert events == replaced("ik0") + created + synced + replaced("state")
-    assert events.count("fsync") == 2 * c + 4
-    assert events.count("replace") == 2 and events.count("mkstemp") == 2
+    main = threading.get_ident()
+    assert [e for t, e in events if t == main] == replaced("ik0") + replaced("state")
+    # Each block is made durable once, by one task on one thread, its own
+    # events in order: its file fsync before its directory fsync.
+    order = [e for _, e in events]
+    for block_id in range(c):
+        start = order.index(f"block{block_id}:start")
+        thread = events[start][0]
+        assert thread != main
+        own = [e for t, e in events[start:] if t == thread][:6]
+        assert own == _block_steps(block_id)
+        assert order.count(f"block{block_id}:created") == 1
+    assert order.count("fsync:file") + order.count("fsync:dir") == 2 * c + 4
+    assert order.count("replace") == 2 and order.count("mkstemp") == 2
+    # The state names the blocks only once every one is durable.
+    last_durable = max(i for i, e in enumerate(order) if e.endswith(":durable") and "block" in e)
+    assert order.index("state:start") > last_durable
     assert store.load_state().latest_block_id == c - 1
     assert not list(store.directory.glob(".tmp-*"))
 
 
 def test_group_commit_holds_at_most_a_window_of_blocks_open(tmp_path, monkeypatch):
-    c = 32 + 3  # one full window and a partial one
+    c = 35  # more than four blocks for each of the pool's 8 workers
     store = build_store(tmp_path / "s", c=c, m=1)
     kinds = {}  # open fd -> "blk" or "dir"
-    fsyncs = []
+    fsyncs = []  # (thread, kind)
     peak = 0
+    lock = threading.Lock()
     real_open, real_close, real_fsync = os.open, os.close, os.fsync
 
     def tracked_open(path, flags, *args, **kwargs):
         nonlocal peak
         fd = real_open(path, flags, *args, **kwargs)
-        if str(path).startswith("blk_"):
-            kinds[fd] = "blk"
-            peak = max(peak, list(kinds.values()).count("blk"))
-        elif flags & os.O_DIRECTORY:
-            kinds[fd] = "dir"
+        with lock:
+            if str(path).startswith("blk_"):
+                kinds[fd] = "blk"
+                peak = max(peak, list(kinds.values()).count("blk"))
+            elif flags & os.O_DIRECTORY:
+                kinds[fd] = "dir"
         return fd
 
     def tracked_close(fd):
-        kinds.pop(fd, None)
+        with lock:
+            kinds.pop(fd, None)
         real_close(fd)
 
     def tracked_fsync(fd):
-        fsyncs.append(kinds.get(fd, "other"))
+        with lock:
+            fsyncs.append((threading.get_ident(), kinds.get(fd, "other")))
         real_fsync(fd)
 
     monkeypatch.setattr(os, "open", tracked_open)
@@ -1022,13 +1054,46 @@ def test_group_commit_holds_at_most_a_window_of_blocks_open(tmp_path, monkeypatc
     fill_store(store, c)
     monkeypatch.undo()
 
-    assert peak == 32
+    assert 1 <= peak <= 8
     assert "blk" not in kinds.values()
-    # IK and state: a temp file, then the directory.  Each block file's
-    # fsync is followed at once by the directory's.
-    assert fsyncs == ["other", "dir"] + ["blk", "dir"] * c + ["other", "dir"]
+    # IK and state: a temp file, then the directory, on the writer's thread.
+    main = threading.get_ident()
+    assert [k for t, k in fsyncs if t == main] == ["other", "dir"] * 2
+    # On each pool thread, every block file's fsync is followed by the
+    # directory's: c of each in all.
+    workers = {t for t, _ in fsyncs} - {main}
+    assert 1 <= len(workers) <= 8
+    for thread in workers:
+        kinds_on_thread = [k for t, k in fsyncs if t == thread]
+        assert kinds_on_thread == ["blk", "dir"] * (len(kinds_on_thread) // 2)
+    assert [k for _, k in fsyncs].count("blk") == c
     report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=True)
     assert report.verdict == "ok" and len(report.entries) == c
+
+
+def _failing_writes(monkeypatch, errors):
+    """Make ``os.write`` to the block files named in ``errors`` call the
+    mapped function, which raises, instead of writing."""
+    names = {}  # open fd -> file name
+    real_open, real_write = os.open, os.write
+
+    def tracked_open(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        names[fd] = os.path.basename(str(path))
+        return fd
+
+    def write(fd, data):
+        fail = errors.get(names.get(fd))
+        if fail is not None:
+            fail()
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "open", tracked_open)
+    monkeypatch.setattr(os, "write", write)
+
+
+def _no_space():
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 def test_failed_block_write_closes_every_fd_and_keeps_the_state(tmp_path, monkeypatch):
@@ -1039,31 +1104,131 @@ def test_failed_block_write_closes_every_fd_and_keeps_the_state(tmp_path, monkey
     for i in range(5):  # blocks 3-4 in RAM, block 5 one record short
         writer.append_entry(RawEntry("generic", f"log entry {6 + i}".encode()))
 
-    real_write = os.write
-    writes = 0
-
-    def full_disk_on_second_block(fd, data):
-        nonlocal writes
-        writes += 1
-        if writes == 2:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return real_write(fd, data)
-
     fds = sorted(os.listdir("/proc/self/fd"))
-    monkeypatch.setattr(os, "write", full_disk_on_second_block)
-    with pytest.raises(StorageError, match="blk_00000004"):
+    _failing_writes(monkeypatch, {"blk_00000004.seal": _no_space})
+    with pytest.raises(StorageError, match="failed writing blk_00000004.seal"):
         writer.append_entry(RawEntry("generic", b"log entry 11"))  # commits group 1
     monkeypatch.undo()
     assert sorted(os.listdir("/proc/self/fd")) == fds
     assert store.state == state and store.load_state() == state
+    # Block 3 was taken before block 4 failed, so its task ran to the end.
     assert store.block_path(3).stat().st_size > 0
     assert store.block_path(4).stat().st_size == 0
-    assert not store.block_path(5).exists()
 
     writer.flush()  # the same batch again, over the leftovers
     report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=True)
     assert report.verdict == "ok", report.to_dict()
     assert [e.block_id for e in report.entries] == list(range(6))
+
+
+def test_a_crash_in_one_block_task_stops_the_commit(tmp_path):
+    c = 8
+    store = build_store(tmp_path / "s", c=c, m=1)
+    calls = []
+
+    def hook(step):
+        calls.append(step)
+        if step == "block3:written":
+            raise _Crash(step)
+
+    def files():
+        return {p.name: p.stat().st_size for p in store.directory.iterdir()}
+
+    store.crash_hook = hook
+    with pytest.raises(_Crash, match="block3:written"):
+        fill_store(store, c)
+    seen, listed = list(calls), files()
+    assert "state:start" not in seen
+    time.sleep(0.2)  # a task still running would create or write by now
+    assert calls == seen and files() == listed
+    # Every block that was taken ran to its end, but block 3.
+    for block_id in {int(s[5:].split(":")[0]) for s in seen if s.startswith("block")} - {3}:
+        assert f"block{block_id}:durable" in seen
+
+    store = SealedStore.open(tmp_path / "s", ROOT_SECRET)
+    assert store.recover().latest_block_id is None
+    assert store.block_ids_on_disk() == []
+    for full in (True, False):
+        assert verify_store(store, full=full).verdict == "ok"
+
+
+def test_a_commit_takes_no_block_after_one_fails(tmp_path):
+    c = 16  # two blocks for each of the pool's 8 workers
+    store = build_store(tmp_path / "s", c=c, m=1)
+    started = []
+
+    def hook(step):
+        if step.startswith("block") and step.endswith(":start"):
+            started.append(int(step[5:].split(":")[0]))
+            if step == "block0:start":
+                raise _Crash(step)
+            time.sleep(0.2)  # block 0's task fails meanwhile
+
+    store.crash_hook = hook
+    with pytest.raises(_Crash):
+        fill_store(store, c)
+    assert sorted(started) == list(range(min(8, len(started))))  # none of blocks 8-15
+    assert store.load_state().latest_block_id is None
+
+
+def test_a_commit_with_two_failed_blocks_raises_the_lower_ones_error(tmp_path, monkeypatch):
+    store = build_store(tmp_path / "s", c=8, m=1)
+    block_5_failed = threading.Event()
+
+    def fail_5():
+        block_5_failed.set()
+        _no_space()
+
+    def fail_2_after_5():
+        # Block 2 was taken before block 5, so its task is running.
+        assert block_5_failed.wait(timeout=10)
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    _failing_writes(monkeypatch, {"blk_00000002.seal": fail_2_after_5, "blk_00000005.seal": fail_5})
+    with pytest.raises(StorageError, match="failed writing blk_00000002.seal") as raised:
+        fill_store(store, 8)
+    monkeypatch.undo()
+    assert raised.value.__cause__.errno == errno.EIO
+    assert store.load_state().latest_block_id is None
+
+
+def test_group_commits_under_fast_thread_switching_write_each_block_once(tmp_path):
+    c = 64  # eight times the pool's workers, and more workers than cores
+    store = build_store(tmp_path / "s", c=c, m=1)
+    created = []
+    store.crash_hook = lambda step: step.endswith(":created") and created.append(step)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fill_store(store, 3 * c)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(created) == sorted(f"block{i}:created" for i in range(3 * c))
+    assert store.load_state().latest_block_id == 3 * c - 1
+    report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=True)
+    assert report.verdict == "ok" and len(report.entries) == 3 * c
+
+
+def test_a_forked_child_commits_on_a_pool_of_its_own(tmp_path):
+    store = build_store(tmp_path / "s", c=4, m=1)
+    fill_store(store, 4)  # the pool's threads exist in this process now
+    pid = os.fork()
+    if pid == 0:  # the child: only this thread was copied
+        code = 1
+        try:
+            fill_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), 4)
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0, "the child's commit hung"
+    report = verify_store(SealedStore.open(tmp_path / "s", ROOT_SECRET), full=True)
+    assert report.verdict == "ok" and len(report.entries) == 8
 
 
 _CHILD = """
@@ -1099,9 +1264,9 @@ def test_group_of_200_blocks_commits_under_64_open_files(tmp_path):
     assert "verdict: ok" in child.stdout
 
 
-# A crash at the first block's ``written`` leaves the window's later blocks
-# created and written but never fsynced; one at the last block's ``created``
-# leaves that block empty and the others unsynced.
+# A crash at the first block's ``written`` leaves it unsynced in its
+# directory and the blocks taken with it durable; one at the last block's
+# ``created`` leaves that block empty.
 _CRASH_POINTS = [
     pytest.param("block5:created", id="created"),
     pytest.param("block3:written", id="written"),
@@ -1113,8 +1278,16 @@ def _crash_group_commit(directory, label):
     store = build_store(directory, c=3, m=2)
     fill_store(store, 6)
 
+    started = set()
+
     def hook(step):
+        started.add(step)
         if step == label:
+            # Let the other tasks take blocks 4 and 5 before the crash.
+            deadline = time.monotonic() + 10
+            while not {"block4:start", "block5:start"} <= started:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
             raise _Crash(step)
 
     store.crash_hook = hook
