@@ -9,7 +9,6 @@ from .errors import (
     KeyUnavailable,
     NegotiationFailure,
     ParseError,
-    ReplayDetected,
     SealogError,
     StorageError,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "NegotiationFailure",
     "ParseError",
     "RawEntry",
-    "ReplayDetected",
     "RetrievalRequest",
     "RootLoggingKey",
     "SealedStore",

@@ -33,10 +33,6 @@ class StorageError(SealogError):
     """An I/O failure while reading or writing the sealed store."""
 
 
-class ReplayDetected(SealogError):
-    """A handshake hello or session frame was replayed."""
-
-
 class NegotiationFailure(SealogError):
     """The two channel endpoints do not speak a common protocol version."""
 

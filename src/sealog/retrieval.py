@@ -16,10 +16,15 @@ compared, never parsed, and the anchor supplies the peer's key and device
 id.  Both ends prove key possession by signing the handshake transcript,
 so the channel is mutually authenticated before any log material moves.
 Session keys come from an ephemeral P-256 ECDH exchange; each direction
-has its own key and sequence counter, and a frame whose sequence number
-runs backwards is rejected as a replay.  Attestation evidence is carried
-opaquely and handed to a pluggable policy hook; validating it is out of
-scope here.
+has its own key and sequence counter, and a frame whose sequence number is
+not the next one, replayed or skipped ahead, is refused.  Each side signs a
+transcript that covers the other side's fresh nonce and ephemeral key, so
+a recorded handshake replayed at either end fails that end's transcript
+signature check.  Until the handshake has made a session, a frame may be
+no longer than the largest hello the format can carry
+(``MAX_HELLO_FRAME_LEN``); a header declaring more is refused before its
+body is read.  Attestation evidence is carried opaquely and handed to a
+pluggable policy hook; validating it is out of scope here.
 
 Inside the encrypted channel, messages are type-tagged: a range request,
 the serialized blocks in ascending order, a final summary carrying the
@@ -57,7 +62,6 @@ from .errors import (
     InvalidParameter,
     NegotiationFailure,
     ParseError,
-    ReplayDetected,
     SealogError,
 )
 from .identity import (
@@ -79,7 +83,14 @@ from .sealstore import ChainState, SealedStore
 _log = logging.getLogger("sealog.retrieval")
 
 PROTOCOL_VERSION = 2
+HELLO_NONCE_LEN = 16
+_EPH_PUB_LEN = 65
 MAX_FRAME_LEN = 32 * 1024 * 1024
+# The longest frame before a session exists (131,174 bytes): the type byte
+# and a hello whose certificate and evidence fill their BE16 lengths.
+MAX_HELLO_FRAME_LEN = (
+    1 + 2 + DEVICE_ID_LEN + 2 + 0xFFFF + 2 + 0xFFFF + _EPH_PUB_LEN + HELLO_NONCE_LEN
+)
 RECV_CHUNK = 64 * 1024  # most bytes one socket read asks for
 
 FRAME_HELLO = 0x01
@@ -94,7 +105,6 @@ MSG_ALARM = 0x23
 
 ABORT_AUTH = 1
 ABORT_NEGOTIATION = 2
-ABORT_REPLAY = 3
 ABORT_INTERNAL = 5
 
 ROLE_DEVICE = 1
@@ -104,13 +114,11 @@ RANGE_OPEN_END = 0xFFFFFFFF
 MODE_PUBLIC = 0
 MODE_FULL = 1
 
-HELLO_NONCE_LEN = 16
 ARCHIVE_VERSION = 2
 # Seconds an accepted connection gets for its handshake and request
 # together, and then for each send of the transfer, before the export
 # server drops it for the next peer.
 SESSION_TIMEOUT = 10.0
-_EPH_PUB_LEN = 65
 _TRANSCRIPT_MAGIC = b"EMHS"
 _FRAME_AAD_MAGIC = b"EMFR"
 
@@ -157,10 +165,12 @@ class FrameTransport:
             left -= len(chunk)
         return b"".join(chunks)
 
-    def recv_frame(self) -> tuple[int, bytes]:
+    def recv_frame(self, max_len: int = MAX_HELLO_FRAME_LEN) -> tuple[int, bytes]:
+        """One frame; a header declaring more than ``max_len`` bytes is a
+        ``ParseError`` and its body is never read."""
         (length,) = struct.unpack(">I", self._recv_exact(4))
-        if length < 1 or length > MAX_FRAME_LEN:
-            raise ParseError(f"frame length {length} out of range")
+        if length < 1 or length > max_len:
+            raise ParseError(f"frame length {length} out of range 1..{max_len}")
         body = self._recv_exact(length)
         return body[0], body[1:]
 
@@ -182,7 +192,6 @@ def _abort(transport: FrameTransport, code: int, reason: str) -> None:
 _ABORT_ERRORS = {
     ABORT_AUTH: AuthFailure,
     ABORT_NEGOTIATION: NegotiationFailure,
-    ABORT_REPLAY: ReplayDetected,
 }
 
 
@@ -249,29 +258,6 @@ class ChannelHello:
         return cls(version, role, device_id, cert, evidence, eph, nonce)
 
 
-class HelloReplayCache:
-    """Remembers recent hello nonces so a recorded handshake cannot rerun.
-
-    Holds the newest ``_CAPACITY`` nonces it accepted, in the order it
-    accepted them; accepting one more forgets the oldest.
-    """
-
-    _CAPACITY = 4096
-
-    def __init__(self) -> None:
-        self._seen: dict[bytes, None] = {}
-        self._lock = threading.Lock()
-
-    def check_and_add(self, nonce: bytes) -> bool:
-        with self._lock:
-            if nonce in self._seen:
-                return False
-            self._seen[nonce] = None
-            if len(self._seen) > self._CAPACITY:
-                del self._seen[next(iter(self._seen))]
-            return True
-
-
 class SecureSession:
     """AEAD-protected message channel after a completed handshake.
 
@@ -321,14 +307,12 @@ class SecureSession:
             self.block_bytes_sent += len(body)
 
     def recv_message(self) -> tuple[int, bytes]:
-        payload = _expect_frame(self._transport, FRAME_DATA)
+        payload = _expect_frame(self._transport, FRAME_DATA, MAX_FRAME_LEN)
         if len(payload) < 8:
             raise ParseError("data frame too short")
         (seq,) = struct.unpack_from(">Q", payload)
-        if seq < self._recv_seq:
-            raise ReplayDetected(f"frame sequence {seq} already consumed")
-        if seq > self._recv_seq:
-            raise AuthFailure(f"frame sequence jumped to {seq}, expected {self._recv_seq}")
+        if seq != self._recv_seq:
+            raise AuthFailure(f"frame sequence {seq} out of order, expected {self._recv_seq}")
         try:
             plain = self._recv.decrypt(
                 self._nonce(seq), payload[8:], self._aad(self._recv_dir, seq)
@@ -415,8 +399,10 @@ def _transcript_preimage(role: int, transcript_hash: bytes) -> bytes:
     return _TRANSCRIPT_MAGIC + bytes([role]) + transcript_hash
 
 
-def _expect_frame(transport: FrameTransport, wanted: int) -> bytes:
-    frame_type, payload = transport.recv_frame()
+def _expect_frame(
+    transport: FrameTransport, wanted: int, max_len: int = MAX_HELLO_FRAME_LEN
+) -> bytes:
+    frame_type, payload = transport.recv_frame(max_len)
     if frame_type == FRAME_ABORT:
         _raise_abort(payload)
     if frame_type != wanted:
@@ -464,21 +450,18 @@ def server_handshake(
     identity: DeviceIdentity,
     anchors: list[x509.Certificate],
     transport: FrameTransport,
-    replay_cache: HelloReplayCache,
     evidence: bytes = b"",
     attestation_policy: AttestationPolicy | None = None,
 ) -> SecureSession:
     """Device-side handshake; mirror image of client_handshake.
 
-    A client hello whose nonce ``replay_cache`` has already seen is aborted
-    with ``ABORT_REPLAY`` and raises ``ReplayDetected`` before any other
-    check, so a recorded handshake cannot be run again.
+    A recorded client hello and AUTH replayed here fail the transcript
+    check: the client's signature covers the transcript of another server
+    hello, not the fresh nonce and ephemeral key of this one.  The peer is
+    sent ``ABORT_AUTH`` and ``AuthFailure`` is raised.
     """
     client_hello_bytes = _expect_frame(transport, FRAME_HELLO)
     client_hello = ChannelHello.unpack(client_hello_bytes)
-    if not replay_cache.check_and_add(client_hello.nonce):
-        _abort(transport, ABORT_REPLAY, "hello nonce already seen")
-        raise ReplayDetected("client hello replayed")
     client_key, client_eph = _validate_hello(
         client_hello, ROLE_VERIFIER, anchors, attestation_policy, transport
     )
@@ -698,6 +681,10 @@ class LogExportServer:
     Each accepted connection must finish its handshake and request within
     ``SESSION_TIMEOUT`` seconds, and each later send within the same bound,
     so a silent or stalled peer holds the service for at most that long.
+    Until its handshake is done, a peer's frames are bounded by
+    ``MAX_HELLO_FRAME_LEN``: one that declares more is dropped at its
+    header.  A replayed handshake fails the transcript check, so the server
+    keeps no record of the peers it has seen.
     """
 
     def __init__(
@@ -714,7 +701,6 @@ class LogExportServer:
         self.anchors = anchors
         self.evidence = evidence
         self.attestation_policy = attestation_policy
-        self.replay_cache = HelloReplayCache()
         self._listener = socket.create_server((host, port))
         self.address = self._listener.getsockname()
         self._stop = threading.Event()
@@ -745,7 +731,6 @@ class LogExportServer:
                 self.identity,
                 self.anchors,
                 transport,
-                self.replay_cache,
                 evidence=self.evidence,
                 attestation_policy=self.attestation_policy,
             )
@@ -767,6 +752,10 @@ class LogExportServer:
         finally:
             transport.close()
         _log_session(peer, session, error, time.monotonic() - start)
+        # The error's traceback holds this frame: dropping it here frees the
+        # frames it raised through, and the bytes they received, at once
+        # rather than at the next cyclic collection.
+        del error
         return True
 
     def serve_forever(self) -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import logging
@@ -27,7 +28,6 @@ from sealog.errors import (
     ChannelClosed,
     NegotiationFailure,
     ParseError,
-    ReplayDetected,
     StorageError,
 )
 from sealog.identity import DeviceIdentity
@@ -39,7 +39,6 @@ from sealog.retrieval import (
     FRAME_DATA,
     FRAME_HELLO,
     FrameTransport,
-    HelloReplayCache,
     LogExportServer,
     RetrievalRequest,
     audit,
@@ -97,13 +96,13 @@ def _handshake_pair(
     device_anchors,
     verifier_anchors,
     tap: bytearray | None = None,
+    client_evidence: bytes = b"",
     **server_kwargs,
 ):
     """Run both handshake halves over a socketpair; returns both sessions."""
     a, b = _pair()
     sock_a = TapSocket(a, tap) if tap is not None else a
     results = {}
-    server_kwargs.setdefault("replay_cache", HelloReplayCache())
 
     def run_server():
         try:
@@ -116,7 +115,9 @@ def _handshake_pair(
     thread = threading.Thread(target=run_server)
     thread.start()
     try:
-        results["client"] = client_handshake(verifier, verifier_anchors, FrameTransport(b))
+        results["client"] = client_handshake(
+            verifier, verifier_anchors, FrameTransport(b), evidence=client_evidence
+        )
     except Exception as exc:
         results["client_error"] = exc
     thread.join()
@@ -160,9 +161,7 @@ def test_handshake_version_mismatch(endpoints):
 
     def run_server():
         try:
-            server_handshake(
-                device, [verifier.certificate], FrameTransport(a), HelloReplayCache()
-            )
+            server_handshake(device, [verifier.certificate], FrameTransport(a))
         except Exception as exc:
             errors.append(exc)
 
@@ -191,55 +190,75 @@ def test_attestation_policy_reject(endpoints):
     assert isinstance(results.get("server_error"), AuthFailure)
 
 
-def test_hello_replay_detected(endpoints):
+def test_hello_evidence_as_long_as_a_hello_frame_allows_still_handshakes(endpoints):
     device, verifier = endpoints
-    cache = HelloReplayCache()
-
-    # Record a legitimate client hello frame.
-    recorded = bytearray()
+    evidence = os.urandom(60 * 1024)
     results = _handshake_pair(
         device,
         verifier,
         [verifier.certificate],
         [device.certificate],
-        tap=recorded,
-        replay_cache=cache,
+        client_evidence=evidence,
+        attestation_policy=lambda got, role, device_id: got == evidence,
+    )
+    assert "client" in results and "server" in results
+
+
+def _frames(wire: bytes) -> list[bytes]:
+    """Split recorded wire bytes into whole frames, header included."""
+    frames, offset = [], 0
+    while offset < len(wire):
+        (length,) = struct.unpack_from(">I", wire, offset)
+        frames.append(bytes(wire[offset : offset + 4 + length]))
+        offset += 4 + length
+    return frames
+
+
+def test_hello_replay_detected(endpoints):
+    device, verifier = endpoints
+
+    # Record a legitimate handshake as the server's socket sees it: client
+    # hello, server hello, client AUTH, server AUTH.
+    recorded = bytearray()
+    results = _handshake_pair(
+        device, verifier, [verifier.certificate], [device.certificate], tap=recorded
     )
     assert "server" in results
+    client_hello, _server_hello, client_auth, _server_auth = _frames(recorded)
+    assert client_hello[4] == FRAME_HELLO and client_auth[4] == retrieval.FRAME_AUTH
 
-    # Replay the recorded hello verbatim at a fresh server handshake.
-    (length,) = struct.unpack(">I", recorded[:4])
-    hello_frame = bytes(recorded[: 4 + length])
-    assert hello_frame[4] == FRAME_HELLO
-
+    # Replay the client's hello and AUTH verbatim at a fresh server handshake.
     a, b = _pair()
     errors: list = []
 
     def run_server():
         try:
-            server_handshake(
-                device, [verifier.certificate], FrameTransport(a), replay_cache=cache
-            )
+            server_handshake(device, [verifier.certificate], FrameTransport(a))
         except Exception as exc:
             errors.append(exc)
 
     thread = threading.Thread(target=run_server)
     thread.start()
-    b.sendall(hello_frame)
-    thread.join()
-    assert errors and isinstance(errors[0], ReplayDetected)
+    b.settimeout(10)
+    replayer = FrameTransport(b)
+    b.sendall(client_hello)
+    assert replayer.recv_frame()[0] == FRAME_HELLO  # a fresh server hello
+    b.sendall(client_auth)
+    frame_type, payload = replayer.recv_frame()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert (frame_type, payload[0]) == (retrieval.FRAME_ABORT, retrieval.ABORT_AUTH)
+    assert len(errors) == 1 and isinstance(errors[0], AuthFailure)
+    assert str(errors[0]) == "peer transcript signature invalid"
 
 
-def test_hello_replay_cache_forgets_only_its_oldest_nonce():
-    capacity = HelloReplayCache._CAPACITY
-    nonces = [i.to_bytes(16, "big") for i in range(capacity + 1)]
-    cache = HelloReplayCache()
-    assert all(cache.check_and_add(nonce) for nonce in nonces[:capacity])
-    assert not cache.check_and_add(nonces[0])  # a full cache still holds the first
-    assert cache.check_and_add(nonces[capacity])
-    # Every nonce but the oldest is still refused; the oldest runs again.
-    assert not any(cache.check_and_add(nonce) for nonce in nonces[1:])
-    assert cache.check_and_add(nonces[0])
+def test_an_abort_with_the_retired_replay_code_is_an_auth_failure(endpoints):
+    device, verifier = endpoints
+    a, b = _pair()
+    # What an older server sends for a hello nonce it has seen: code 3.
+    FrameTransport(a).send_frame(retrieval.FRAME_ABORT, bytes([3]) + b"hello nonce already seen")
+    with pytest.raises(AuthFailure, match="peer aborted: hello nonce already seen"):
+        client_handshake(verifier, [device.certificate], FrameTransport(b))
 
 
 def test_session_frame_replay_detected(endpoints):
@@ -247,21 +266,29 @@ def test_session_frame_replay_detected(endpoints):
     results = _handshake_pair(device, verifier, [verifier.certificate], [device.certificate])
     client, server = results["client"], results["server"]
 
-    # Capture one encrypted frame, deliver it twice.
+    # Capture the client's encrypted frames, then deliver them in any order.
     raw_a, raw_b = _pair()
     client._transport = FrameTransport(raw_b)
     server._transport = FrameTransport(raw_a)
-    client.send_message(0x42, b"ping")
-    (length,) = struct.unpack(">I", raw_a.recv(4, socket.MSG_PEEK)[:4])
-    frame = raw_a.recv(4 + length)
-    assert frame[4] == FRAME_DATA
 
-    # first delivery passes
-    raw_b.sendall(frame)  # replay path: feed it straight back to the server side
+    def captured(msg_type, body):
+        client.send_message(msg_type, body)
+        (length,) = struct.unpack(">I", raw_a.recv(4, socket.MSG_PEEK))
+        frame = raw_a.recv(4 + length)
+        assert frame[4] == FRAME_DATA
+        return frame
+
+    first, second, third = (captured(0x42, body) for body in (b"ping", b"pong", b"pang"))
+    raw_b.sendall(first)  # feed the frames straight back to the server side
     assert server.recv_message() == (0x42, b"ping")
-    raw_b.sendall(frame)
-    with pytest.raises(ReplayDetected):
+    raw_b.sendall(first)  # replayed
+    with pytest.raises(AuthFailure, match="frame sequence 0 out of order, expected 1"):
         server.recv_message()
+    raw_b.sendall(third)  # skipped ahead
+    with pytest.raises(AuthFailure, match="frame sequence 2 out of order, expected 1"):
+        server.recv_message()
+    raw_b.sendall(second)  # the refusals consumed no sequence number
+    assert server.recv_message() == (0x42, b"pong")
 
 
 def _serving_store(tmp_path, n_entries=40, c=2, m=4):
@@ -877,8 +904,91 @@ def test_an_oversized_hello_costs_the_server_only_the_bytes_sent(tmp_path, endpo
             peak = session(sent)
     finally:
         server.close()
-    assert [r.getMessage().count("outcome=ChannelClosed") for r in caplog.records] == [1, 1]
+    # The header alone is refused: the frame is longer than any hello.
+    assert [r.session["outcome"] for r in caplog.records] == ["ChannelClosed", "ParseError"]
     assert peak < 256 * 1024, peak
+
+
+def test_a_peer_that_declares_a_huge_frame_before_authenticating_is_dropped_at_once(
+    tmp_path, endpoints, caplog
+):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)
+    server = LogExportServer(store, [verifier.certificate], port=0)
+    # A header declaring the largest frame, then 1 MiB; the socket stays open.
+    data = struct.pack(">IB", retrieval.MAX_FRAME_LEN, retrieval.FRAME_HELLO) + bytes(1 << 20)
+    served = threading.Event()
+
+    def peer():
+        with socket.create_connection(("127.0.0.1", server.address[1])) as sock:
+            try:
+                sock.sendall(data)
+            except OSError:
+                pass  # the server closed first
+            served.wait(timeout=15)
+
+    thread = threading.Thread(target=peer)
+    tracemalloc.start()
+    try:
+        with caplog.at_level(logging.WARNING, logger="sealog.retrieval"):
+            thread.start()
+            start = time.monotonic()
+            assert server.handle_one(timeout=10)
+            elapsed = time.monotonic() - start
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        served.set()
+        thread.join(timeout=10)
+        server.close()
+    assert not thread.is_alive()
+    assert elapsed < 1.0, elapsed
+    assert peak < 256 * 1024, peak
+    assert [r.session["outcome"] for r in caplog.records] == ["ParseError"]
+
+
+def test_a_failed_session_releases_what_it_received_when_it_ends(tmp_path, endpoints, caplog):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)
+    server = LogExportServer(store, [verifier.certificate], port=0)
+    stranger = DeviceIdentity.generate()
+
+    def hello_frame():
+        """A hello of about 100 KiB whose certificate no anchor matches."""
+        hello, _eph = retrieval._make_hello(stranger, retrieval.ROLE_VERIFIER, os.urandom(50_000))
+        hello.certificate_der = os.urandom(50_000)
+        return struct.pack(">IB", 1 + len(hello.pack()), FRAME_HELLO) + hello.pack()
+
+    def refused_session(frame):
+        """Traced bytes left once ``handle_one`` has served a refused hello,
+        less those traced before it."""
+        def peer():
+            with socket.create_connection(("127.0.0.1", server.address[1])) as sock:
+                sock.sendall(frame)
+                while sock.recv(4096):  # until the server closes
+                    pass
+
+        thread = threading.Thread(target=peer)
+        before = tracemalloc.get_traced_memory()[0]
+        thread.start()
+        assert server.handle_one(timeout=10)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        return tracemalloc.get_traced_memory()[0] - before
+
+    frames = [hello_frame(), hello_frame()]
+    gc.disable()
+    tracemalloc.start()
+    try:
+        with caplog.at_level(logging.WARNING, logger="sealog.retrieval"):
+            refused_session(frames[0])  # first-use allocations
+            retained = refused_session(frames[1])
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+        server.close()
+    assert [r.session["outcome"] for r in caplog.records] == ["AuthFailure", "AuthFailure"]
+    assert retained < 32 * 1024, retained
 
 
 def test_public_audit_paths_build_no_records(tmp_path, endpoints, monkeypatch):
