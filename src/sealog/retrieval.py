@@ -1,6 +1,6 @@
 """Device-side export service and verifier-side retrieval client.
 
-The wire format (protocol v2) is length-prefixed binary frames:
+The wire format (protocol v3) is length-prefixed binary frames:
 
     frame    := BE32 length || type(1) || payload
     HELLO    := version(1) role(1) device_id(16)
@@ -22,17 +22,21 @@ transcript that covers the other side's fresh nonce and ephemeral key, so
 a recorded handshake replayed at either end fails that end's transcript
 signature check.  Until the handshake has made a session, a frame may be
 no longer than the largest hello the format can carry
-(``MAX_HELLO_FRAME_LEN``); a header declaring more is refused before its
-body is read.  Attestation evidence is carried opaquely and handed to a
-pluggable policy hook; validating it is out of scope here.
+(``MAX_HELLO_FRAME_LEN``); after it, a device reads one frame, the
+request, and a frame may be no longer than that (``REQUEST_FRAME_LEN``).
+A header declaring more is refused before its body is read.  Attestation
+evidence is carried opaquely and handed to a pluggable policy hook;
+validating it is out of scope here.
 
 Inside the encrypted channel, messages are type-tagged: a range request,
 the serialized blocks in ascending order, a final summary carrying the
 signed chain state (so a dishonest transport cannot silently truncate),
 and an integrity alarm if a sealed block fails to open mid-transfer.
 Version 2 is version 1 with the chain digest in the summary's state in
-place of a field nothing read; each version refuses the other's hello and
-archive.
+place of a field nothing read.  Version 3 is version 2 with the state cut
+to the blocks committed, the commit counter and the digest, and with no
+range or clamp flag in the summary, which no audit read; each version
+refuses the other's hello and archive.
 """
 
 from __future__ import annotations
@@ -78,11 +82,11 @@ from .logchain import (
     VerificationReport,
     verify_sequence,
 )
-from .sealstore import ChainState, SealedStore
+from .sealstore import GCM_TAG_LEN, ChainState, SealedStore
 
 _log = logging.getLogger("sealog.retrieval")
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 HELLO_NONCE_LEN = 16
 _EPH_PUB_LEN = 65
 MAX_FRAME_LEN = 32 * 1024 * 1024
@@ -92,6 +96,12 @@ MAX_HELLO_FRAME_LEN = (
     1 + 2 + DEVICE_ID_LEN + 2 + 0xFFFF + 2 + 0xFFFF + _EPH_PUB_LEN + HELLO_NONCE_LEN
 )
 RECV_CHUNK = 64 * 1024  # most bytes one socket read asks for
+# A request's fields after the device id: BE32 start, BE32 end, mode byte.
+_REQUEST_FIELDS = struct.Struct(">IIB")
+# The only frame a device reads in a session (51 bytes): the type byte, the
+# BE64 sequence number, and the sealed request, its message type byte,
+# device id and fields, then the GCM tag.
+REQUEST_FRAME_LEN = 1 + 8 + 1 + DEVICE_ID_LEN + _REQUEST_FIELDS.size + GCM_TAG_LEN
 
 FRAME_HELLO = 0x01
 FRAME_AUTH = 0x02
@@ -114,7 +124,7 @@ RANGE_OPEN_END = 0xFFFFFFFF
 MODE_PUBLIC = 0
 MODE_FULL = 1
 
-ARCHIVE_VERSION = 2
+ARCHIVE_VERSION = 3
 # Seconds an accepted connection gets for its handshake and request
 # together, and then for each send of the transfer, before the export
 # server drops it for the next peer.
@@ -263,9 +273,12 @@ class SecureSession:
 
     ``role`` is this end's role (``ROLE_DEVICE`` or ``ROLE_VERIFIER``): its
     frames carry that role in their associated data, and the frames it
-    accepts carry the other role.  ``peer_device_id`` is the device id the
-    peer's certificate binds.  ``blocks_sent`` and ``block_bytes_sent``
-    count the block messages sent and their payload (``EMLB``) bytes.
+    accepts carry the other role.  A device reads only the request, so its
+    session refuses a frame longer than ``REQUEST_FRAME_LEN`` at the header;
+    a verifier's takes frames up to ``MAX_FRAME_LEN``.  ``peer_device_id``
+    is the device id the peer's certificate binds.  ``blocks_sent`` and
+    ``block_bytes_sent`` count the block messages sent and their payload
+    (``EMLB``) bytes.
     """
 
     def __init__(
@@ -281,6 +294,7 @@ class SecureSession:
         self._recv = AESGCM(recv_key)
         self._send_dir = role
         self._recv_dir = ROLE_DEVICE if role == ROLE_VERIFIER else ROLE_VERIFIER
+        self._recv_max = MAX_FRAME_LEN if role == ROLE_VERIFIER else REQUEST_FRAME_LEN
         self._send_seq = 0
         self._recv_seq = 0
         self.peer_device_id = peer_device_id
@@ -307,7 +321,7 @@ class SecureSession:
             self.block_bytes_sent += len(body)
 
     def recv_message(self) -> tuple[int, bytes]:
-        payload = _expect_frame(self._transport, FRAME_DATA, MAX_FRAME_LEN)
+        payload = _expect_frame(self._transport, FRAME_DATA, self._recv_max)
         if len(payload) < 8:
             raise ParseError("data frame too short")
         (seq,) = struct.unpack_from(">Q", payload)
@@ -499,13 +513,13 @@ class RetrievalRequest:
     def pack(self) -> bytes:
         end = RANGE_OPEN_END if self.end is None else self.end
         mode = MODE_FULL if self.mode == "full" else MODE_PUBLIC
-        return self.device_id + struct.pack(">IIB", self.start, end, mode)
+        return self.device_id + _REQUEST_FIELDS.pack(self.start, end, mode)
 
     @classmethod
     def unpack(cls, body: bytes) -> "RetrievalRequest":
-        if len(body) != DEVICE_ID_LEN + 9:
+        if len(body) != DEVICE_ID_LEN + _REQUEST_FIELDS.size:
             raise ParseError("malformed retrieval request")
-        start, end, mode = struct.unpack_from(">IIB", body, DEVICE_ID_LEN)
+        start, end, mode = _REQUEST_FIELDS.unpack_from(body, DEVICE_ID_LEN)
         try:
             return cls(
                 device_id=body[:DEVICE_ID_LEN],
@@ -520,7 +534,9 @@ class RetrievalRequest:
 @dataclass
 class TransferSummary:
     """What a transfer ends with: the device's chain state and its
-    signature, the count of blocks sent and the range they cover.
+    signature, the count of blocks sent, and a notice when fewer were sent
+    than the request named (a clamped range, a start past the newest block
+    or a store with none).
 
     The state carries the chain digest through its newest block, so an
     audit of a range from block 0 through that block checks the blocks
@@ -532,9 +548,6 @@ class TransferSummary:
     state: ChainState
     state_signature: bytes
     count: int
-    range_start: int
-    range_end: int | None
-    clamped: bool = False
     notice: str | None = None
 
     def to_json(self) -> bytes:
@@ -545,8 +558,6 @@ class TransferSummary:
                 "state": self.state.pack().hex(),
                 "state_signature": self.state_signature.hex(),
                 "count": self.count,
-                "range": [self.range_start, self.range_end],
-                "clamped": self.clamped,
                 "notice": self.notice,
             }
         ).encode("utf-8")
@@ -561,9 +572,6 @@ class TransferSummary:
                 state=ChainState.unpack(bytes.fromhex(doc["state"])),
                 state_signature=bytes.fromhex(doc["state_signature"]),
                 count=doc["count"],
-                range_start=doc["range"][0],
-                range_end=doc["range"][1],
-                clamped=doc["clamped"],
                 notice=doc.get("notice"),
             )
         except (KeyError, ValueError, TypeError) as exc:
@@ -593,12 +601,13 @@ def serve_range(
     latest, first, end = state.latest_block_id, request.start, request.end
     top = -1 if latest is None else latest
     last = top if end is None else min(end, top)
-    clamped = latest is not None and end is not None and end > latest
-    notice = f"range clamped to latest committed block {latest}" if clamped else None
+    notice = None
     if latest is None:
         notice = "store holds no blocks"
     elif first > latest:
-        last, notice = first - 1, f"start {first} beyond latest committed block {latest}"
+        notice = f"start {first} beyond latest committed block {latest}"
+    elif end is not None and end > latest:
+        notice = f"range clamped to latest committed block {latest}"
 
     sent = 0
     for block_id in range(first, last + 1):
@@ -622,9 +631,6 @@ def serve_range(
         state=state,
         state_signature=state_sig,
         count=sent,
-        range_start=first,
-        range_end=last if last >= first else None,
-        clamped=clamped,
         notice=notice,
     )
     session.send_message(MSG_SUMMARY, summary.to_json())
@@ -681,10 +687,11 @@ class LogExportServer:
     Each accepted connection must finish its handshake and request within
     ``SESSION_TIMEOUT`` seconds, and each later send within the same bound,
     so a silent or stalled peer holds the service for at most that long.
-    Until its handshake is done, a peer's frames are bounded by
-    ``MAX_HELLO_FRAME_LEN``: one that declares more is dropped at its
-    header.  A replayed handshake fails the transcript check, so the server
-    keeps no record of the peers it has seen.
+    A peer's frames are bounded by ``MAX_HELLO_FRAME_LEN`` until its
+    handshake is done, and then by ``REQUEST_FRAME_LEN``: one that declares
+    more is dropped at its header.  A replayed handshake fails the
+    transcript check, so the server keeps no record of the peers it has
+    seen.
     """
 
     def __init__(

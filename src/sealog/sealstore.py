@@ -21,10 +21,9 @@ The store keeps one file per object, and each has one writer:
   ``create``;
 - ``state.seal``: the committed chain state, written by ``create`` and
   then only by ``commit_blocks``, that is by the log writer.  Its payload
-  (``>IIIQQ32s``) is the newest block's group id, block id and record
-  count, the number of blocks committed, the commit counter and the chain
-  digest through the newest block, which binds the state to the bytes of
-  every block it commits (see ``logchain``);
+  (``>IQ32s``) is the number of blocks committed, the commit counter and
+  the chain digest through the newest block, which binds the state to the
+  bytes of every block it commits (see ``logchain``);
 - ``blk_<id>.seal``: one signed block, written by ``commit_blocks``;
 - ``ik_<gid>.seal``: a group's intermediate key, written once by
   ``seal_ik`` as the log writer opens the group;
@@ -60,7 +59,7 @@ import struct
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 from typing import Callable, Iterator
@@ -85,9 +84,7 @@ from .keyschedule import (
     hkdf,
 )
 from .logchain import (
-    BLOCK_ENVELOPE_LEN,
     GENESIS_DIGEST,
-    RECORD_LEN,
     Block,
     beyond_state_finding,
     chain_digest,
@@ -96,7 +93,7 @@ from .logchain import (
 
 SEAL_MAGIC = b"EMLS"
 SEAL_VERSION = 1
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 NONCE_LEN = 12
 GCM_TAG_LEN = 16
 
@@ -114,7 +111,7 @@ LOG_WRITER_APP_ID = b"log-writer-v1"
 _HEADER = struct.Struct(">4sBBQ")
 # Where the ciphertext starts: after the header and the nonce.
 _BODY = _HEADER.size + NONCE_LEN
-_STATE_PAYLOAD = struct.Struct(">IIIQQ32s")
+_STATE_PAYLOAD = struct.Struct(">IQ32s")
 _DELIVERED_PAYLOAD = struct.Struct(">I")
 
 # Sentinel for "no blocks delivered yet" in the delivered watermark.
@@ -178,34 +175,24 @@ def unseal(data: bytes, sk: AESGCM, object_type: int, object_id: int) -> bytes:
 class ChainState:
     """Monotonic record of the latest committed chain position.
 
-    ``sealed_blocks == 0`` means nothing is committed yet and the position
-    fields are meaningless.  The commit counter strictly increases with
-    every state write.  ``chain_digest`` is H_k through the newest block k,
-    SHA-256(H_{k-1} || sign preimage || signature) from H_{-1} = 32 zero
-    bytes (``logchain.chain_digest``), so the state names the exact blocks
-    it commits, not only their position.
+    Its payload (``>IQ32s``, 44 bytes) is the number of blocks committed,
+    blocks 0 through ``sealed_blocks - 1``, the commit counter, which
+    strictly increases with every state write, and ``chain_digest``: H_k
+    through the newest block k, SHA-256(H_{k-1} || sign preimage ||
+    signature) from H_{-1} = 32 zero bytes (``logchain.chain_digest``), so
+    the state names the exact blocks it commits, not only their count.
     """
 
-    group_id: int = 0
-    block_id: int = 0
-    msg_count: int = 0
     sealed_blocks: int = 0
     commit_counter: int = 0
     chain_digest: bytes = GENESIS_DIGEST
 
     @property
     def latest_block_id(self) -> int | None:
-        return self.block_id if self.sealed_blocks > 0 else None
+        return self.sealed_blocks - 1 if self.sealed_blocks > 0 else None
 
     def pack(self) -> bytes:
-        return _STATE_PAYLOAD.pack(
-            self.group_id,
-            self.block_id,
-            self.msg_count,
-            self.sealed_blocks,
-            self.commit_counter,
-            self.chain_digest,
-        )
+        return _STATE_PAYLOAD.pack(self.sealed_blocks, self.commit_counter, self.chain_digest)
 
     @classmethod
     def unpack(cls, payload: bytes) -> "ChainState":
@@ -623,12 +610,7 @@ class SealedStore:
         digest = self.state.chain_digest
         for block in blocks:
             digest = chain_digest(digest, block)
-        last = blocks[-1]
-        new_state = replace(
-            self.state,
-            group_id=self.params.group_of(last.block_id),
-            block_id=last.block_id,
-            msg_count=(len(last.serialize()) - BLOCK_ENVELOPE_LEN) // RECORD_LEN,
+        new_state = ChainState(
             sealed_blocks=self.state.sealed_blocks + len(blocks),
             commit_counter=self.state.commit_counter + 1,
             chain_digest=digest,

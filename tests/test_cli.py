@@ -248,12 +248,11 @@ def test_verify_archive_trusts_the_anchors_not_the_archive(tmp_path, capsys):
     for block in forged:
         digest = chain_digest(digest, block)
     state = ChainState.unpack(bytes.fromhex(doc["summary"]["state"]))
-    state = dataclasses.replace(state, group_id=8, block_id=17, chain_digest=digest)
+    state = dataclasses.replace(state, sealed_blocks=18, chain_digest=digest)
     doc["summary"].update(
         state=state.pack().hex(),
         state_signature=impostor.sign(state.sign_preimage()).hex(),
         count=18,
-        range=[0, 17],
     )
     doc["certificate_pem"] = impostor.certificate_pem().decode("ascii")
     archive.write_text(json.dumps(doc))

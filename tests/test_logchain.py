@@ -175,7 +175,7 @@ def test_a_signature_of_the_wrong_length_is_a_bad_signature(identity):
     block = _build_block(0, [b"a"], identity)
     broken = Block(block.block_id, block.records, block.signature[:63])
     assert verify_block_public(broken, identity.public_key) == STATUS_BAD_SIGNATURE
-    state = ChainState(block_id=0, msg_count=1, sealed_blocks=1, commit_counter=1)
+    state = ChainState(sealed_blocks=1, commit_counter=1)
     for rlk, notes in ((None, ["hmac-unverified (no RLK)"]), (RootLoggingKey(SEED), [])):
         report = verify_sequence(
             [(0, broken, None)], 0, state, rlk, lambda: identity.public_key, PARAMS
@@ -245,7 +245,7 @@ def test_swapped_records_report_one_bad_hmac_entry(identity):
     records = list(block.records)
     records[3], records[4] = records[4], records[3]
     swapped = Block(block.block_id, tuple(records), block.signature)
-    state = ChainState(block_id=0, msg_count=len(texts), sealed_blocks=1, commit_counter=1)
+    state = ChainState(sealed_blocks=1, commit_counter=1)
     report = verify_sequence(
         [(0, swapped, None)], 0, state, RootLoggingKey(SEED), lambda: identity.public_key, PARAMS
     )

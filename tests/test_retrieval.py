@@ -32,8 +32,14 @@ from sealog.errors import (
 )
 from sealog.identity import DeviceIdentity
 from sealog.keyschedule import RootLoggingKey
-from sealog.logchain import FINDING_HISTORY_MISMATCH, FINDING_TRUNCATION, LogRecord
-from sealog.sealstore import STATE_FILE, SealedStore, verify_store
+from sealog.logchain import FINDING_HISTORY_MISMATCH, FINDING_TRUNCATION, Block, LogRecord
+from sealog.sealstore import (
+    DELIVERED_FILE,
+    NO_WATERMARK,
+    STATE_FILE,
+    SealedStore,
+    verify_store,
+)
 from sealog import logchain, retrieval
 from sealog.retrieval import (
     FRAME_DATA,
@@ -76,7 +82,11 @@ _open_pairs: list[socket.socket] = []
 
 
 def _pair():
+    """A connected socket pair whose reads and writes give up after 10 s,
+    so a test whose peer thread dies fails rather than hangs."""
     pair = socket.socketpair()
+    for sock in pair:
+        sock.settimeout(10)
     _open_pairs.extend(pair)
     return pair
 
@@ -154,7 +164,8 @@ def test_handshake_rejects_unanchored_device(endpoints):
     assert isinstance(results.get("client_error"), AuthFailure)
 
 
-def test_handshake_version_mismatch(endpoints):
+@pytest.mark.parametrize("version", [2, 99])
+def test_handshake_version_mismatch(endpoints, version):
     device, verifier = endpoints
     a, b = _pair()
     errors: list = []
@@ -167,9 +178,9 @@ def test_handshake_version_mismatch(endpoints):
 
     thread = threading.Thread(target=run_server)
     thread.start()
-    # Craft a hello that speaks a future protocol version.
+    # Craft a hello that speaks a past or a future protocol version.
     hello, _eph = retrieval._make_hello(verifier, retrieval.ROLE_VERIFIER, b"")
-    hello.version = 99
+    hello.version = version
     transport = FrameTransport(b)
     transport.send_frame(FRAME_HELLO, hello.pack())
     with pytest.raises((NegotiationFailure, ChannelClosed)):
@@ -331,8 +342,54 @@ def test_serve_range_clamped(tmp_path, endpoints):
     finally:
         server.close()
     assert [b.block_id for b in result.blocks] == [8, 9]
-    assert result.summary.clamped
     assert "clamped" in result.summary.notice
+
+
+class _RecordingSession:
+    """A session stub that keeps every message sent on it."""
+
+    def __init__(self):
+        self.sent: list[tuple[int, bytes]] = []
+
+    def send_message(self, msg_type: int, body: bytes) -> None:
+        self.sent.append((msg_type, body))
+
+
+@pytest.mark.parametrize("n_blocks", [0, 5])
+def test_serve_range_sends_the_due_blocks_and_notes_why_it_sent_fewer(tmp_path, n_blocks):
+    # Every start 0..6, each with no end and with each end start..7, over a
+    # store with no blocks and over one with blocks 0-4 (c=2/m=2).
+    store = _serving_store(tmp_path, n_entries=2 * n_blocks, c=2, m=2)
+    latest = n_blocks - 1 if n_blocks else None
+    assert store.state.latest_block_id == latest
+    for start in range(7):
+        for end in [None, *range(start, 8)]:
+            (store.directory / DELIVERED_FILE).unlink(missing_ok=True)
+            served = SealedStore.open(store.directory, ROOT_SECRET)
+            session = _RecordingSession()
+            request = RetrievalRequest(store.manifest.device_id, start=start, end=end)
+            count = serve_range(session, served, request)
+
+            top = -1 if latest is None else latest
+            due = list(range(start, (top if end is None else min(end, top)) + 1))
+            if latest is None:
+                notice = "store holds no blocks"
+            elif start > latest:
+                notice = f"start {start} beyond latest committed block {latest}"
+            elif end is not None and end > latest:
+                notice = f"range clamped to latest committed block {latest}"
+            else:
+                notice = None
+            case = (start, end)
+            *blocks, (last_type, last_body) = session.sent
+            assert [t for t, _ in blocks] == [retrieval.MSG_BLOCK] * len(due), case
+            assert [Block.deserialize(body).block_id for _, body in blocks] == due, case
+            assert last_type == retrieval.MSG_SUMMARY, case
+            summary = retrieval.TransferSummary.from_json(last_body)
+            assert count == summary.count == len(due), case
+            assert summary.notice == notice, case
+            delivered = SealedStore.open(store.directory, ROOT_SECRET).delivered_mark()
+            assert delivered == (due[-1] if due else NO_WATERMARK), case
 
 
 def test_corrupted_block_raises_integrity_alarm(tmp_path, endpoints):
@@ -443,8 +500,6 @@ def test_dishonest_server_truncation_detected(tmp_path, endpoints):
             state=state,
             state_signature=sig,
             count=8,
-            range_start=0,
-            range_end=7,
         )
         server_session.send_message(retrieval.MSG_SUMMARY, summary.to_json())
 
@@ -527,8 +582,6 @@ def test_dishonest_server_truncating_a_bounded_request_detected(tmp_path, endpoi
             state=state,
             state_signature=sig,
             count=end,
-            range_start=0,
-            range_end=end - 1,
         )
         server_session.send_message(retrieval.MSG_SUMMARY, summary.to_json())
 
@@ -582,8 +635,6 @@ def test_dishonest_server_sending_nothing_for_due_blocks_detected(tmp_path, endp
             state=state,
             state_signature=sig,
             count=0,
-            range_start=8,
-            range_end=None,
         )
         server_session.send_message(retrieval.MSG_SUMMARY, summary.to_json())
 
@@ -947,6 +998,49 @@ def test_a_peer_that_declares_a_huge_frame_before_authenticating_is_dropped_at_o
     assert [r.session["outcome"] for r in caplog.records] == ["ParseError"]
 
 
+def test_an_anchored_peer_that_declares_a_huge_data_frame_is_dropped_at_once(
+    tmp_path, endpoints, caplog
+):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)
+    device_cert = store.identity().certificate
+    server = LogExportServer(store, [verifier.certificate], port=0)
+    # After a completed handshake, a header declaring the largest frame in
+    # place of the request, then 1 MiB; the socket stays open.
+    data = struct.pack(">IB", retrieval.MAX_FRAME_LEN, FRAME_DATA) + bytes(1 << 20)
+    served = threading.Event()
+
+    def peer():
+        with socket.create_connection(("127.0.0.1", server.address[1]), timeout=10) as sock:
+            client_handshake(verifier, [device_cert], FrameTransport(sock))
+            try:
+                sock.sendall(data)
+            except OSError:
+                pass  # the server closed first
+            served.wait(timeout=15)
+
+    thread = threading.Thread(target=peer)
+    tracemalloc.start()
+    try:
+        with caplog.at_level(logging.WARNING, logger="sealog.retrieval"):
+            thread.start()
+            start = time.monotonic()
+            assert server.handle_one(timeout=10)
+            elapsed = time.monotonic() - start
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        served.set()
+        thread.join(timeout=10)
+        server.close()
+    assert not thread.is_alive()
+    # The request is the one frame a device reads in a session.
+    assert retrieval.REQUEST_FRAME_LEN == 51
+    assert elapsed < 1.0, elapsed
+    assert peak < 256 * 1024, peak
+    assert [r.session["outcome"] for r in caplog.records] == ["ParseError"]
+
+
 def test_a_failed_session_releases_what_it_received_when_it_ends(tmp_path, endpoints, caplog):
     _device, verifier = endpoints
     store = _serving_store(tmp_path)
@@ -1078,7 +1172,8 @@ def test_a_poll_leaves_the_chain_state_byte_identical(tmp_path, endpoints):
     assert state_file.read_bytes() == before
 
 
-def test_an_archive_of_another_version_is_refused(tmp_path, endpoints):
+@pytest.mark.parametrize("version", [1, 2])
+def test_an_archive_of_another_version_is_refused(tmp_path, endpoints, version):
     _device, verifier = endpoints
     store = _serving_store(tmp_path)
     server = LogExportServer(store, [verifier.certificate], port=0)
@@ -1093,9 +1188,9 @@ def test_an_archive_of_another_version_is_refused(tmp_path, endpoints):
     save_archive(path, result, store.identity().certificate_pem())
     assert load_archive(path)[0].summary is not None
     doc = json.loads(path.read_text())
-    doc["version"] = 1
+    doc["version"] = version
     path.write_text(json.dumps(doc))
-    with pytest.raises(ParseError, match="unsupported archive version 1"):
+    with pytest.raises(ParseError, match=f"unsupported archive version {version}"):
         load_archive(path)
     del doc["version"]
     path.write_text(json.dumps(doc))

@@ -177,11 +177,13 @@ def test_sealed_envelopes_match_golden_digests(tmp_path, monkeypatch):
         for name in ("manifest.seal", "state.seal", "blk_00000000.seal", "ik_00000000.seal")
     }
     assert digests == {
-        "manifest.seal": "6c95950c2f18dea97e6123b2cc04862079ab9b477b55359c421f706bcd5453f1",
-        "state.seal": "3701fa1c6fe2db1570b768565da234d6f678bc212815030ef511fae06e460d2b",
+        "manifest.seal": "a5863a076ee2d38483e59f541c9189f407aacb9ba6413b333ce5e4d40a0a95d4",
+        "state.seal": "3fd9cfefed07bf84b8a01be53b7ac5d27eaf17801da5d322ac7df616def427c0",
         "blk_00000000.seal": "ae85bd214e6e818ac1b253cbf51a225e56a1b4c63c5bb98f626ada22bd75f9f1",
         "ik_00000000.seal": "7a40e543795ea6d61c3a0bfe4af9b170019e9ae913be16e6ef471981e9e19a14",
     }
+    # Header 14 + nonce 12 + the 44-byte state + tag 16.
+    assert (tmp_path / "s" / "state.seal").stat().st_size == 86
     reopened = SealedStore.open(tmp_path / "s", b"\x07" * 32)
     assert reopened.manifest == store.manifest
     # H_0 by hand: SHA-256 of H_{-1} (32 zero bytes), then what the block's
@@ -189,7 +191,7 @@ def test_sealed_envelopes_match_golden_digests(tmp_path, monkeypatch):
     # the signature.
     h0 = hashlib.sha256(bytes(32) + struct.pack(">II", 0, 1) + b"\x22" * 32 + b"\x33" * 64)
     assert reopened.state == ChainState(
-        block_id=0, msg_count=1, sealed_blocks=1, commit_counter=1, chain_digest=h0.digest()
+        sealed_blocks=1, commit_counter=1, chain_digest=h0.digest()
     )
     assert reopened.load_block(0) == block
     assert reopened.load_ik(0) == b"\x44" * 32
@@ -207,13 +209,18 @@ def test_seal_roundtrip_property(payload, object_id):
 
 
 def test_chain_state_roundtrip():
-    state = ChainState(group_id=3, block_id=7, msg_count=12, sealed_blocks=8, commit_counter=42)
+    state = ChainState(sealed_blocks=8, commit_counter=42, chain_digest=b"\x5c" * 32)
+    assert len(state.pack()) == 44
     assert ChainState.unpack(state.pack()) == state
+    # A version 2 payload: group id, block id, record count, blocks, counter, digest.
+    with pytest.raises(ParseError, match="must be 44 bytes"):
+        ChainState.unpack(struct.pack(">IIIQQ32s", 3, 7, 12, 8, 42, b"\x5c" * 32))
 
 
 def test_latest_block_id_none_before_any_commit():
     assert ChainState().latest_block_id is None
-    assert ChainState(sealed_blocks=1, block_id=0).latest_block_id == 0
+    assert ChainState(sealed_blocks=1).latest_block_id == 0
+    assert ChainState(sealed_blocks=8).latest_block_id == 7
 
 
 # store lifecycle ----------------------------------------------------------------
@@ -249,13 +256,14 @@ def test_open_with_wrong_secret_fails(tmp_path):
         SealedStore.open(tmp_path / "s", b"\x00" * 32)
 
 
-def test_a_manifest_of_another_version_is_refused(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_a_manifest_of_another_version_is_refused(tmp_path, version):
     store = build_store(tmp_path / "s")
     doc = json.loads(store.manifest.pack())
-    doc["version"] = 1
+    doc["version"] = version
     sealed = seal(json.dumps(doc).encode(), store.sk, OBJECT_MANIFEST, 0)
     (store.directory / MANIFEST_FILE).write_bytes(sealed)
-    with pytest.raises(ParseError, match="unsupported store manifest version 1"):
+    with pytest.raises(ParseError, match=f"unsupported store manifest version {version}"):
         SealedStore.open(tmp_path / "s", ROOT_SECRET)
     del doc["version"]
     sealed = seal(json.dumps(doc).encode(), store.sk, OBJECT_MANIFEST, 0)
@@ -298,19 +306,19 @@ def test_stale_handle_cannot_roll_the_chain_state_back(tmp_path):
     writer = LogWriter(store)
     for i in range(4):
         writer.append_entry(RawEntry("generic", b"entry %d" % i))
-    assert store.state.block_id == 1
+    assert store.state.latest_block_id == 1
     stale = SealedStore.open(tmp_path / "s", ROOT_SECRET)  # as `sealog serve` opens it
     for i in range(4, 8):
         writer.append_entry(RawEntry("generic", b"entry %d" % i))
     writer.close()
-    assert store.state.block_id == 3
+    assert store.state.latest_block_id == 3
     try:
         stale.mark_delivered(1)
     except SealogError:
         return  # refused
     # Accepted: then the committed state must not have gone back.
     fresh = SealedStore.open(tmp_path / "s", ROOT_SECRET)
-    assert fresh.state.block_id == 3 and fresh.state.commit_counter >= 2
+    assert fresh.state.latest_block_id == 3 and fresh.state.commit_counter >= 2
     assert verify_store(fresh, full=True).verdict == "ok"
 
 
