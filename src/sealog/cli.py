@@ -4,8 +4,9 @@ Exit codes: 0 success / verified; 1 verification findings; 2 usage or
 configuration error; 3 I/O failure or integrity alarm.
 
 A JSON config file (``--config``) can supply defaults for the keys
-c, m, host, port, epoch_seconds, secret and anchors; explicit flags always
-win.  Any other key is a configuration error (exit 2).
+c, m and port (integers), epoch_seconds (a number), and host, secret and
+anchors (strings); explicit flags always win.  Any other key, or a value
+of another JSON type, null included, is a configuration error (exit 2).
 """
 
 from __future__ import annotations
@@ -35,7 +36,12 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-_CONFIG_KEYS = ("c", "m", "host", "port", "epoch_seconds", "secret", "anchors")
+# The JSON types each config key takes; a JSON true or false is never a number.
+_CONFIG_TYPES = {
+    **dict.fromkeys(("c", "m", "port"), (int,)),
+    "epoch_seconds": (int, float),
+    **dict.fromkeys(("host", "secret", "anchors"), (str,)),
+}
 
 
 def _load_config(path: str | None) -> dict:
@@ -45,9 +51,15 @@ def _load_config(path: str | None) -> dict:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise InvalidParameter(f"cannot read config {path}: {exc}") from exc
-    unknown = set(doc) - set(_CONFIG_KEYS)
+    if not isinstance(doc, dict):
+        raise InvalidParameter(f"config {path} is not a JSON object")
+    unknown = set(doc) - set(_CONFIG_TYPES)
     if unknown:
         raise InvalidParameter(f"unknown config keys: {sorted(unknown)}")
+    for key, value in doc.items():
+        if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
+            wanted = " or ".join(t.__name__ for t in _CONFIG_TYPES[key])
+            raise InvalidParameter(f"config key {key!r} must be {wanted}, not {type(value).__name__}")
     return doc
 
 
@@ -267,20 +279,7 @@ def _cmd_fetch(args, config) -> int:
 
 
 def _cmd_bench(args, config) -> int:
-    kwargs = {}
-    if args.entries:
-        kwargs["entries"] = args.entries
-    if args.reps:
-        kwargs["repetitions"] = args.reps
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.m_values:
-        kwargs["m_values"] = tuple(int(v) for v in args.m_values.split(","))
-    if args.c_values:
-        kwargs["c_values"] = tuple(int(v) for v in args.c_values.split(","))
-    if args.storage_m_values:
-        kwargs["storage_m_values"] = tuple(int(v) for v in args.storage_m_values.split(","))
-    report = bench_mod.bench_grid(bench_mod.BenchConfig(**kwargs))
+    report = bench_mod.bench_grid(bench_mod.BenchConfig())
     if args.json:
         print(json.dumps(report.to_dict()))
         return EXIT_OK
@@ -438,12 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fetch)
 
     p = sub.add_parser("bench", help="run the benchmark grid and trend checks")
-    p.add_argument("--entries", type=int)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--m-values", help="comma-separated block lengths")
-    p.add_argument("--c-values", help="comma-separated group sizes")
-    p.add_argument("--storage-m-values", help="comma-separated block lengths for the storage fit")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bench)
 

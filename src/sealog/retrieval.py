@@ -1,26 +1,31 @@
 """Device-side export service and verifier-side retrieval client.
 
-The wire format (protocol v3) is length-prefixed binary frames:
+The wire format (protocol v4) is length-prefixed binary frames:
 
     frame    := BE32 length || type(1) || payload
-    HELLO    := version(1) role(1) device_id(16)
+    HELLO    := version(1) role(1)
                 BE16 cert_len cert_der BE16 ev_len evidence
                 ephemeral_pub(65, SEC1 uncompressed P-256) nonce(16)
     AUTH     := signature(64)   over "EMHS" || role || SHA256(transcript)
-    DATA     := BE64 seq || AES-256-GCM ciphertext
+    DATA     := AES-256-GCM ciphertext   nonce: BE96 frame counter, no AAD
     ABORT    := code(1) || utf-8 reason
+
+An archive (version 4) is a JSON object: ``version``, ``certificate_pem``,
+``request`` (``device_id``, ``start``, ``end``), the transfer's ``summary``
+and ``alarms``, and its ``blocks`` as base64 ``EMLB`` bytes.
 
 Each end trusts the other only when the certificate in its hello is
 byte-identical to one of its own trust anchors: the certificate bytes are
 compared, never parsed, and the anchor supplies the peer's key and device
 id.  Both ends prove key possession by signing the handshake transcript,
 so the channel is mutually authenticated before any log material moves.
-Session keys come from an ephemeral P-256 ECDH exchange; each direction
-has its own key and sequence counter, and a frame whose sequence number is
-not the next one, replayed or skipped ahead, is refused.  Each side signs a
-transcript that covers the other side's fresh nonce and ephemeral key, so
-a recorded handshake replayed at either end fails that end's transcript
-signature check.  Until the handshake has made a session, a frame may be
+Session keys come from an ephemeral P-256 ECDH exchange.  Each direction
+has its own key and a frame counter that both ends keep and neither
+sends: it is the frame's nonce, so a replayed, reordered, skipped or
+forged frame fails its one AEAD check.  Each side signs a transcript that
+covers the other side's fresh nonce and ephemeral key, so a recorded
+handshake replayed at either end fails that end's transcript signature
+check.  Until the handshake has made a session, a frame may be
 no longer than the largest hello the format can carry
 (``MAX_HELLO_FRAME_LEN``); after it, a device reads one frame, the
 request, and a frame may be no longer than that (``REQUEST_FRAME_LEN``).
@@ -35,7 +40,10 @@ and an integrity alarm if a sealed block fails to open mid-transfer.
 Version 2 is version 1 with the chain digest in the summary's state in
 place of a field nothing read.  Version 3 is version 2 with the state cut
 to the blocks committed, the commit counter and the digest, and with no
-range or clamp flag in the summary, which no audit read; each version
+range or clamp flag in the summary, which no audit read.  Version 4 is
+version 3 with no sequence number or associated data in a session frame
+and no device id in a hello, which the key, its counter and the anchor
+already fix, and with no mode in an archive's request; each version
 refuses the other's hello and archive.
 """
 
@@ -86,22 +94,20 @@ from .sealstore import GCM_TAG_LEN, ChainState, SealedStore
 
 _log = logging.getLogger("sealog.retrieval")
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 HELLO_NONCE_LEN = 16
 _EPH_PUB_LEN = 65
 MAX_FRAME_LEN = 32 * 1024 * 1024
-# The longest frame before a session exists (131,174 bytes): the type byte
+# The longest frame before a session exists (131,158 bytes): the type byte
 # and a hello whose certificate and evidence fill their BE16 lengths.
-MAX_HELLO_FRAME_LEN = (
-    1 + 2 + DEVICE_ID_LEN + 2 + 0xFFFF + 2 + 0xFFFF + _EPH_PUB_LEN + HELLO_NONCE_LEN
-)
+MAX_HELLO_FRAME_LEN = 1 + 2 + 2 + 0xFFFF + 2 + 0xFFFF + _EPH_PUB_LEN + HELLO_NONCE_LEN
 RECV_CHUNK = 64 * 1024  # most bytes one socket read asks for
 # A request's fields after the device id: BE32 start, BE32 end, mode byte.
 _REQUEST_FIELDS = struct.Struct(">IIB")
-# The only frame a device reads in a session (51 bytes): the type byte, the
-# BE64 sequence number, and the sealed request, its message type byte,
-# device id and fields, then the GCM tag.
-REQUEST_FRAME_LEN = 1 + 8 + 1 + DEVICE_ID_LEN + _REQUEST_FIELDS.size + GCM_TAG_LEN
+# The only frame a device reads in a session (43 bytes): the type byte and
+# the sealed request, its message type byte, device id and fields, then the
+# GCM tag.
+REQUEST_FRAME_LEN = 1 + 1 + DEVICE_ID_LEN + _REQUEST_FIELDS.size + GCM_TAG_LEN
 
 FRAME_HELLO = 0x01
 FRAME_AUTH = 0x02
@@ -124,13 +130,12 @@ RANGE_OPEN_END = 0xFFFFFFFF
 MODE_PUBLIC = 0
 MODE_FULL = 1
 
-ARCHIVE_VERSION = 3
+ARCHIVE_VERSION = 4
 # Seconds an accepted connection gets for its handshake and request
 # together, and then for each send of the transfer, before the export
 # server drops it for the next peer.
 SESSION_TIMEOUT = 10.0
 _TRANSCRIPT_MAGIC = b"EMHS"
-_FRAME_AAD_MAGIC = b"EMFR"
 
 AttestationPolicy = Callable[[bytes, int, bytes], bool]
 
@@ -219,7 +224,6 @@ def _raise_abort(payload: bytes) -> None:
 class ChannelHello:
     version: int
     role: int
-    device_id: bytes
     certificate_der: bytes
     evidence: bytes
     ephemeral_pub: bytes
@@ -228,7 +232,6 @@ class ChannelHello:
     def pack(self) -> bytes:
         return (
             bytes([self.version, self.role])
-            + self.device_id
             + struct.pack(">H", len(self.certificate_der))
             + self.certificate_der
             + struct.pack(">H", len(self.evidence))
@@ -239,44 +242,33 @@ class ChannelHello:
 
     @classmethod
     def unpack(cls, payload: bytes) -> "ChannelHello":
+        fields, offset = [], 2
         try:
-            version, role = payload[0], payload[1]
-            offset = 2
-            device_id = payload[offset : offset + DEVICE_ID_LEN]
-            offset += DEVICE_ID_LEN
-            (cert_len,) = struct.unpack_from(">H", payload, offset)
-            offset += 2
-            cert = payload[offset : offset + cert_len]
-            offset += cert_len
-            (ev_len,) = struct.unpack_from(">H", payload, offset)
-            offset += 2
-            evidence = payload[offset : offset + ev_len]
-            offset += ev_len
-            eph = payload[offset : offset + _EPH_PUB_LEN]
-            offset += _EPH_PUB_LEN
-            nonce = payload[offset : offset + HELLO_NONCE_LEN]
-            if (
-                len(device_id) != DEVICE_ID_LEN
-                or len(cert) != cert_len
-                or len(eph) != _EPH_PUB_LEN
-                or len(nonce) != HELLO_NONCE_LEN
-                or offset + HELLO_NONCE_LEN != len(payload)
-            ):
-                raise ParseError("hello payload truncated")
-        except (IndexError, struct.error) as exc:
+            for _ in range(2):  # the certificate, then the evidence
+                (length,) = struct.unpack_from(">H", payload, offset)
+                fields.append(payload[offset + 2 : offset + 2 + length])
+                offset += 2 + length
+        except struct.error as exc:
             raise ParseError(f"malformed hello: {exc}") from exc
-        return cls(version, role, device_id, cert, evidence, eph, nonce)
+        tail = payload[offset:]  # empty when a field was cut short
+        if len(tail) != _EPH_PUB_LEN + HELLO_NONCE_LEN:
+            raise ParseError("hello payload truncated")
+        return cls(payload[0], payload[1], *fields, tail[:_EPH_PUB_LEN], tail[_EPH_PUB_LEN:])
 
 
 class SecureSession:
     """AEAD-protected message channel after a completed handshake.
 
-    ``role`` is this end's role (``ROLE_DEVICE`` or ``ROLE_VERIFIER``): its
-    frames carry that role in their associated data, and the frames it
-    accepts carry the other role.  A device reads only the request, so its
-    session refuses a frame longer than ``REQUEST_FRAME_LEN`` at the header;
-    a verifier's takes frames up to ``MAX_FRAME_LEN``.  ``peer_device_id``
-    is the device id the peer's certificate binds.  ``blocks_sent`` and
+    Each direction has its own key, and each end counts the frames it has
+    sent and accepted: the count is the frame's GCM nonce, never sent.  So
+    the AEAD check is the one check a frame gets: a replayed, reordered,
+    skipped or forged frame fails it with ``AuthFailure``, and consumes no
+    count, so the next in-order frame is still accepted.  ``role`` is this
+    end's role (``ROLE_DEVICE`` or ``ROLE_VERIFIER``).  A device reads only
+    the request, so its session refuses a frame longer than
+    ``REQUEST_FRAME_LEN`` at the header; a verifier's takes frames up to
+    ``MAX_FRAME_LEN``.  ``peer_device_id`` is the device id of the anchor
+    the peer's certificate matched.  ``blocks_sent`` and
     ``block_bytes_sent`` count the block messages sent and their payload
     (``EMLB``) bytes.
     """
@@ -292,8 +284,6 @@ class SecureSession:
         self._transport = transport
         self._send = AESGCM(send_key)
         self._recv = AESGCM(recv_key)
-        self._send_dir = role
-        self._recv_dir = ROLE_DEVICE if role == ROLE_VERIFIER else ROLE_VERIFIER
         self._recv_max = MAX_FRAME_LEN if role == ROLE_VERIFIER else REQUEST_FRAME_LEN
         self._send_seq = 0
         self._recv_seq = 0
@@ -301,36 +291,20 @@ class SecureSession:
         self.blocks_sent = 0
         self.block_bytes_sent = 0
 
-    @staticmethod
-    def _nonce(seq: int) -> bytes:
-        return b"\x00\x00\x00\x00" + struct.pack(">Q", seq)
-
-    @staticmethod
-    def _aad(direction: int, seq: int) -> bytes:
-        return _FRAME_AAD_MAGIC + bytes([direction]) + struct.pack(">Q", seq)
-
     def send_message(self, msg_type: int, body: bytes) -> None:
-        seq = self._send_seq
+        nonce = self._send_seq.to_bytes(12, "big")
         self._send_seq += 1
-        ct = self._send.encrypt(
-            self._nonce(seq), bytes([msg_type]) + body, self._aad(self._send_dir, seq)
+        self._transport.send_frame(
+            FRAME_DATA, self._send.encrypt(nonce, bytes([msg_type]) + body, None)
         )
-        self._transport.send_frame(FRAME_DATA, struct.pack(">Q", seq) + ct)
         if msg_type == MSG_BLOCK:
             self.blocks_sent += 1
             self.block_bytes_sent += len(body)
 
     def recv_message(self) -> tuple[int, bytes]:
         payload = _expect_frame(self._transport, FRAME_DATA, self._recv_max)
-        if len(payload) < 8:
-            raise ParseError("data frame too short")
-        (seq,) = struct.unpack_from(">Q", payload)
-        if seq != self._recv_seq:
-            raise AuthFailure(f"frame sequence {seq} out of order, expected {self._recv_seq}")
         try:
-            plain = self._recv.decrypt(
-                self._nonce(seq), payload[8:], self._aad(self._recv_dir, seq)
-            )
+            plain = self._recv.decrypt(self._recv_seq.to_bytes(12, "big"), payload, None)
         except InvalidTag as exc:
             raise AuthFailure("session frame failed authentication") from exc
         self._recv_seq += 1
@@ -360,7 +334,6 @@ def _make_hello(identity: DeviceIdentity, role: int, evidence: bytes) -> tuple[C
     hello = ChannelHello(
         version=PROTOCOL_VERSION,
         role=role,
-        device_id=identity.device_id,
         certificate_der=identity.certificate.public_bytes(serialization.Encoding.DER),
         evidence=evidence,
         ephemeral_pub=eph_pub,
@@ -370,39 +343,42 @@ def _make_hello(identity: DeviceIdentity, role: int, evidence: bytes) -> tuple[C
 
 
 def _validate_hello(
-    hello: ChannelHello,
+    payload: bytes,
     expected_role: int,
     anchors: list[x509.Certificate],
     policy: AttestationPolicy | None,
     transport: FrameTransport,
-) -> tuple[ec.EllipticCurvePublicKey, ec.EllipticCurvePublicKey]:
-    """Check every field of a peer's hello; returns the peer's signing key,
-    taken from the anchor its certificate matches, and its ephemeral key.
+) -> tuple[ec.EllipticCurvePublicKey, ec.EllipticCurvePublicKey, bytes]:
+    """Check a peer's hello, its version byte first, so that a hello of
+    another version is refused as such whatever its layout.  Returns the
+    peer's signing key and device id, from the anchor its certificate
+    matches, and its ephemeral key.
 
-    A refusal is sent to the peer, ``ABORT_NEGOTIATION`` for the version
-    and ``ABORT_AUTH`` for anything else, and raised as a ``SealogError``.
+    A refusal is raised as a ``SealogError``.  The peer is sent
+    ``ABORT_NEGOTIATION`` for the version and ``ABORT_AUTH`` for a field of
+    a well-formed hello; a malformed hello gets no abort.
     """
-    if hello.version != PROTOCOL_VERSION:
-        _abort(transport, ABORT_NEGOTIATION, f"unsupported version {hello.version}")
-        raise NegotiationFailure(f"peer speaks version {hello.version}")
+    if payload and payload[0] != PROTOCOL_VERSION:
+        _abort(transport, ABORT_NEGOTIATION, f"unsupported version {payload[0]}")
+        raise NegotiationFailure(f"peer speaks version {payload[0]}")
+    hello = ChannelHello.unpack(payload)
     try:
         if hello.role != expected_role:
             raise AuthFailure(f"peer declared role {hello.role}, expected {expected_role}")
         anchor = validate_peer_certificate(hello.certificate_der, anchors)
-        if device_id_from_certificate(anchor) != hello.device_id:
-            raise AuthFailure("hello device id does not match certificate")
+        device_id = device_id_from_certificate(anchor)
         try:
             eph_pub = ec.EllipticCurvePublicKey.from_encoded_point(
                 ec.SECP256R1(), hello.ephemeral_pub
             )
         except ValueError as exc:
             raise AuthFailure("ephemeral key is not a P-256 point") from exc
-        if policy is not None and not policy(hello.evidence, hello.role, hello.device_id):
+        if policy is not None and not policy(hello.evidence, hello.role, device_id):
             raise AuthFailure("attestation evidence rejected by policy")
     except SealogError as exc:
         _abort(transport, ABORT_AUTH, str(exc))
         raise
-    return anchor.public_key(), eph_pub
+    return anchor.public_key(), eph_pub, device_id
 
 
 def _transcript_hash(client_hello: bytes, server_hello: bytes) -> bytes:
@@ -447,9 +423,8 @@ def client_handshake(
     transport.send_frame(FRAME_HELLO, hello_bytes)
 
     server_hello_bytes = _expect_frame(transport, FRAME_HELLO)
-    server_hello = ChannelHello.unpack(server_hello_bytes)
-    server_key, server_eph = _validate_hello(
-        server_hello, ROLE_DEVICE, anchors, attestation_policy, transport
+    server_key, server_eph, server_id = _validate_hello(
+        server_hello_bytes, ROLE_DEVICE, anchors, attestation_policy, transport
     )
 
     th = _transcript_hash(hello_bytes, server_hello_bytes)
@@ -457,7 +432,7 @@ def client_handshake(
     _check_transcript(transport, server_key, ROLE_DEVICE, th)
 
     send_key, recv_key = _session_keys(eph, server_eph, th)
-    return SecureSession(transport, send_key, recv_key, ROLE_VERIFIER, server_hello.device_id)
+    return SecureSession(transport, send_key, recv_key, ROLE_VERIFIER, server_id)
 
 
 def server_handshake(
@@ -475,9 +450,8 @@ def server_handshake(
     sent ``ABORT_AUTH`` and ``AuthFailure`` is raised.
     """
     client_hello_bytes = _expect_frame(transport, FRAME_HELLO)
-    client_hello = ChannelHello.unpack(client_hello_bytes)
-    client_key, client_eph = _validate_hello(
-        client_hello, ROLE_VERIFIER, anchors, attestation_policy, transport
+    client_key, client_eph, client_id = _validate_hello(
+        client_hello_bytes, ROLE_VERIFIER, anchors, attestation_policy, transport
     )
 
     hello, eph = _make_hello(identity, ROLE_DEVICE, evidence)
@@ -489,7 +463,7 @@ def server_handshake(
     transport.send_frame(FRAME_AUTH, identity.sign(_transcript_preimage(ROLE_DEVICE, th)))
 
     recv_key, send_key = _session_keys(eph, client_eph, th)
-    return SecureSession(transport, send_key, recv_key, ROLE_DEVICE, client_hello.device_id)
+    return SecureSession(transport, send_key, recv_key, ROLE_DEVICE, client_id)
 
 
 # Request / response messages ----------------------------------------------
@@ -690,8 +664,8 @@ class LogExportServer:
     A peer's frames are bounded by ``MAX_HELLO_FRAME_LEN`` until its
     handshake is done, and then by ``REQUEST_FRAME_LEN``: one that declares
     more is dropped at its header.  A replayed handshake fails the
-    transcript check, so the server keeps no record of the peers it has
-    seen.
+    transcript check, and a replayed or forged session frame the AEAD
+    check, so the server keeps no record of the peers it has seen.
     """
 
     def __init__(
@@ -912,7 +886,6 @@ def save_archive(path: str | Path, result: FetchResult, certificate_pem: bytes) 
             "device_id": result.request.device_id.hex(),
             "start": result.request.start,
             "end": result.request.end,
-            "mode": result.request.mode,
         },
         "summary": json.loads(result.summary.to_json()) if result.summary else None,
         "alarms": result.alarms,
@@ -931,7 +904,6 @@ def load_archive(path: str | Path) -> tuple[FetchResult, x509.Certificate]:
             device_id=bytes.fromhex(doc["request"]["device_id"]),
             start=doc["request"]["start"],
             end=doc["request"]["end"],
-            mode=doc["request"]["mode"],
         )
         summary = None
         if doc["summary"] is not None:

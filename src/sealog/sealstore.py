@@ -84,7 +84,9 @@ from .keyschedule import (
     hkdf,
 )
 from .logchain import (
+    BLOCK_ENVELOPE_LEN,
     GENESIS_DIGEST,
+    RECORD_LEN,
     Block,
     beyond_state_finding,
     chain_digest,
@@ -333,6 +335,14 @@ class SealedStore:
         identity: DeviceIdentity,
         rlk: RootLoggingKey,
     ) -> "SealedStore":
+        """A new store in ``directory``; refused, before anything is written,
+        when a full block of ``params.m`` records could never be sealed."""
+        block_len = BLOCK_ENVELOPE_LEN + params.m * RECORD_LEN
+        if block_len > DEFAULT_MAX_PAYLOAD:
+            raise InvalidParameter(
+                f"m={params.m} makes a {block_len}-byte block, over the"
+                f" {DEFAULT_MAX_PAYLOAD}-byte seal payload"
+            )
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         if any(directory.iterdir()):

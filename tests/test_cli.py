@@ -340,13 +340,52 @@ def test_config_file_defaults(tmp_path, capsys):
     assert "c=4, m=3" in capsys.readouterr().out
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+@pytest.mark.parametrize(
+    "doc, command",
+    [
+        ({"frobnicate": 1}, "init"),
+        # The seal payload cap is a format constant, not a setting.
+        ({"max_payload_bytes": 1024}, "init"),
+        # Each known key takes one JSON type; a JSON true is not an integer.
+        ({"c": "4"}, "init"),
+        ({"c": True}, "init"),
+        ({"m": 4.0}, "init"),
+        ({"epoch_seconds": "5"}, "ingest"),
+        ({"epoch_seconds": False}, "ingest"),
+        ({"secret": ["store.secret"]}, "ingest"),
+        ({"anchors": 5}, "serve"),
+        ({"port": None}, "serve"),
+        ({"host": ["127.0.0.1"]}, "serve"),
+        (5, "init"),
+    ],
+)
+def test_config_rejects_unknown_keys(tmp_path, capsys, doc, command):
+    store = _init(tmp_path, capsys)
+    (tmp_path / "anchors").mkdir()
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps({"frobnicate": 1}))
-    assert main(["--config", str(config), "init", "--store", str(tmp_path / "s")]) == 2
-    # The seal payload cap is a format constant, not a setting.
-    config.write_text(json.dumps({"max_payload_bytes": 1024}))
-    assert main(["--config", str(config), "init", "--store", str(tmp_path / "s")]) == 2
+    config.write_text(json.dumps(doc))
+    argv = {
+        "init": ["init", "--store", str(tmp_path / "s")],
+        "ingest": ["ingest", "--store", str(store), os.devnull],
+        "serve": ["serve", "--store", str(store)],
+    }[command]
+    if command == "serve" and "anchors" not in doc:
+        argv += ["--anchors", str(tmp_path / "anchors")]  # a flag wins over the config
+    assert main(["--config", str(config), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if isinstance(doc, dict):
+        assert repr(next(iter(doc))) in err or "unknown config keys" in err
+    assert not (tmp_path / "s").exists() and not (tmp_path / "s.secret").exists()
+
+
+def test_init_refuses_a_block_length_over_the_seal_payload_and_writes_nothing(tmp_path, capsys):
+    store = tmp_path / "store"
+    argv = ["init", "--store", str(store), "--c", "1", "--m", "57456"]
+    assert main([*argv, "--rlk-out", str(tmp_path / "rlk.hex")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: m=57456 makes a") and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == []
 
 
 def test_public_surface_resolves_and_every_error_is_raised():

@@ -189,6 +189,34 @@ def test_handshake_version_mismatch(endpoints, version):
     assert errors and isinstance(errors[0], NegotiationFailure)
 
 
+def test_a_version_3_hello_is_refused_by_its_version(endpoints):
+    device, verifier = endpoints
+    a, b = _pair()
+    errors: list = []
+
+    def run_server():
+        try:
+            server_handshake(device, [verifier.certificate], FrameTransport(a))
+        except Exception as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=run_server)
+    thread.start()
+    # The version 3 layout: version, role, then the 16-byte device id that
+    # version 4 dropped, then the fields both versions share.
+    hello = retrieval._make_hello(verifier, retrieval.ROLE_VERIFIER, b"")[0].pack()
+    transport = FrameTransport(b)
+    transport.send_frame(FRAME_HELLO, bytes([3, hello[1]]) + verifier.device_id + hello[2:])
+    frame_type, payload = transport.recv_frame()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert (frame_type, payload) == (
+        retrieval.FRAME_ABORT,
+        bytes([retrieval.ABORT_NEGOTIATION]) + b"unsupported version 3",
+    )
+    assert len(errors) == 1 and isinstance(errors[0], NegotiationFailure)
+
+
 def test_attestation_policy_reject(endpoints):
     device, verifier = endpoints
     results = _handshake_pair(
@@ -289,17 +317,28 @@ def test_session_frame_replay_detected(endpoints):
         assert frame[4] == FRAME_DATA
         return frame
 
-    first, second, third = (captured(0x42, body) for body in (b"ping", b"pong", b"pang"))
+    first, second, third, fourth = (
+        captured(0x42, body) for body in (b"ping", b"pong", b"pang", b"pung")
+    )
+    # A data frame is its type byte and the ciphertext: no sequence number.
+    assert len(first) == 4 + 1 + 1 + len(b"ping") + 16
+    flipped = bytearray(fourth)
+    flipped[-20] ^= 0x01  # one ciphertext byte, ahead of the 16-byte tag
     raw_b.sendall(first)  # feed the frames straight back to the server side
     assert server.recv_message() == (0x42, b"ping")
-    raw_b.sendall(first)  # replayed
-    with pytest.raises(AuthFailure, match="frame sequence 0 out of order, expected 1"):
+    # A replayed, a skipped-ahead and a forged frame each fail the AEAD
+    # check, and none consumes the counter: the next in-order frame passes.
+    for refused, accepted, body in ((first, second, b"pong"), (fourth, third, b"pang")):
+        raw_b.sendall(refused)
+        with pytest.raises(AuthFailure, match="^session frame failed authentication$"):
+            server.recv_message()
+        raw_b.sendall(accepted)
+        assert server.recv_message() == (0x42, body)
+    raw_b.sendall(bytes(flipped))
+    with pytest.raises(AuthFailure, match="^session frame failed authentication$"):
         server.recv_message()
-    raw_b.sendall(third)  # skipped ahead
-    with pytest.raises(AuthFailure, match="frame sequence 2 out of order, expected 1"):
-        server.recv_message()
-    raw_b.sendall(second)  # the refusals consumed no sequence number
-    assert server.recv_message() == (0x42, b"pong")
+    raw_b.sendall(fourth)
+    assert server.recv_message() == (0x42, b"pung")
 
 
 def _serving_store(tmp_path, n_entries=40, c=2, m=4):
@@ -390,6 +429,45 @@ def test_serve_range_sends_the_due_blocks_and_notes_why_it_sent_fewer(tmp_path, 
             assert summary.notice == notice, case
             delivered = SealedStore.open(store.directory, ROOT_SECRET).delivered_mark()
             assert delivered == (due[-1] if due else NO_WATERMARK), case
+
+
+class _DroppingSocket:
+    """A connected socket's send side that drops every byte it is given."""
+
+    def sendall(self, data):
+        pass
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("c, m, n_blocks", [(10, 100, 20), (200, 10, 400)])
+def test_serve_range_holds_one_block_whatever_the_range(tmp_path, c, m, n_blocks):
+    # A whole-range transfer, encrypted by a real session into a transport
+    # that drops every frame; no client runs in the process.  Its heap peak
+    # stays flat: 4x the blocks cost at most one block's bytes more.
+    def peak(store_dir) -> int:
+        store = SealedStore.open(store_dir, ROOT_SECRET)
+        session = retrieval.SecureSession(
+            FrameTransport(_DroppingSocket()), bytes(32), bytes(32), retrieval.ROLE_DEVICE, b""
+        )
+        request = RetrievalRequest(store.manifest.device_id, start=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sent = serve_range(session, store, request)
+            return tracemalloc.get_traced_memory()[1] - before, sent
+        finally:
+            tracemalloc.stop()
+
+    small, large = tmp_path / "small", tmp_path / "large"
+    fill_store(build_store(small, c=c, m=m), n_blocks * m)
+    fill_store(build_store(large, c=c, m=m), 4 * n_blocks * m)
+    peak(small)  # first use of the code path, untraced growth aside
+    (small_peak, small_sent), (large_peak, large_sent) = peak(small), peak(large)
+    assert (small_sent, large_sent) == (n_blocks, 4 * n_blocks)
+    block_bytes = logchain.BLOCK_ENVELOPE_LEN + m * logchain.RECORD_LEN
+    assert large_peak <= small_peak + block_bytes, (small_peak, large_peak, block_bytes)
 
 
 def test_corrupted_block_raises_integrity_alarm(tmp_path, endpoints):
@@ -1035,7 +1113,7 @@ def test_an_anchored_peer_that_declares_a_huge_data_frame_is_dropped_at_once(
         server.close()
     assert not thread.is_alive()
     # The request is the one frame a device reads in a session.
-    assert retrieval.REQUEST_FRAME_LEN == 51
+    assert retrieval.REQUEST_FRAME_LEN == 43
     assert elapsed < 1.0, elapsed
     assert peak < 256 * 1024, peak
     assert [r.session["outcome"] for r in caplog.records] == ["ParseError"]
@@ -1172,7 +1250,7 @@ def test_a_poll_leaves_the_chain_state_byte_identical(tmp_path, endpoints):
     assert state_file.read_bytes() == before
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_an_archive_of_another_version_is_refused(tmp_path, endpoints, version):
     _device, verifier = endpoints
     store = _serving_store(tmp_path)
@@ -1188,6 +1266,8 @@ def test_an_archive_of_another_version_is_refused(tmp_path, endpoints, version):
     save_archive(path, result, store.identity().certificate_pem())
     assert load_archive(path)[0].summary is not None
     doc = json.loads(path.read_text())
+    # An audit's mode is whether it holds the RLK: the archive names none.
+    assert doc["request"] == {"device_id": store.manifest.device_id.hex(), "start": 0, "end": 1}
     doc["version"] = version
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match=f"unsupported archive version {version}"):

@@ -34,6 +34,7 @@ from sealog.errors import (
 )
 from sealog.keyschedule import ChainParams, RootLoggingKey, derive_ik
 from sealog.logchain import (
+    BLOCK_ENVELOPE_LEN,
     FINDING_BEYOND_STATE,
     FINDING_HISTORY_MISMATCH,
     FINDING_MISSING_STATE,
@@ -248,6 +249,21 @@ def test_create_refuses_nonempty_directory(tmp_path):
     (tmp_path / "s" / "junk").write_text("x")
     with pytest.raises(AlreadyExists):
         build_store(tmp_path / "s")
+
+
+@pytest.mark.parametrize("m", [57_455, 57_456])
+def test_create_refuses_a_block_length_whose_full_block_cannot_be_sealed(tmp_path, m):
+    # A full block, its 77-byte envelope and m records, is one sealed
+    # payload: from m = 57,456 on it is over the cap, and no ingest of a
+    # full block could ever commit.
+    fits = BLOCK_ENVELOPE_LEN + m * RECORD_LEN <= DEFAULT_MAX_PAYLOAD
+    assert fits == (m == 57_455)
+    if fits:
+        assert build_store(tmp_path / "s", c=1, m=m).params == ChainParams(c=1, m=m)
+        return
+    with pytest.raises(InvalidParameter, match=f"m={m} makes a 16777229-byte block"):
+        build_store(tmp_path / "s", c=1, m=m)
+    assert not (tmp_path / "s").exists()
 
 
 def test_open_with_wrong_secret_fails(tmp_path):
