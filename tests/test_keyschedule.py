@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_store
+from sealog import keyschedule
 from sealog.collector import LogWriter, RawEntry
 from sealog.errors import InvalidParameter, KeyUnavailable
 from sealog.keyschedule import (
@@ -193,28 +194,90 @@ def test_hkdf_equals_hkdf_composed_from_hmac_digest(label, ikm, suffix, out_len)
         assert hkdf(key, bytearray(SCHEME_SALT), info, out_len) == okm
 
 
+# RFC 4231 section 4 HMAC-SHA256 vectors, test cases 1-7: (key, data, tag
+# hex).  Case 5's tag is truncated to 128 bits; cases 6 and 7 have 131-byte
+# keys, which are hashed first.
+RFC4231_VECTORS = [
+    (b"\x0b" * 20, b"Hi There",
+     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
+    (b"Jefe", b"what do ya want for nothing?",
+     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"),
+    (b"\xaa" * 20, b"\xdd" * 50,
+     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"),
+    (bytes(range(1, 26)), b"\xcd" * 50,
+     "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"),
+    (b"\x0c" * 20, b"Test With Truncation", "a3b6167473100ee06e0c796c2955552b"),
+    (b"\xaa" * 131, b"Test Using Larger Than Block-Size Key - Hash Key First",
+     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"),
+    (b"\xaa" * 131,
+     b"This is a test using a larger than block-size key and a larger than block-size data."
+     b" The key needs to be hashed before being used by the HMAC algorithm.",
+     "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"),
+]
+
+
+@pytest.mark.parametrize("key, data, tag_hex", RFC4231_VECTORS)
+def test_rfc4231_vectors(key, data, tag_hex):
+    tag = bytes.fromhex(tag_hex)
+    assert hmac_mod.digest(key, data, "sha256")[: len(tag)] == tag
+    for k in (key, bytearray(key)):
+        assert hmac_sha256(k, data)[: len(tag)] == tag
+
+
+def test_hmac_sha256_matches_stdlib_at_every_key_length_and_pad_boundary():
+    # Keys of 0-64 bytes are padded, 65-130 hashed first; messages end on
+    # either side of a SHA-256 block and of its length padding.
+    messages = [bytes((7 * i + n) % 256 for i in range(n)) for n in (0, 1, 55, 56, 64, 264, 1000)]
+    for n in range(131):
+        key = bytes((31 * i + n) % 256 for i in range(n))
+        for msg in messages:
+            expected = hmac_mod.digest(key, msg, "sha256")
+            assert hmac_sha256(key, msg) == expected, (n, len(msg))
+            assert hmac_sha256(bytearray(key), msg) == expected, (n, len(msg))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     key=st.one_of(st.just(SCHEME_SALT), st.binary(max_size=100)),
     msg=st.binary(max_size=600),
 )
 def test_hmac_sha256_matches_stdlib(key, msg):
-    # Keys of up to 64 bytes take the pad path, SCHEME_SALT its cached
-    # states, longer keys the stdlib fallback.
+    # Keys of up to 64 bytes are padded, longer keys hashed first; to
+    # hmac_sha256, SCHEME_SALT is one more 32-byte key.
     assert hmac_sha256(key, msg) == hmac_mod.digest(key, msg, "sha256")
     assert hmac_sha256(bytearray(key), msg) == hmac_mod.digest(key, msg, "sha256")
 
 
-def test_hmac_sha256_cached_salt_states_are_never_updated():
+def _module_contexts_are_pristine() -> None:
+    """The module's only SHA-256 contexts are the empty one and the two
+    SCHEME_SALT pad states, and none has been updated since import."""
+    sha256_type = type(hashlib.sha256())
+    contexts = {n for n, v in vars(keyschedule).items() if isinstance(v, sha256_type)}
+    assert contexts == {"_EMPTY", "_SALT_INNER", "_SALT_OUTER"}
+    assert keyschedule._EMPTY.copy().digest() == hashlib.sha256(b"").digest()
+    for name, pad in (("_SALT_INNER", 0x36), ("_SALT_OUTER", 0x5C)):
+        block = bytes(b ^ pad for b in SCHEME_SALT.ljust(64, b"\x00"))
+        assert getattr(keyschedule, name).copy().digest() == hashlib.sha256(block).digest()
+
+
+def test_hmac_sha256_shared_contexts_are_never_updated():
     messages = [b"", b"a", b"b" * 63, b"c" * 64, b"d" * 65, b"e" * 1000, b"a"]
-    first = [hmac_sha256(SCHEME_SALT, msg) for msg in messages]
-    again = [hmac_sha256(SCHEME_SALT, msg) for msg in reversed(messages)][::-1]
-    assert first == again == [hmac_mod.digest(SCHEME_SALT, m, "sha256") for m in messages]
-    assert first[1] == first[-1]
+    for key in (SCHEME_SALT, bytes(32), b"k" * 7, b"long" * 40):
+        first = [hmac_sha256(key, msg) for msg in messages]
+        again = [hmac_sha256(key, msg) for msg in reversed(messages)][::-1]
+        assert first == again == [hmac_mod.digest(key, m, "sha256") for m in messages]
+        assert first[1] == first[-1]
+    # hkdf keys SCHEME_SALT from its pad states.
+    first = [hkdf(msg, SCHEME_SALT, LABEL_MESSAGE, 32) for msg in messages]
+    again = [hkdf(msg, SCHEME_SALT, LABEL_MESSAGE, 32) for msg in reversed(messages)][::-1]
+    expected = [oracle_hkdf(m, SCHEME_SALT, LABEL_MESSAGE, 32, "sha256") for m in messages]
+    assert first == again == expected
+    _module_contexts_are_pristine()
 
 
-def test_hkdf_with_cached_salt_states_is_thread_safe():
-    # The export server thread and the main thread share the cached states.
+def test_hkdf_and_tags_on_shared_contexts_are_thread_safe():
+    # The export server thread and the main thread share the module's
+    # contexts: each thread derives message keys and tags records with them.
     failures, results = [], []
 
     def derive(seed: int) -> None:
@@ -223,7 +286,11 @@ def test_hkdf_with_cached_salt_states_is_thread_safe():
                 ikm, info = struct.pack(">II", seed, i) * 4, LABEL_MESSAGE + struct.pack(">I", i)
                 expected = oracle_hkdf(ikm, SCHEME_SALT, info, 32, "sha256")
                 if hkdf(ikm, SCHEME_SALT, info, 32) != expected:
-                    failures.append((seed, i))
+                    failures.append(("hkdf", seed, i))
+                msg = struct.pack(">II", i, seed) * (i % 40)
+                tag = hmac_mod.digest(expected, msg, "sha256")
+                if hmac_sha256(bytearray(expected), msg) != tag:
+                    failures.append(("tag", seed, i))
             results.append(seed)
         except Exception as exc:  # surfaced by the assertions below
             failures.append(exc)
@@ -241,6 +308,7 @@ def test_hkdf_with_cached_salt_states_is_thread_safe():
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     assert sorted(results) == [1, 2]
+    _module_contexts_are_pristine()
 
 
 # Intermediate keys ----------------------------------------------------------
