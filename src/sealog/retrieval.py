@@ -14,6 +14,18 @@ An archive (version 4) is a JSON object: ``version``, ``certificate_pem``,
 ``request`` (``device_id``, ``start``, ``end``), the transfer's ``summary``
 and ``alarms``, and its ``blocks`` as base64 ``EMLB`` bytes.
 
+A session is two round trips.  The handshake is three flights: the
+verifier's HELLO; the device's HELLO and AUTH, in one send, since the
+device's signature covers only the two hellos; and the verifier's AUTH,
+which the verifier follows at once with its request.  The device checks
+that AUTH before it reads the request, and answers with the blocks and
+the summary.  The verifier's socket sets ``TCP_NODELAY``, so the request
+is not held behind the AUTH until the device's delayed ACK; the device's
+socket does not, since a whole-range transfer measured slower with it.
+A device that reads the verifier's AUTH before it sends its own, as
+earlier releases did, interoperates too: the frames are the same, and
+only their timing differs.
+
 Each end trusts the other only when the certificate in its hello is
 byte-identical to one of its own trust anchors: the certificate bytes are
 compared, never parsed, and the anchor supplies the peer's key and device
@@ -102,6 +114,7 @@ MAX_FRAME_LEN = 32 * 1024 * 1024
 # and a hello whose certificate and evidence fill their BE16 lengths.
 MAX_HELLO_FRAME_LEN = 1 + 2 + 2 + 0xFFFF + 2 + 0xFFFF + _EPH_PUB_LEN + HELLO_NONCE_LEN
 RECV_CHUNK = 64 * 1024  # most bytes one socket read asks for
+_FRAME_HEADER = struct.Struct(">IB")  # a frame's length, then its type byte
 # A request's fields after the device id: BE32 start, BE32 end, mode byte.
 _REQUEST_FIELDS = struct.Struct(">IIB")
 # The only frame a device reads in a session (43 bytes): the type byte and
@@ -146,6 +159,15 @@ AttestationPolicy = Callable[[bytes, int, bytes], bool]
 class FrameTransport:
     """Blocking length-prefixed frame IO over a connected socket.
 
+    Received bytes land in one buffer of ``RECV_CHUNK`` bytes per
+    transport, which ``recv_into`` fills: a read asks for no more than the
+    buffer's free space, so one read may bring a header with what follows
+    it, or several frames.  A header declaring more than ``max_len`` bytes
+    is refused before any more is read.  A frame that fits in the buffer is
+    handed on as one copy of its body; a longer one is read straight into a
+    buffer of its declared length, at most ``RECV_CHUNK`` bytes a read.
+    ``send_frames`` sends several frames in one ``sendall``.
+
     While ``deadline`` (a ``time.monotonic()`` value) is set, every send and
     receive must finish by then, however the peer paces its bytes; past it
     they raise ``TimeoutError``.
@@ -154,6 +176,9 @@ class FrameTransport:
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self.deadline: float | None = None
+        self._buf = bytearray(RECV_CHUNK)
+        self._view = memoryview(self._buf)
+        self._start = self._end = 0  # the bytes received and not yet handed on
 
     def _apply_deadline(self) -> None:
         if self.deadline is not None:
@@ -162,32 +187,61 @@ class FrameTransport:
                 raise TimeoutError("session deadline passed")
             self._sock.settimeout(remaining)
 
-    def send_frame(self, frame_type: int, payload: bytes) -> None:
-        if 1 + len(payload) > MAX_FRAME_LEN:
-            raise InvalidParameter("frame exceeds maximum length")
+    def send_frames(self, *frames: tuple[int, bytes]) -> None:
+        """Each ``(type, payload)`` frame, in order, in one ``sendall``."""
+        parts = []
+        for frame_type, payload in frames:
+            if 1 + len(payload) > MAX_FRAME_LEN:
+                raise InvalidParameter("frame exceeds maximum length")
+            parts += (_FRAME_HEADER.pack(1 + len(payload), frame_type), payload)
         self._apply_deadline()
-        self._sock.sendall(struct.pack(">IB", 1 + len(payload), frame_type) + payload)
+        self._sock.sendall(b"".join(parts))
 
-    def _recv_exact(self, n: int) -> bytes:
-        """``n`` bytes, held as received: no read asks for more than ``RECV_CHUNK``."""
-        chunks, left = [], n
-        while left:
-            self._apply_deadline()
-            chunk = self._sock.recv(min(left, RECV_CHUNK))
-            if not chunk:
-                raise ChannelClosed("peer closed the connection")
-            chunks.append(chunk)
-            left -= len(chunk)
-        return b"".join(chunks)
+    def send_frame(self, frame_type: int, payload: bytes) -> None:
+        self.send_frames((frame_type, payload))
 
-    def recv_frame(self, max_len: int = MAX_HELLO_FRAME_LEN) -> tuple[int, bytes]:
-        """One frame; a header declaring more than ``max_len`` bytes is a
-        ``ParseError`` and its body is never read."""
-        (length,) = struct.unpack(">I", self._recv_exact(4))
+    def _recv_into(self, view: memoryview) -> int:
+        """One read of at most ``len(view)`` bytes into ``view``."""
+        self._apply_deadline()
+        n = self._sock.recv_into(view)
+        if not n:
+            raise ChannelClosed("peer closed the connection")
+        return n
+
+    def _fill(self, n: int) -> None:
+        """Hold at least ``n`` (at most ``RECV_CHUNK``) unread bytes."""
+        if self._start == self._end:
+            self._start = self._end = 0
+        elif self._start + n > RECV_CHUNK:  # move the unread bytes to the front
+            unread = bytes(self._view[self._start : self._end])
+            self._start, self._end = 0, len(unread)
+            self._buf[: self._end] = unread
+        while self._end - self._start < n:
+            self._end += self._recv_into(self._view[self._end :])
+
+    def recv_frame(self, max_len: int = MAX_HELLO_FRAME_LEN) -> tuple[int, bytearray]:
+        """One frame's type and body; a header declaring more than
+        ``max_len`` bytes is a ``ParseError``, and its body is never
+        waited for."""
+        self._fill(4)
+        (length,) = struct.unpack_from(">I", self._buf, self._start)
         if length < 1 or length > max_len:
             raise ParseError(f"frame length {length} out of range 1..{max_len}")
-        body = self._recv_exact(length)
-        return body[0], body[1:]
+        if 4 + length <= RECV_CHUNK:
+            self._fill(4 + length)
+            body_at = self._start + _FRAME_HEADER.size
+            self._start += 4 + length
+            return self._buf[body_at - 1], self._buf[body_at : self._start]
+        self._fill(_FRAME_HEADER.size)
+        frame_type = self._buf[self._start + 4]
+        body = bytearray(length - 1)
+        held = self._end - self._start - _FRAME_HEADER.size
+        body[:held] = self._view[self._start + _FRAME_HEADER.size : self._end]
+        self._start = self._end = 0
+        view = memoryview(body)
+        while held < len(body):
+            held += self._recv_into(view[held : held + RECV_CHUNK])
+        return frame_type, body
 
     def close(self) -> None:
         try:
@@ -242,15 +296,17 @@ class ChannelHello:
 
     @classmethod
     def unpack(cls, payload: bytes) -> "ChannelHello":
-        fields, offset = [], 2
+        """The hello in ``payload``; its certificate and evidence are
+        ``memoryview`` slices of ``payload``, not copies."""
+        view, fields, offset = memoryview(payload), [], 2
         try:
             for _ in range(2):  # the certificate, then the evidence
-                (length,) = struct.unpack_from(">H", payload, offset)
-                fields.append(payload[offset + 2 : offset + 2 + length])
+                (length,) = struct.unpack_from(">H", view, offset)
+                fields.append(view[offset + 2 : offset + 2 + length])
                 offset += 2 + length
         except struct.error as exc:
             raise ParseError(f"malformed hello: {exc}") from exc
-        tail = payload[offset:]  # empty when a field was cut short
+        tail = bytes(view[offset:])  # empty when a field was cut short
         if len(tail) != _EPH_PUB_LEN + HELLO_NONCE_LEN:
             raise ParseError("hello payload truncated")
         return cls(payload[0], payload[1], *fields, tail[:_EPH_PUB_LEN], tail[_EPH_PUB_LEN:])
@@ -373,7 +429,7 @@ def _validate_hello(
             )
         except ValueError as exc:
             raise AuthFailure("ephemeral key is not a P-256 point") from exc
-        if policy is not None and not policy(hello.evidence, hello.role, device_id):
+        if policy is not None and not policy(bytes(hello.evidence), hello.role, device_id):
             raise AuthFailure("attestation evidence rejected by policy")
     except SealogError as exc:
         _abort(transport, ABORT_AUTH, str(exc))
@@ -382,7 +438,9 @@ def _validate_hello(
 
 
 def _transcript_hash(client_hello: bytes, server_hello: bytes) -> bytes:
-    return hashlib.sha256(client_hello + server_hello).digest()
+    transcript = hashlib.sha256(client_hello)
+    transcript.update(server_hello)
+    return transcript.digest()
 
 
 def _transcript_preimage(role: int, transcript_hash: bytes) -> bytes:
@@ -442,7 +500,10 @@ def server_handshake(
     evidence: bytes = b"",
     attestation_policy: AttestationPolicy | None = None,
 ) -> SecureSession:
-    """Device-side handshake; mirror image of client_handshake.
+    """Device-side handshake, the responder of client_handshake.
+
+    The device's signature covers only the two hellos, so its AUTH goes
+    with its HELLO, in one send, before the client's AUTH is read.
 
     A recorded client hello and AUTH replayed here fail the transcript
     check: the client's signature covers the transcript of another server
@@ -456,11 +517,12 @@ def server_handshake(
 
     hello, eph = _make_hello(identity, ROLE_DEVICE, evidence)
     hello_bytes = hello.pack()
-    transport.send_frame(FRAME_HELLO, hello_bytes)
-
     th = _transcript_hash(client_hello_bytes, hello_bytes)
+    transport.send_frames(
+        (FRAME_HELLO, hello_bytes),
+        (FRAME_AUTH, identity.sign(_transcript_preimage(ROLE_DEVICE, th))),
+    )
     _check_transcript(transport, client_key, ROLE_VERIFIER, th)
-    transport.send_frame(FRAME_AUTH, identity.sign(_transcript_preimage(ROLE_DEVICE, th)))
 
     recv_key, send_key = _session_keys(eph, client_eph, th)
     return SecureSession(transport, send_key, recv_key, ROLE_DEVICE, client_id)
@@ -794,9 +856,12 @@ def fetch(
     """Connect, authenticate mutually, and retrieve the requested range.
 
     Connecting, and then each send and receive, gives up with
-    ``TimeoutError`` after ``SESSION_TIMEOUT`` seconds.
+    ``TimeoutError`` after ``SESSION_TIMEOUT`` seconds.  The socket sets
+    ``TCP_NODELAY``: the request follows the AUTH at once, and Nagle's
+    algorithm would hold it until the device's delayed ACK of the AUTH.
     """
     with socket.create_connection((host, port), timeout=SESSION_TIMEOUT) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         transport = FrameTransport(sock)
         session = client_handshake(
             identity,

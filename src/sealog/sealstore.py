@@ -317,6 +317,8 @@ class SealedStore:
         self.state: ChainState | None = ChainState()
         self.state_error: str | None = None
         self._delivered: int | None = None  # the watermark last read or written
+        # The sign preimage and signature of the last signed_state_snapshot.
+        self._signed_state = (b"", b"")
         self.crash_hook: Callable[[str], None] | None = None
 
     # -- paths --
@@ -529,8 +531,15 @@ class SealedStore:
         return self.state
 
     def signed_state_snapshot(self, state: ChainState) -> tuple[ChainState, bytes]:
-        """``state`` plus a device signature, so off-device copies stay auditable."""
-        return state, self.identity().sign(state.sign_preimage())
+        """``state`` plus a device signature, so off-device copies stay
+        auditable.  The handle keeps the last state bytes it signed and
+        their signature, and signs again only for other bytes: a signature
+        over the same state bytes stays valid, so polls of an unchanged
+        store make one ECDSA sign between them."""
+        preimage, signed = state.sign_preimage(), self._signed_state
+        if signed[0] != preimage:
+            signed = self._signed_state = (preimage, self.identity().sign(preimage))
+        return state, signed[1]
 
     # -- delivered watermark --
 

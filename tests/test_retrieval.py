@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import socket
 import struct
 import threading
@@ -12,6 +13,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from cryptography.hazmat.primitives.asymmetric import ec, rsa
 from cryptography.hazmat.primitives.serialization import Encoding
 
@@ -37,6 +40,7 @@ from sealog.sealstore import (
     DELIVERED_FILE,
     NO_WATERMARK,
     STATE_FILE,
+    STATE_SIGN_MAGIC,
     SealedStore,
     verify_store,
 )
@@ -69,10 +73,10 @@ class TapSocket:
         self._log.extend(data)
         return self._sock.sendall(data)
 
-    def recv(self, n):
-        data = self._sock.recv(n)
-        self._log.extend(data)
-        return data
+    def recv_into(self, buffer):
+        n = self._sock.recv_into(buffer)
+        self._log.extend(buffer[:n])
+        return n
 
     def close(self):
         self._sock.close()
@@ -257,14 +261,19 @@ def test_hello_replay_detected(endpoints):
     device, verifier = endpoints
 
     # Record a legitimate handshake as the server's socket sees it: client
-    # hello, server hello, client AUTH, server AUTH.
+    # hello, the server's hello and AUTH in one flight, then client AUTH.
     recorded = bytearray()
     results = _handshake_pair(
         device, verifier, [verifier.certificate], [device.certificate], tap=recorded
     )
     assert "server" in results
-    client_hello, _server_hello, client_auth, _server_auth = _frames(recorded)
-    assert client_hello[4] == FRAME_HELLO and client_auth[4] == retrieval.FRAME_AUTH
+    client_hello, server_hello, _server_auth, client_auth = _frames(recorded)
+    assert [frame[4] for frame in _frames(recorded)] == [FRAME_HELLO, FRAME_HELLO] + [
+        retrieval.FRAME_AUTH
+    ] * 2
+    th = retrieval._transcript_hash(client_hello[5:], server_hello[5:])
+    preimage = retrieval._transcript_preimage(retrieval.ROLE_VERIFIER, th)
+    assert verifier.verify(preimage, client_auth[5:])  # the client's own AUTH
 
     # Replay the client's hello and AUTH verbatim at a fresh server handshake.
     a, b = _pair()
@@ -282,6 +291,7 @@ def test_hello_replay_detected(endpoints):
     replayer = FrameTransport(b)
     b.sendall(client_hello)
     assert replayer.recv_frame()[0] == FRAME_HELLO  # a fresh server hello
+    assert replayer.recv_frame()[0] == retrieval.FRAME_AUTH  # and its AUTH, unasked
     b.sendall(client_auth)
     frame_type, payload = replayer.recv_frame()
     thread.join(timeout=10)
@@ -339,6 +349,115 @@ def test_session_frame_replay_detected(endpoints):
         server.recv_message()
     raw_b.sendall(fourth)
     assert server.recv_message() == (0x42, b"pung")
+
+
+def test_the_device_sends_its_hello_and_auth_in_one_flight(endpoints):
+    # A verifier that sends its hello and then waits: the device's AUTH
+    # must come with its hello, not after the verifier's AUTH.
+    device, verifier = endpoints
+    a, b = _pair()
+    errors: list = []
+
+    def run_server():
+        try:
+            server_handshake(device, [verifier.certificate], FrameTransport(a))
+        except Exception as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=run_server)
+    thread.start()
+    hello, _eph = retrieval._make_hello(verifier, retrieval.ROLE_VERIFIER, b"")
+    hello_bytes = hello.pack()
+    b.settimeout(1.0)
+    waiting = FrameTransport(b)
+    waiting.send_frame(FRAME_HELLO, hello_bytes)
+    try:
+        server_hello = retrieval._expect_frame(waiting, FRAME_HELLO)
+        signature = retrieval._expect_frame(waiting, retrieval.FRAME_AUTH)
+    finally:
+        b.close()  # the server's wait for the verifier's AUTH ends
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    th = retrieval._transcript_hash(hello_bytes, server_hello)
+    assert device.verify(retrieval._transcript_preimage(retrieval.ROLE_DEVICE, th), signature)
+    assert len(errors) == 1 and isinstance(errors[0], (ChannelClosed, OSError))
+
+
+class _PieceSocket:
+    """A socket's receive side that hands out ``wire`` in pieces of the
+    given sizes, in turn, and records how many bytes each read asked for."""
+
+    def __init__(self, wire: bytes, pieces: list[int]):
+        self._wire, self._pieces, self._offset = wire, pieces, 0
+        self.asked: list[int] = []
+
+    def recv_into(self, buffer):
+        size = self._pieces[len(self.asked) % len(self._pieces)]
+        self.asked.append(len(buffer))
+        n = min(size, len(buffer), len(self._wire) - self._offset)
+        buffer[:n] = self._wire[self._offset : self._offset + n]
+        self._offset += n
+        return n
+
+
+def _frame_bytes(frames: list[tuple[int, bytes]]) -> bytes:
+    return b"".join(struct.pack(">IB", 1 + len(body), t) + body for t, body in frames)
+
+
+_FRAME_LENGTHS = st.one_of(
+    st.integers(0, 300),
+    st.sampled_from(
+        [retrieval.RECV_CHUNK - 6, retrieval.RECV_CHUNK - 5, retrieval.RECV_CHUNK - 4,
+         retrieval.RECV_CHUNK, 2 * retrieval.RECV_CHUNK + 3]
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    frames=st.lists(st.tuples(st.integers(0, 255), _FRAME_LENGTHS), min_size=1, max_size=6),
+    pieces=st.lists(
+        st.one_of(st.integers(1, 16), st.integers(1, 3 * retrieval.RECV_CHUNK)),
+        min_size=1,
+        max_size=8,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frame_reader_gives_the_same_frames_however_the_stream_is_split(frames, pieces, seed):
+    rng = random.Random(seed)
+    sent = [(t, rng.randbytes(n)) for t, n in frames]
+    sock = _PieceSocket(_frame_bytes(sent), pieces)
+    transport = FrameTransport(sock)
+    got = [transport.recv_frame(retrieval.MAX_FRAME_LEN) for _ in sent]
+    assert got == sent
+    assert max(sock.asked) <= retrieval.RECV_CHUNK
+    assert sock._offset == len(sock._wire)  # no byte is left unread or read twice
+
+
+def test_frame_reader_refuses_a_long_header_before_reading_its_body():
+    # The whole frame is there to be read: the reader still takes at most
+    # one buffer's worth, and refuses the frame at its header.
+    body = bytes(1 << 20)
+    sock = _PieceSocket(struct.pack(">IB", 1 + len(body), FRAME_HELLO) + body, [len(body) * 2])
+    with pytest.raises(ParseError, match="out of range"):
+        FrameTransport(sock).recv_frame(len(body))
+    assert sock.asked == [retrieval.RECV_CHUNK]
+    # Over a socket, with only the header sent and the peer still there,
+    # the refusal does not wait for the body.
+    a, b = _pair()
+    b.sendall(struct.pack(">IB", retrieval.MAX_HELLO_FRAME_LEN + 1, FRAME_HELLO))
+    start = time.monotonic()
+    with pytest.raises(ParseError, match="out of range"):
+        FrameTransport(a).recv_frame()
+    assert time.monotonic() - start < 1.0
+
+
+def test_frame_reader_takes_several_frames_from_one_read():
+    sent = [(FRAME_HELLO, b"first"), (retrieval.FRAME_AUTH, bytes(64)), (FRAME_DATA, b"")]
+    sock = _PieceSocket(_frame_bytes(sent), [retrieval.RECV_CHUNK])
+    transport = FrameTransport(sock)
+    assert [transport.recv_frame() for _ in sent] == sent
+    assert len(sock.asked) == 1
 
 
 def _serving_store(tmp_path, n_entries=40, c=2, m=4):
@@ -1119,6 +1238,55 @@ def test_an_anchored_peer_that_declares_a_huge_data_frame_is_dropped_at_once(
     assert [r.session["outcome"] for r in caplog.records] == ["ParseError"]
 
 
+def test_a_maximum_hello_trickled_in_small_pieces_costs_the_server_about_its_length(
+    tmp_path, endpoints, caplog
+):
+    _device, verifier = endpoints
+    server = LogExportServer(_serving_store(tmp_path), [verifier.certificate], port=0)
+    # A well-formed hello as long as the format allows, whose certificate
+    # no anchor matches, sent in 4 KiB pieces.
+    hello = (
+        bytes([retrieval.PROTOCOL_VERSION, retrieval.ROLE_VERIFIER])
+        + struct.pack(">H", 0xFFFF) + os.urandom(0xFFFF)
+        + struct.pack(">H", 0xFFFF) + os.urandom(0xFFFF)
+        + os.urandom(65 + retrieval.HELLO_NONCE_LEN)
+    )
+    frame = struct.pack(">IB", 1 + len(hello), FRAME_HELLO) + hello
+    assert len(frame) == 4 + retrieval.MAX_HELLO_FRAME_LEN
+    pieces = [memoryview(frame)[k : k + 4096] for k in range(0, len(frame), 4096)]
+
+    def session(sent):
+        """The traced heap peak while the server serves a peer sending ``sent``."""
+        def peer():
+            with socket.create_connection(("127.0.0.1", server.address[1])) as sock:
+                for piece in sent:
+                    sock.sendall(piece)
+                    time.sleep(0.001)
+                sock.shutdown(socket.SHUT_WR)
+                while sock.recv(4096):  # until the server closes
+                    pass
+
+        thread = threading.Thread(target=peer)
+        tracemalloc.start()
+        try:
+            thread.start()
+            assert server.handle_one(timeout=10)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+    try:
+        with caplog.at_level(logging.WARNING, logger="sealog.retrieval"):
+            session([])  # first-use allocations
+            peak = session(pieces)
+    finally:
+        server.close()
+    assert [r.session["outcome"] for r in caplog.records] == ["ChannelClosed", "AuthFailure"]
+    assert peak < 256 * 1024, peak
+
+
 def test_a_failed_session_releases_what_it_received_when_it_ends(tmp_path, endpoints, caplog):
     _device, verifier = endpoints
     store = _serving_store(tmp_path)
@@ -1213,6 +1381,84 @@ def test_delivered_watermark_advances(tmp_path, endpoints):
     finally:
         server.close()
     assert SealedStore.open(store.directory, ROOT_SECRET).delivered_mark() == 4
+
+
+def test_polls_of_an_unchanged_store_share_one_state_signature(tmp_path, endpoints, monkeypatch):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)  # 10 blocks
+    device_cert = store.identity().certificate
+    sign, state_signs = DeviceIdentity.sign, []
+
+    def counting_sign(identity, message):
+        if message.startswith(STATE_SIGN_MAGIC):
+            state_signs.append(message)
+        return sign(identity, message)
+
+    monkeypatch.setattr(DeviceIdentity, "sign", counting_sign)
+    server = LogExportServer(store, [verifier.certificate], port=0)
+    server.start()
+    request = RetrievalRequest(store.manifest.device_id, start=0)
+    try:
+        first, second = (
+            fetch("127.0.0.1", server.address[1], verifier, [device_cert], request)
+            for _ in range(2)
+        )
+        assert first.summary.state_signature == second.summary.state_signature
+        assert len(state_signs) == 1
+        fill_store(SealedStore.open(store.directory, ROOT_SECRET), 8)  # blocks 10-11
+        third = fetch("127.0.0.1", server.address[1], verifier, [device_cert], request)
+    finally:
+        server.close()
+    assert third.summary.state.latest_block_id == 11
+    assert third.summary.state_signature != first.summary.state_signature
+    assert len(state_signs) == 2
+    for result in (first, second, third):
+        for rlk in (None, store.root_logging_key()):
+            assert audit(result, device_cert, rlk=rlk).verdict == "ok"
+
+
+def test_only_the_verifier_socket_sets_nodelay(tmp_path, endpoints, monkeypatch):
+    _device, verifier = endpoints
+    store = _serving_store(tmp_path)
+    device_cert = store.identity().certificate
+    connect, accept = retrieval.socket.create_connection, socket.socket.accept
+    receive, serve = retrieval.receive_transfer, retrieval.serve_range
+    opened, accepted, nodelay = [], [], {}
+
+    def capturing_connect(*args, **kwargs):
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    def capturing_accept(listener):
+        conn, peer = accept(listener)
+        accepted.append(conn)
+        return conn, peer
+
+    def option(sock):
+        return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def checked_receive(session, request):
+        nodelay["verifier"] = option(opened[-1])
+        return receive(session, request)
+
+    def checked_serve(session, served, request):
+        nodelay["device"] = option(accepted[-1])
+        return serve(session, served, request)
+
+    monkeypatch.setattr(retrieval.socket, "create_connection", capturing_connect)
+    monkeypatch.setattr(socket.socket, "accept", capturing_accept)
+    monkeypatch.setattr(retrieval, "receive_transfer", checked_receive)
+    monkeypatch.setattr(retrieval, "serve_range", checked_serve)
+    server = LogExportServer(store, [verifier.certificate], port=0)
+    server.start()
+    try:
+        request = RetrievalRequest(store.manifest.device_id, start=0, end=1)
+        result = fetch("127.0.0.1", server.address[1], verifier, [device_cert], request)
+    finally:
+        server.close()
+    assert [b.block_id for b in result.blocks] == [0, 1]
+    assert nodelay["verifier"] != 0
+    assert nodelay["device"] == 0
 
 
 def test_blocks_committed_after_the_server_opened_the_store_are_served(tmp_path, endpoints):
@@ -1399,8 +1645,9 @@ def test_a_peer_presenting_an_anchored_rsa_certificate_cannot_kill_the_server(
             transport = FrameTransport(sock)
             transport.send_frame(FRAME_HELLO, hello.pack())
             retrieval._expect_frame(transport, FRAME_HELLO)
+            retrieval._expect_frame(transport, retrieval.FRAME_AUTH)  # the device's
             transport.send_frame(retrieval.FRAME_AUTH, os.urandom(64))
-            retrieval._expect_frame(transport, retrieval.FRAME_AUTH)
+            retrieval._expect_frame(transport, retrieval.FRAME_AUTH)  # the ABORT
 
     _survives_hostile_peer(tmp_path, verifier, caplog, hostile, server_anchors=[rsa_cert])
 
